@@ -33,14 +33,21 @@ from collections import Counter
 
 import numpy as np
 
+import refs
 from tracing import Tracer
 from workloads import WORKLOADS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 OUT_DIR = os.path.join(ROOT, ".perfbench")
-SETUP_REPEATS = 5
+SETUP_REPEATS = 7
 CHILD_TIMEOUT_S = 300
+# The calibration block: a fixed piece of the benchmark's own code, timed
+# before the first operation and after every operation and set-up.  Every
+# reported time is scaled to a machine on which this block takes
+# CAL_NOMINAL_MS (see README.md, "Timing at reference speed").
+CAL_ROWS = np.random.default_rng(0).normal(0.0, 1.0, size=(40, 16))
+CAL_NOMINAL_MS = 1.0
 
 KINDS = ("exp", "pow", "plsoftmax", "logplsoftmax", "sparsemax")
 DIMS = (4, 16, 64, 1024)
@@ -78,6 +85,24 @@ def import_softmech():
     return pkg
 
 
+def calibration_ms() -> float:
+    """Time one calibration block: the reference plsoftmax and exp of
+    refs.py, which does not import softmech, on 40 fixed vectors at d = 16."""
+    t0 = time.perf_counter()
+    for x in CAL_ROWS:
+        refs.plsoftmax_ref(x, 1.0)
+        refs.exp_ref(x, 1.0)
+    return (time.perf_counter() - t0) * 1e3
+
+
+def to_reference_speed(raw: np.ndarray, cal_before: np.ndarray, cal_after: np.ndarray) -> np.ndarray:
+    """Scale each raw time by CAL_NOMINAL_MS over the slower of the two
+    calibration blocks around it.  Where the machine changed speed between
+    the two, the operation is scaled as if it ran at the slower speed, so a
+    change of speed cannot make an operation look slower than it was."""
+    return raw * (CAL_NOMINAL_MS / np.maximum(cal_before, cal_after))
+
+
 def tail(times_ms: np.ndarray) -> tuple[str, float]:
     """The highest percentile with at least ten operations beyond it: the
     eleventh-longest operation.  The median below forty operations."""
@@ -112,7 +137,8 @@ def per_layer(tracer: Tracer, counts: Counter, ops: int) -> dict:
 def measure(name: str, seed: int, seconds: float, trace: bool, workdir: str) -> dict:
     """Set up SETUP_REPEATS times, then run whole rounds for `seconds`."""
     cls = WORKLOADS[name]
-    setups = []
+    calibration_ms()  # builds the reference matrices it uses
+    setups, setup_cals = [], [calibration_ms()]
     for _ in range(SETUP_REPEATS):
         t0 = time.perf_counter()
         sm = import_softmech()
@@ -120,6 +146,7 @@ def measure(name: str, seed: int, seconds: float, trace: bool, workdir: str) -> 
         warm_in = wl.inputs(0)
         warm_out = wl.call(warm_in)
         setups.append(time.perf_counter() - t0)
+        setup_cals.append(calibration_ms())
     counts = Counter()
     wrong, _ = wl.check(0, warm_in, warm_out, counts)
     counts.clear()
@@ -127,7 +154,7 @@ def measure(name: str, seed: int, seconds: float, trace: bool, workdir: str) -> 
     tracer = Tracer()
     if trace:
         tracer.install()
-    times, failed, fail_notes = [], 0, []
+    times, cals, failed, fail_notes = [], [calibration_ms()], 0, []
     start = time.perf_counter()
     i = 0
     try:
@@ -144,6 +171,7 @@ def measure(name: str, seed: int, seconds: float, trace: bool, workdir: str) -> 
                 times.append(time.perf_counter() - t0)
                 if trace:
                     tracer.end_op()
+                cals.append(calibration_ms())
                 if error is not None:
                     failed += 1
                     fail_notes.append(error)
@@ -159,8 +187,10 @@ def measure(name: str, seed: int, seconds: float, trace: bool, workdir: str) -> 
     finally:
         tracer.uninstall()
 
-    t = np.array(times)
-    ms = t * 1e3
+    cals, setup_cals = np.array(cals), np.array(setup_cals)
+    raw_ms = np.array(times) * 1e3
+    ms = to_reference_speed(raw_ms, cals[:-1], cals[1:])
+    setup_s = to_reference_speed(np.array(setups), setup_cals[:-1], setup_cals[1:])
     tail_name, tail_ms = tail(ms)
     result = {
         "workload": name,
@@ -172,11 +202,20 @@ def measure(name: str, seed: int, seconds: float, trace: bool, workdir: str) -> 
         "fail_notes": fail_notes[:2],
         "tail": f"{tail_name} of {len(times)} operations",
         "e2e": {
-            "ops_per_s": (len(times) / float(t.sum()), "1/s"),
+            "ops_per_s": (len(times) / (float(ms.sum()) / 1e3), "1/s"),
             "op_p50_ms": (float(np.median(ms)), "ms"),
             "op_tail_ms": (tail_ms, "ms"),
-            "setup_s": (float(np.median(setups)), "s"),
+            "setup_s": (float(np.median(setup_s)), "s"),
             "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB"),
+        },
+        "wall": {
+            "ops_per_s": len(times) / (float(raw_ms.sum()) / 1e3),
+            "op_p50_ms": float(np.median(raw_ms)),
+            "op_tail_ms": tail(raw_ms)[1],
+            "setup_s": float(np.median(setups)),
+            "calibration_p5_ms": float(np.percentile(cals, 5)),
+            "calibration_p50_ms": float(np.median(cals)),
+            "calibration_p95_ms": float(np.percentile(cals, 95)),
         },
     }
     if trace:
@@ -196,6 +235,7 @@ def report(result: dict, trace: bool) -> dict:
     for key, (value, unit) in result["e2e"].items():
         extra = f"  ({result['tail']})" if key == "op_tail_ms" else ""
         print(f"  {key} = {value:.6g} {unit}{'  (traced)' if trace else ''}{extra}")
+    print("  as measured on the wall clock: " + ", ".join(f"{k} = {v:.6g}" for k, v in result["wall"].items()))
     metrics = result["layers"] if trace else result["e2e"]
     if trace:
         for key, (value, unit) in metrics.items():
