@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mechanisms import plsoftmax
+from .mechanisms import _piece_apply, _piece_apply_transpose, plsoftmax
+from .seeding import spawn_rng
 from .simplex import as_values, check_distribution
-from .smmatrix import build_softmax_matrix, uniform_prefix
-
-_HINGE_SMOOTH_TOL = 1e-7
 
 
 def target_sort_permutation(q) -> np.ndarray:
@@ -26,11 +24,21 @@ def target_sort_permutation(q) -> np.ndarray:
     return np.argsort(-qq, kind="stable")
 
 
-def _validated(x, q):
+def _target_piece(q: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """q's sort order, its support size k, and the last rank the order part
+    reaches: the first rank outside the support, capped at d - 1."""
+    order = target_sort_permutation(q)
+    k = int(np.count_nonzero(q > 0))
+    return order, k, min(k, q.size - 1)
+
+
+def _validated(x, q, delta: float | None = None):
     xx = as_values(x)
     qq = check_distribution(q)
     if xx.shape != qq.shape:
         raise ValueError("scores and target must share a dimension")
+    if delta is not None and delta <= 0:
+        raise ValueError("delta must be positive")
     return xx, qq
 
 
@@ -44,9 +52,7 @@ def loss_ord(x, q) -> float:
     selector's own output.
     """
     xx, qq = _validated(x, q)
-    order = target_sort_permutation(qq)
-    support_size = int(np.count_nonzero(qq > 0))
-    last = min(support_size, xx.size - 1)
+    order, _, last = _target_piece(qq)
     xs = xx[order]
     diffs = xs[1 : last + 1] - xs[:last]
     return float(np.maximum(diffs, 0.0).sum())
@@ -58,9 +64,7 @@ def loss_supp(x, q, delta: float) -> float:
     Coordinates carrying probability must score within delta of the top
     target coordinate's score; coordinates carrying none must not.
     """
-    xx, qq = _validated(x, q)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    xx, qq = _validated(x, q, delta)
     top = xx[int(np.argmax(qq))]  # first max index, matching the tie rule
     in_support = qq > 0
     inside = np.maximum(top - xx[in_support] - delta, 0.0).sum()
@@ -68,26 +72,19 @@ def loss_supp(x, q, delta: float) -> float:
     return float(inside + outside)
 
 
-def _piece_map(q: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Affine map (M, b) of the selector piece indexed by q's order and support."""
-    d = q.size
-    order = target_sort_permutation(q)
-    k = max(1, int(np.count_nonzero(q > 0)))
-    sm = build_softmax_matrix(k, d).to_float()
-    P = np.zeros((d, d))
-    P[np.arange(d), order] = 1.0  # row r picks the rank-r coordinate
-    M = P.T @ sm @ P / delta
-    b = P.T @ uniform_prefix(k, d)
-    return M, b
+def _piece_residual(x: np.ndarray, q: np.ndarray, delta: float, order: np.ndarray, k: int) -> np.ndarray:
+    """q minus the selector piece indexed by q's order and support, applied to x;
+    entries are in q's rank order."""
+    r = q[order] - _piece_apply(x[order], k) / delta
+    r[:k] -= 1.0 / k
+    return r
 
 
 def loss_sqr(x, q, delta: float) -> float:
     """Squared distance between q and its own selector piece applied to x."""
-    xx, qq = _validated(x, q)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    M, b = _piece_map(qq, delta)
-    r = qq - (M @ xx + b)
+    xx, qq = _validated(x, q, delta)
+    order, k, _ = _target_piece(qq)
+    r = _piece_residual(xx, qq, delta, order, k)
     return float(r @ r)
 
 
@@ -98,41 +95,30 @@ def loss_total(x, q, delta: float) -> float:
 
 def loss_grad(x, q, delta: float) -> np.ndarray:
     """Gradient of the total loss in x (a subgradient at hinge corners)."""
-    xx, qq = _validated(x, q)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    xx, qq = _validated(x, q, delta)
     g = np.zeros_like(xx)
 
-    order = target_sort_permutation(qq)
-    support_size = int(np.count_nonzero(qq > 0))
-    last = min(support_size, xx.size - 1)
-    for i in range(last):
-        lo, hi = order[i], order[i + 1]
-        if xx[hi] - xx[lo] > 0:
-            g[hi] += 1.0
-            g[lo] -= 1.0
+    order, k, last = _target_piece(qq)
+    lo, hi = order[:last], order[1 : last + 1]
+    inverted = xx[hi] - xx[lo] > 0
+    g[hi[inverted]] += 1.0
+    g[lo[inverted]] -= 1.0
 
     top = int(np.argmax(qq))
     in_support = qq > 0
-    for i in np.flatnonzero(in_support):
-        if xx[top] - xx[i] - delta > 0:
-            g[top] += 1.0
-            g[i] -= 1.0
-    for i in np.flatnonzero(~in_support):
-        if xx[i] - xx[top] + delta > 0:
-            g[i] += 1.0
-            g[top] -= 1.0
+    too_low = in_support & (xx[top] - xx - delta > 0)
+    too_high = ~in_support & (xx - xx[top] + delta > 0)
+    g[too_low] -= 1.0
+    g[too_high] += 1.0
+    g[top] += np.count_nonzero(too_low) - np.count_nonzero(too_high)
 
-    M, b = _piece_map(qq, delta)
-    r = qq - (M @ xx + b)
-    g += -2.0 * (M.T @ r)
+    r = _piece_residual(xx, qq, delta, order, k)
+    g[order] -= (2.0 / delta) * _piece_apply_transpose(r, k)
     return g
 
 
 def _is_smooth_point(x: np.ndarray, q: np.ndarray, delta: float, tol: float) -> bool:
-    order = target_sort_permutation(q)
-    support_size = int(np.count_nonzero(q > 0))
-    last = min(support_size, x.size - 1)
+    order, _, last = _target_piece(q)
     xs = x[order]
     if np.any(np.abs(xs[1 : last + 1] - xs[:last]) <= tol):
         return False
@@ -145,11 +131,12 @@ def _is_smooth_point(x: np.ndarray, q: np.ndarray, delta: float, tol: float) -> 
 def subgradient_check(x, q, delta: float, fd_step: float = 1e-5) -> float | None:
     """Max relative error of the analytic gradient against central differences.
 
-    Returns None (skip signal) when some hinge argument sits within 1e-7 of
-    its corner, where the loss is not differentiable.
+    Returns None (skip signal) when some hinge argument sits within
+    2 * fd_step of its corner: there the central difference straddles a
+    point where the loss is not differentiable.
     """
     xx, qq = _validated(x, q)
-    if not _is_smooth_point(xx, qq, delta, _HINGE_SMOOTH_TOL):
+    if not _is_smooth_point(xx, qq, delta, 2.0 * fd_step):
         return None
     grad = loss_grad(xx, qq, delta)
     worst = 0.0
@@ -180,7 +167,7 @@ def convexity_probe(q, delta: float, trials: int, rng_seed: int, loss=None, scal
     d = qq.size
     worst = -np.inf
     for i in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=rng_seed, spawn_key=(i,)))
+        rng = spawn_rng(rng_seed, i)
         x1 = rng.normal(0.0, scale * max(delta, 1.0), size=d)
         x2 = rng.normal(0.0, scale * max(delta, 1.0), size=d)
         t = rng.random()

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .seeding import spawn_rng
 from .simplex import check_distribution
 from .smmatrix import harmonic
 
@@ -154,7 +155,7 @@ def subordinate_norm_sampled(A, p: float, q: float, trials: int, rng_seed: int) 
     if trials < 1:
         raise ValueError("trials must be >= 1")
     d = M.shape[1]
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=rng_seed))
+    rng = spawn_rng(rng_seed)
     dirs = [np.eye(d)]
     n_signs = max(1, trials // 2)
     dirs.append(1.0 - 2.0 * rng.integers(0, 2, size=(n_signs, d)))
@@ -167,6 +168,13 @@ def subordinate_norm_sampled(A, p: float, q: float, trials: int, rng_seed: int) 
         vals = _vector_norm(unit @ M.T, q, axis=1)
         best = max(best, float(vals.max(initial=0.0)))
     return best
+
+
+def pq_bound_factor(p: float, q: float, cap: float) -> float:
+    """min(p+1, q/(q-1), cap): the factor shared by the (p,q) bounds on the
+    soft-max matrices and on plsoftmax.  p=inf drops the first term, q=1 the
+    second."""
+    return min(p + 1.0, _dual_exponent(q), cap)
 
 
 def sm_norm_bound(k: int, p: float, q: float) -> float:
@@ -182,58 +190,46 @@ def sm_norm_bound(k: int, p: float, q: float) -> float:
         raise ValueError("k must be >= 1")
     if not p >= 1 or not q >= 1:
         raise ValueError("p and q must be >= 1")
-    p_term = float("inf") if np.isinf(p) else p + 1.0
-    if q == 1:
-        q_term = float("inf")
-    elif np.isinf(q):
-        q_term = 1.0
+    return 2.0 * pq_bound_factor(p, q, harmonic(k))
+
+
+def parse_metric_id(metric_id: str) -> tuple[str, float]:
+    """Split a metric id into its family and exponent.
+
+    ``l1``, ``l2``, ``linf``, ``lP`` and ``lp:P`` give ("lp", P); the same ids
+    behind ``log-`` give ("log-lp", P); ``kl``, ``dinf`` and ``renyi:ALPHA``
+    give ("renyi", 1), ("renyi", inf) and ("renyi", ALPHA).  Unknown ids and
+    exponents below 1 raise ValueError.
+    """
+    mid = metric_id.strip().lower()
+    mid = {"kl": "renyi:1", "dinf": "renyi:inf"}.get(mid, mid)
+    if mid.startswith("renyi:"):
+        family, text = "renyi", mid[6:]
     else:
-        q_term = q / (q - 1.0)
-    return 2.0 * min(p_term, q_term, harmonic(k))
+        family = "log-lp" if mid.startswith("log-") else "lp"
+        core = mid.removeprefix("log-")
+        if not core.startswith("l"):
+            raise ValueError(f"unknown metric id {metric_id!r}")
+        text = core[3:] if core.startswith("lp:") else core[1:]
+    try:
+        exponent = float(text)
+    except ValueError:
+        raise ValueError(f"unknown metric id {metric_id!r}") from None
+    if not exponent >= 1:
+        raise ValueError(f"metric id {metric_id!r}: exponent must be >= 1")
+    return family, exponent
 
 
 def metric_from_id(metric_id: str):
-    """Resolve a metric id to a distance callable.
-
-    Vector metrics: ``l1``, ``l2``, ``linf``, ``lp:P`` and log-domain
-    variants ``log-l1`` etc.  Simplex divergences: ``kl``, ``dinf``,
-    ``renyi:ALPHA``.
-    """
-    mid = metric_id.strip().lower()
-    if mid == "kl":
-        return lambda a, b: renyi_divergence(a, b, 1.0)
-    if mid == "dinf":
-        return lambda a, b: renyi_divergence(a, b, float("inf"))
-    if mid.startswith("renyi:"):
-        alpha = float(mid.split(":", 1)[1])
-        return lambda a, b: renyi_divergence(a, b, alpha)
-    log_domain = mid.startswith("log-")
-    core = mid[4:] if log_domain else mid
-    if core.startswith("lp:"):
-        p = float(core.split(":", 1)[1])
-    elif core == "linf":
-        p = float("inf")
-    elif core.startswith("l"):
-        p = float(core[1:])
-    else:
-        raise ValueError(f"unknown metric id {metric_id!r}")
-    if log_domain:
-        return lambda a, b: log_lp_distance(a, b, p)
-    return lambda a, b: lp_distance(a, b, p)
+    """Resolve a metric id (see :func:`parse_metric_id`) to a distance callable."""
+    family, e = parse_metric_id(metric_id)
+    if family == "renyi":
+        return lambda a, b: renyi_divergence(a, b, e)
+    if family == "log-lp":
+        return lambda a, b: log_lp_distance(a, b, e)
+    return lambda a, b: lp_distance(a, b, e)
 
 
 def metric_exponent(metric_id: str) -> float:
     """The p (or alpha) carried by a metric id, for use in theoretical bounds."""
-    mid = metric_id.strip().lower()
-    if mid == "kl":
-        return 1.0
-    if mid == "dinf":
-        return float("inf")
-    if mid.startswith("renyi:"):
-        return float(mid.split(":", 1)[1])
-    core = mid[4:] if mid.startswith("log-") else mid
-    if core.startswith("lp:"):
-        return float(core.split(":", 1)[1])
-    if core == "linf":
-        return float("inf")
-    return float(core[1:])
+    return parse_metric_id(metric_id)[1]

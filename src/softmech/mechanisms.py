@@ -4,9 +4,9 @@ Four smooth selectors plus a sparse baseline:
 
 * ``exp_mechanism``   -- weights proportional to exp(lambda * value); translation invariant.
 * ``power_mechanism`` -- weights proportional to value**lambda; scale invariant.
-* ``plsoftmax``       -- piecewise-linear selector built from the exact
-  zero-column-sum matrices in :mod:`softmech.smmatrix`; every option it can
-  return is within ``delta`` of the maximum value.
+* ``plsoftmax``       -- piecewise-linear selector: the zero-column-sum
+  matrices of :mod:`softmech.smmatrix` applied by an O(k) sorted-piece
+  kernel; every option it can return is within ``delta`` of the maximum value.
 * ``log_plsoftmax``   -- ``plsoftmax`` on log-values; multiplicative guarantee.
 * ``sparsemax``       -- Euclidean projection onto the simplex.
 
@@ -18,18 +18,11 @@ All functions are pure; randomness never enters this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .simplex import SUPPORT_EPS, as_values, finalize_distribution
-
-_PARAM_NAMES = {
-    "exp": "lambda",
-    "pow": "lambda",
-    "plsoftmax": "delta",
-    "logplsoftmax": "delta",
-    "sparsemax": None,
-}
 
 
 @dataclass(frozen=True)
@@ -99,23 +92,33 @@ def power_mechanism(x, lam: float) -> np.ndarray:
     return w / w.sum()
 
 
-def _active_prefix_image(xs: np.ndarray, k: int) -> np.ndarray:
-    """Apply the exact k-active matrix to a sorted vector, in float.
+def _piece_apply(xs: np.ndarray, k: int) -> np.ndarray:
+    """The k-active matrix A_k applied to a vector in rank order, in float.
 
-    Row i (0-based, i < k) of the product is
-        xs[i]/(i+1) - xs[0]/k - sum_{j=i+1..k-1} xs[j] / ((j+1) j),
-    which is the matrix-vector product evaluated via a suffix sum in O(k).
-    Rows at and beyond k are zero.
+    Computes A_k (xs - xs[0]), which equals A_k xs because every row of A_k
+    sums to zero; shifting first keeps the sums small at large offsets.  With
+    t = xs - xs[0], row i < k is t[i]/(i+1) - sum_{j=i+1..k-1} t[j] / ((j+1) j),
+    a suffix sum in O(k).  Rows at and beyond k are zero.
     """
-    d = xs.size
-    y = np.zeros(d)
-    if k >= 1:
-        suffix = np.zeros(k)
-        if k >= 2:
-            cols = np.arange(1, k)
-            t = xs[1:k] / ((cols + 1) * cols)
-            suffix[: k - 1] = np.cumsum(t[::-1])[::-1]
-        y[:k] = xs[:k] / np.arange(1, k + 1) - xs[0] / k - suffix
+    t = xs[:k] - xs[0]
+    y = np.zeros(xs.size)
+    cols = np.arange(1, k)
+    y[:k] = t / np.arange(1, k + 1)
+    y[: k - 1] -= np.cumsum((t[1:] / ((cols + 1) * cols))[::-1])[::-1]
+    return y
+
+
+def _piece_apply_transpose(rs: np.ndarray, k: int) -> np.ndarray:
+    """A_k^T applied to a vector in rank order, by a prefix sum in O(k).
+
+    Entry 0 is rs[0] - sum_{i<k} rs[i]/k; entry j in 1..k-1 is
+    rs[j]/(j+1) - sum_{i<j} rs[i] / ((j+1) j).  Entries at and beyond k are zero.
+    """
+    y = np.zeros(rs.size)
+    head = rs[:k]
+    cols = np.arange(1, k)
+    y[0] = head[0] - head.sum() / k
+    y[1:k] = (head[1:] - np.cumsum(head[:-1]) / cols) / (cols + 1)
     return y
 
 
@@ -125,15 +128,17 @@ def plsoftmax(x, delta: float) -> np.ndarray:
     Sorts x, finds the active count k (values within delta of the max),
     applies the exact k-active matrix scaled by 1/delta, adds the uniform
     prefix 1/k, and undoes the sort.  Support is confined to coordinates
-    with x_i >= max(x) - delta.
+    with x_i >= max(x) - delta.  Everything works on x - max(x), so the
+    result for x and for x - max(x) is the same to the last bit.
     """
     v = as_values(x)
     if delta <= 0:
         raise ValueError("delta must be positive")
+    v = v - v.max()
     order = np.argsort(-v, kind="stable")
     xs = v[order]
     k = int(np.count_nonzero(xs[0] - xs <= delta))
-    f_sorted = _active_prefix_image(xs, k) / delta
+    f_sorted = _piece_apply(xs, k) / delta
     f_sorted[:k] += 1.0 / k
     out = np.empty_like(v)
     out[order] = f_sorted
@@ -163,13 +168,15 @@ def sparsemax(x) -> np.ndarray:
     """Euclidean projection of x onto the probability simplex.
 
     Standard sort-and-threshold: find the largest prefix whose shifted values
-    stay positive, subtract the prefix threshold, clip at zero.
+    stay positive, subtract the prefix threshold, clip at zero.  The max is
+    subtracted first, which is exact by translation invariance and keeps the
+    prefix sums from overflowing.
     """
     v = as_values(x)
-    d = v.size
+    v = v - v.max()
     z = np.sort(v)[::-1]
     cssv = np.cumsum(z) - 1.0
-    ind = np.arange(1, d + 1)
+    ind = np.arange(1, v.size + 1)
     rho = int(np.count_nonzero(z - cssv / ind > 0))
     tau = cssv[rho - 1] / rho
     return finalize_distribution(np.maximum(v - tau, 0.0))
@@ -206,6 +213,25 @@ def worst_case_support_ok(x, p, delta: float, *, slack: float = 1e-9) -> bool:
     return bool(np.all(v[support] >= v.max() - delta - slack))
 
 
+class MechanismKind(NamedTuple):
+    """One mechanism kind: its function of (x, param), the name of its
+    positive parameter (None if it takes none), and whether it needs positive
+    values, which for these kinds is the same as being scale invariant."""
+
+    function: Callable[[np.ndarray, float | None], np.ndarray]
+    param: str | None
+    positive_domain: bool
+
+
+MECHANISM_KINDS = {
+    "exp": MechanismKind(exp_mechanism, "lambda", False),
+    "pow": MechanismKind(power_mechanism, "lambda", True),
+    "plsoftmax": MechanismKind(plsoftmax, "delta", False),
+    "logplsoftmax": MechanismKind(log_plsoftmax, "delta", True),
+    "sparsemax": MechanismKind(lambda x, _: sparsemax(x), None, False),
+}
+
+
 @dataclass(frozen=True)
 class MechanismSpec:
     """Dispatchable mechanism description: kind plus its positive parameter.
@@ -218,9 +244,9 @@ class MechanismSpec:
     param: float | None = None
 
     def __post_init__(self):
-        if self.kind not in _PARAM_NAMES:
+        if self.kind not in MECHANISM_KINDS:
             raise ValueError(f"unknown mechanism kind {self.kind!r}")
-        needs = _PARAM_NAMES[self.kind]
+        needs = MECHANISM_KINDS[self.kind].param
         if needs is None:
             if self.param is not None:
                 raise ValueError(f"{self.kind} takes no parameter")
@@ -232,9 +258,9 @@ class MechanismSpec:
     def parse(cls, text: str) -> "MechanismSpec":
         name, sep, rest = text.strip().partition(":")
         name = name.lower()
-        if name not in _PARAM_NAMES:
+        if name not in MECHANISM_KINDS:
             raise ValueError(f"unknown mechanism {name!r}")
-        expected = _PARAM_NAMES[name]
+        expected = MECHANISM_KINDS[name].param
         if not sep:
             return cls(name, None)
         key, eq, value = rest.partition("=")
@@ -246,27 +272,13 @@ class MechanismSpec:
     def label(self) -> str:
         if self.param is None:
             return self.kind
-        return f"{self.kind}:{_PARAM_NAMES[self.kind]}={self.param:.12g}"
+        return f"{self.kind}:{MECHANISM_KINDS[self.kind].param}={self.param:.12g}"
 
     @property
     def positive_domain(self) -> bool:
-        return self.kind in ("pow", "logplsoftmax")
+        return MECHANISM_KINDS[self.kind].positive_domain
 
-    @property
-    def translation_invariant(self) -> bool:
-        return self.kind in ("exp", "plsoftmax")
-
-    @property
-    def scale_invariant(self) -> bool:
-        return self.kind in ("pow", "logplsoftmax")
+    scale_invariant = positive_domain
 
     def __call__(self, x) -> np.ndarray:
-        if self.kind == "exp":
-            return exp_mechanism(x, self.param)
-        if self.kind == "pow":
-            return power_mechanism(x, self.param)
-        if self.kind == "plsoftmax":
-            return plsoftmax(x, self.param)
-        if self.kind == "logplsoftmax":
-            return log_plsoftmax(x, self.param)
-        return sparsemax(x)
+        return MECHANISM_KINDS[self.kind].function(x, self.param)

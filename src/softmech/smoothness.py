@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import lp_distance, metric_from_id
-from .mechanisms import MechanismSpec, sparsemax
+from .distances import lp_distance, metric_exponent, metric_from_id, parse_metric_id, pq_bound_factor
+from .mechanisms import MECHANISM_KINDS, MechanismSpec
 from .seeding import spawn_rng
 
 _PERTURB_STEPS = (1e-2, 1e-4, 1e-6)
@@ -53,14 +53,6 @@ class LipschitzEstimate:
         return json.dumps(payload, sort_keys=True)
 
 
-def _char_scale(mech: MechanismSpec) -> float:
-    if mech.kind in ("plsoftmax", "logplsoftmax"):
-        return mech.param
-    if mech.kind in ("exp", "pow"):
-        return 1.0 / mech.param
-    return 1.0
-
-
 def _to_domain(z: np.ndarray, positive: bool) -> np.ndarray:
     return np.exp(z) if positive else z
 
@@ -78,19 +70,20 @@ def _perturbation_pair(rng, d, scale, positive, step):
     return _to_domain(x, positive), _to_domain(y, positive)
 
 
-def _boundary_pair(rng, d, scale, positive, mech):
+def _boundary_pair(rng, d, scale, positive, delta):
     """Pair with gap 1e-6 in the sup norm, straddling a selector seam.
 
-    For delta-parameterized mechanisms the straddle crosses the active-count
-    boundary (a coordinate placed just inside/outside max - delta); otherwise
-    it crosses an order-change boundary (two coordinates swapping rank).
+    For delta-parameterized mechanisms (delta not None) the straddle crosses
+    the active-count boundary (a coordinate placed just inside/outside
+    max - delta); otherwise it crosses an order-change boundary (two
+    coordinates swapping rank).
     """
     z = rng.normal(0.0, scale, size=d)
     h = _BOUNDARY_STEP
-    if mech.kind in ("plsoftmax", "logplsoftmax") and d >= 2:
+    if delta is not None and d >= 2:
         order = np.argsort(-z, kind="stable")
         j = int(rng.integers(1, d))
-        edge = z[order[0]] - mech.param
+        edge = z[order[0]] - delta
         a, b = z.copy(), z.copy()
         a[order[j]] = edge + h / 2
         b[order[j]] = edge - h / 2
@@ -133,7 +126,9 @@ def empirical_lipschitz(
     dom = metric_from_id(domain_metric)
     rng_m = metric_from_id(range_metric)
     positive = mech.positive_domain
-    base_scale = _char_scale(mech)
+    name = MECHANISM_KINDS[mech.kind].param if mech.kind in MECHANISM_KINDS else None
+    delta = mech.param if name == "delta" else None  # plsoftmax kinds: seam at max - delta
+    base_scale = delta if delta is not None else 1.0 / mech.param if name == "lambda" else 1.0
 
     best = -1.0
     witness = None
@@ -166,11 +161,11 @@ def empirical_lipschitz(
             step = _PERTURB_STEPS[(i // 3) % len(_PERTURB_STEPS)]
             x, y = _perturbation_pair(rng, d, scale, positive, step)
         else:
-            x, y = _boundary_pair(rng, d, scale, positive, mech)
+            x, y = _boundary_pair(rng, d, scale, positive, delta)
         consider(x, y)
 
     if witness is None:
-        raise RuntimeError("no pair produced a usable distance ratio")
+        raise ValueError(f"no pair gave a usable distance ratio under {domain_metric} -> {range_metric}")
     return LipschitzEstimate(
         mechanism=mech.label(),
         domain_metric=domain_metric,
@@ -194,15 +189,7 @@ def theoretical_bound(mech: MechanismSpec, d: int, p: float, q_or_alpha: float) 
     if mech.kind == "exp":
         return 2.0 * mech.param
     if mech.kind == "plsoftmax":
-        q = q_or_alpha
-        p_term = float("inf") if np.isinf(p) else p + 1.0
-        if q == 1:
-            q_term = float("inf")
-        elif np.isinf(q):
-            q_term = 1.0
-        else:
-            q_term = q / (q - 1.0)
-        return (2.0 / mech.param) * min(p_term, q_term, float(np.log(d)))
+        return (2.0 / mech.param) * pq_bound_factor(p, q_or_alpha, float(np.log(d)))
     return float("inf")
 
 
@@ -215,11 +202,7 @@ def bound_for_metrics(mech: MechanismSpec, d: int, domain_metric: str, range_met
     a divergence yields no claim (+inf), as no worst-case-approximate
     selector is divergence-Lipschitz.
     """
-    from .distances import metric_exponent
-
-    rid = range_metric.strip().lower()
-    divergence = rid in ("kl", "dinf") or rid.startswith("renyi:")
-    if mech.kind == "plsoftmax" and divergence:
+    if mech.kind == "plsoftmax" and parse_metric_id(range_metric)[0] == "renyi":
         return float("inf")
     return theoretical_bound(mech, d, metric_exponent(domain_metric), metric_exponent(range_metric))
 

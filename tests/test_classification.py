@@ -15,6 +15,19 @@ from softmech.classification import (
     zero_iff_residual,
 )
 from softmech.mechanisms import plsoftmax
+from softmech.smmatrix import build_softmax_matrix, uniform_prefix
+
+
+def dense_piece_map(q, delta):
+    """Affine map (M, b) of the selector piece indexed by q's order and support,
+    built densely from the exact matrix: M = P^T A_k P / delta, b = P^T 1_k/k."""
+    d = q.size
+    order = target_sort_permutation(q)
+    k = int(np.count_nonzero(q > 0))
+    P = np.zeros((d, d))
+    P[np.arange(d), order] = 1.0  # row r picks the rank-r coordinate
+    M = P.T @ build_softmax_matrix(k, d).to_float() @ P / delta
+    return M, P.T @ uniform_prefix(k, d)
 
 
 class TestOrder:
@@ -151,6 +164,14 @@ class TestGradient:
             assert err <= 1e-4
             checked += 1
 
+    def test_skip_within_difference_step_of_a_corner(self):
+        # a support hinge sits 6.5e-6 from its corner: inside the central
+        # difference's reach (fd_step = 1e-5), so the point must be skipped
+        rng = np.random.default_rng([5, 892])
+        x = rng.normal(0.0, 2.0, size=32)
+        q = plsoftmax(rng.normal(0.0, 2.0, size=32), 1.0)
+        assert subgradient_check(x, q, 1.0) is None
+
     def test_skip_signal_at_ties(self):
         q = np.array([0.6, 0.4, 0.0])
         x = np.array([2.0, 2.0, 0.0])  # exact tie along q's order
@@ -161,18 +182,14 @@ class TestGradient:
         x = np.array([3.0, 2.5, -10.0])
         q = plsoftmax(np.array([3.0, 2.5, -10.0]), 1.0)
         g = loss_grad(x, q, 1.0)
-        from softmech.classification import _piece_map
-
-        M, b = _piece_map(q, 1.0)
+        M, b = dense_piece_map(q, 1.0)
         assert np.allclose(g, -2.0 * M.T @ (q - M @ x - b), atol=1e-12)
 
     def test_pure_square_region_matches_affine_formula(self):
         rng = np.random.default_rng(8)
         x = np.array([1.0, 0.7, 0.4])
         q = plsoftmax(x, 2.0)
-        from softmech.classification import _piece_map
-
-        M, b = _piece_map(q, 2.0)
+        M, b = dense_piece_map(q, 2.0)
         y = x + rng.normal(0.0, 0.01, size=3)
         g = loss_grad(y, q, 2.0)
         assert np.allclose(g, -2.0 * M.T @ (q - M @ y - b), atol=1e-9)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from softmech import cli
 from softmech.cli import main, parse_seeds, parse_vector, read_vector_file
 
 
@@ -56,6 +57,21 @@ class TestEval:
         assert "line 2" in err["error"]
 
 
+    def test_huge_values_sparsemax(self, capsys):
+        assert main(["eval", "--mech", "sparsemax", "--x", "1e308,1e308", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert payload["probs"] == [0.5, 0.5]
+
+    def test_failed_assertion_exits_2(self, capsys, monkeypatch):
+        def broken(args):
+            raise AssertionError("distribution sums to nan")
+
+        monkeypatch.setattr(cli, "cmd_eval", broken)
+        assert main(["eval", "--mech", "sparsemax", "--x", "1,2"]) == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err == {"command": "eval", "error": "distribution sums to nan"}
+
+
 class TestLipschitz:
     def test_rows_within_bound(self, tmp_path, capsys):
         out = tmp_path / "lip.csv"
@@ -79,6 +95,15 @@ class TestLipschitz:
         )
         assert code == 0
         assert ",inf," in out.read_text(encoding="utf-8")
+
+    def test_no_usable_pair_exits_2(self, capsys):
+        # log-l1 needs positive inputs, which exp's pairs are not; l0.5 is no metric
+        for domain in ("log-l1", "l0.5"):
+            code = main(["lipschitz", "--mech", "exp:lambda=1", "--d", "32", "--domain", domain,
+                         "--range", "l1", "--trials", "30"])
+            assert code == 2
+            err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+            assert err["command"] == "lipschitz" and domain in err["error"]
 
 
 class TestSubmodular:
@@ -135,6 +160,16 @@ class TestLossfn:
         assert code == 0
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "seed,convexity_violation,zero_iff_residual,subgradient_error"
+
+    def test_all_points_skipped_ends_and_fails(self, tmp_path, capsys):
+        # with delta = 1e-9 every draw sits within 2e-5 of a hinge corner
+        out = tmp_path / "loss.csv"
+        code = main(["lossfn", "--d", "4", "--delta", "1e-9", "--trials", "20", "--seeds", "0", "--out", str(out)])
+        assert code == 1
+        summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert summary["failures"] == ["subgradient_seed0"]
+        assert summary["subgradient_points"] == {"checked": 0, "skipped_near_hinge": 40}
+        assert out.read_text(encoding="utf-8").splitlines()[1].endswith(",nan")
 
 
 class TestSelftest:

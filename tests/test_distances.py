@@ -199,8 +199,9 @@ class TestMetricIds:
         assert np.isclose(metric_from_id("kl")([0.5, 0.5], [0.25, 0.75]), renyi_divergence([0.5, 0.5], [0.25, 0.75], 1.0))
         assert metric_from_id("dinf")([1.0, 0.0], [0.5, 0.5]) == np.log(2)
         assert np.isfinite(metric_from_id("renyi:2")([0.5, 0.5], [0.25, 0.75]))
-        with pytest.raises(ValueError):
-            metric_from_id("manhattan")
+        for bad in ["manhattan", "x2", "l0.5", "lp:0.5", "renyi:0.5", "log-kl", "lp:", "lnan"]:
+            with pytest.raises(ValueError):
+                metric_from_id(bad)
 
     def test_exponents(self):
         assert metric_exponent("l2") == 2.0
@@ -208,3 +209,7 @@ class TestMetricIds:
         assert metric_exponent("log-lp:4") == 4.0
         assert metric_exponent("kl") == 1.0
         assert metric_exponent("dinf") == INF
+        assert metric_exponent("renyi:2") == 2.0
+        for bad in ["x2", "l0.5", "renyi:0.5"]:
+            with pytest.raises(ValueError):
+                metric_exponent(bad)

@@ -5,6 +5,8 @@ import pytest
 
 from softmech.mechanisms import (
     MechanismSpec,
+    _piece_apply,
+    _piece_apply_transpose,
     active_count,
     additive_gap,
     exp_mechanism,
@@ -89,6 +91,7 @@ class TestExamples:
         assert np.allclose(sparsemax(y), y)
         p = np.array([0.1, 0.2, 0.7])
         assert np.allclose(sparsemax(p), p, atol=1e-12)
+        assert sparsemax([1e308, 1e308]).tolist() == [0.5, 0.5]
 
     def test_gaps(self):
         assert additive_gap([1.0, 0.0], [1.0, 0.0]) == 0.0
@@ -127,6 +130,15 @@ class TestValidation:
 
 
 class TestAgainstMatrixEvaluation:
+    def test_piece_kernel_matches_exact_matrix(self):
+        rng = np.random.default_rng(12)
+        for d in range(1, 13):
+            for k in range(1, d + 1):
+                A = build_softmax_matrix(k, d).to_float()
+                v = rng.normal(0.0, 2.0, size=d)
+                assert np.allclose(_piece_apply(v, k), A @ v, atol=1e-12)
+                assert np.allclose(_piece_apply_transpose(v, k), A.T @ v, atol=1e-12)
+
     def test_random_inputs_match_reference(self):
         rng = np.random.default_rng(11)
         for _ in range(300):
@@ -232,6 +244,13 @@ class TestInvariants:
             c = float(rng.normal(0.0, 3.0))
             assert np.allclose(plsoftmax(x + c, 1.0), plsoftmax(x, 1.0), atol=1e-12)
             assert np.allclose(exp_mechanism(x + c, 2.0), exp_mechanism(x, 2.0), atol=1e-12)
+
+    def test_plsoftmax_exact_at_large_offsets(self):
+        # subtracting the max is exact; the output must not move by one bit
+        for offset in (1e4, 1e8, 1e10, 1e12):
+            for d in range(2, 1025):
+                y = np.random.default_rng([d, int(np.log10(offset))]).normal(0.0, 0.5, size=d) + offset
+                assert np.array_equal(plsoftmax(y, 1.0), plsoftmax(y - y.max(), 1.0)), (offset, d)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(7)
