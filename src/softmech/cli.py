@@ -153,8 +153,11 @@ def cmd_lipschitz(args) -> int:
     bound = smoothness.bound_for_metrics(mech, args.d, args.domain, args.range)
     rows = ["mechanism,domain_metric,range_metric,seed,trials,estimate,bound,witness_x,witness_y\n"]
     json_rows = []
+    pairs = {"evaluated": 0, "skipped": 0}
     for seed in parse_seeds(args.seeds):
         est = smoothness.empirical_lipschitz(mech, args.d, args.domain, args.range, args.trials, seed)
+        pairs["evaluated"] += est.trials
+        pairs["skipped"] += est.skipped
         if np.isfinite(bound):
             checks.add(f"estimate_below_bound_seed{seed}", est.max_ratio <= bound + 1e-9)
         rows.append(
@@ -178,7 +181,7 @@ def cmd_lipschitz(args) -> int:
         _write(args.out, json.dumps({"p": _fmt(p), "q": _fmt(q), "rows": json_rows}, sort_keys=True) + "\n")
     else:
         _write(args.out, "".join(rows))
-    return checks.finish("lipschitz")
+    return checks.finish("lipschitz", pairs=pairs)
 
 
 def cmd_submodular(args) -> int:

@@ -16,15 +16,21 @@ from __future__ import annotations
 import numpy as np
 
 from .seeding import spawn_rng
-from .simplex import check_distribution
+from .simplex import check_distribution, distribution_rows_ok
 from .smmatrix import harmonic
 
 _SIGN_ROW_CAP = 24
 _SIGN_CHUNK = 1 << 14
 
 
-def lp_distance(x, y, p: float) -> float:
-    """p-norm of x - y; p may be any real >= 1 or inf."""
+def lp_distance(x, y, p: float):
+    """p-norm of x - y along the last axis; p may be any real >= 1 or inf.
+
+    Two vectors give a float; two (n, d) arrays give the n row distances as
+    an array, each equal bit for bit to the 1-D call on that row.  The rows'
+    p-th roots are taken with Python's float power, the libm pow of the 1-D
+    path, because numpy's array power can differ from it in the last bit.
+    """
     a = np.asarray(x, dtype=float)
     b = np.asarray(y, dtype=float)
     if a.shape != b.shape:
@@ -33,10 +39,15 @@ def lp_distance(x, y, p: float) -> float:
         raise ValueError("p must be >= 1")
     diff = np.abs(a - b)
     if np.isinf(p):
-        return float(diff.max(initial=0.0))
-    if p == 1:
-        return float(diff.sum())
-    return float((diff**p).sum() ** (1.0 / p))
+        dist = diff.max(axis=-1, initial=0.0)
+    elif p == 1:
+        dist = diff.sum(axis=-1)
+    else:
+        sums = (diff**p).sum(axis=-1)
+        if sums.ndim == 0:
+            return float(sums ** (1.0 / p))
+        dist = np.array([s ** (1.0 / p) for s in sums.tolist()])
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def renyi_divergence(x, y, order: float) -> float:
@@ -45,7 +56,13 @@ def renyi_divergence(x, y, order: float) -> float:
     order=1 is the KL divergence (terms with x_i = 0 contribute 0), order=inf
     is log max_i x_i/y_i over the support of x.  Returns +inf when y misses
     mass where x has some; infinity is a value, not an error.
+
+    Two (n, d) arrays give the n row divergences, each equal bit for bit to
+    the 1-D call on that row, and nan for a pair of rows where the 1-D call
+    raises because one of them is not a simplex point.
     """
+    if np.ndim(x) == 2:
+        return _renyi_rows(x, y, order)
     p = check_distribution(x)
     q = check_distribution(y)
     if p.shape != q.shape:
@@ -66,13 +83,46 @@ def renyi_divergence(x, y, order: float) -> float:
     return float(np.log(s) / (order - 1.0))
 
 
-def log_lp_distance(x, y, p: float) -> float:
-    """p-norm distance between coordinatewise logs; needs positive vectors."""
+def _renyi_rows(x, y, order: float) -> np.ndarray:
+    p = np.asarray(x, dtype=float)
+    q = np.asarray(y, dtype=float)
+    if p.shape != q.shape:
+        raise ValueError("dimension mismatch")
+    if not order >= 1:
+        raise ValueError("order must be >= 1")
+    ok = distribution_rows_ok(p) & distribution_rows_ok(q)
+    out = np.full(p.shape[0], np.nan)
+    if not np.isinf(order):
+        # finite orders sum over each row's own support: one row at a time
+        out[ok] = [renyi_divergence(a, b, order) for a, b in zip(p[ok], q[ok])]
+        return out
+    p = np.maximum(p[ok], 0.0)
+    q = np.maximum(q[ok], 0.0)
+    support = p > 0
+    with np.errstate(divide="ignore"):
+        ratio = np.where(support, p / np.where(support, q, 1.0), -np.inf)
+    missed = np.any(support & (q == 0), axis=1)
+    out[ok] = np.where(missed, np.inf, np.log(ratio.max(axis=1)))
+    return out
+
+
+def log_lp_distance(x, y, p: float):
+    """p-norm distance between coordinatewise logs; needs positive vectors.
+
+    Two vectors with a non-positive entry raise ValueError.  Two (n, d)
+    arrays give the n row distances, with nan for a pair of rows that has a
+    non-positive entry.
+    """
     a = np.asarray(x, dtype=float)
     b = np.asarray(y, dtype=float)
-    if np.any(a <= 0) or np.any(b <= 0):
-        raise ValueError("log-domain distance needs strictly positive entries")
-    return lp_distance(np.log(a), np.log(b), p)
+    outside = np.any(a <= 0, axis=-1) | np.any(b <= 0, axis=-1)
+    if np.ndim(outside) == 0:
+        if outside:
+            raise ValueError("log-domain distance needs strictly positive entries")
+        return lp_distance(np.log(a), np.log(b), p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dist = lp_distance(np.log(a), np.log(b), p)
+    return np.where(outside, np.nan, dist)
 
 
 def _dual_exponent(p: float) -> float:

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .simplex import SUPPORT_EPS, as_values, finalize_distribution
+from .simplex import SUPPORT_EPS, as_value_rows, as_values, finalize_distribution, finalize_rows
 
 
 @dataclass(frozen=True)
@@ -62,14 +62,25 @@ def active_count(sorted_x, delta: float) -> int:
     return int(np.count_nonzero(xs[0] - xs <= delta))
 
 
+def _check_param(value: float, name: str) -> None:
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite")
+
+
 def exp_mechanism(x, lam: float) -> np.ndarray:
     """Normalized exp(lam * x).  The max is subtracted first, which is exact
     by translation invariance and keeps the exponentials in range."""
     v = as_values(x)
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    _check_param(lam, "lambda")
     w = np.exp(lam * (v - v.max()))
     return w / w.sum()
+
+
+def _exp_rows(x, lam: float) -> np.ndarray:
+    v = as_value_rows(x)
+    _check_param(lam, "lambda")
+    w = np.exp(lam * (v - v.max(axis=1, keepdims=True)))
+    return w / w.sum(axis=1, keepdims=True)
 
 
 def power_mechanism(x, lam: float) -> np.ndarray:
@@ -79,8 +90,7 @@ def power_mechanism(x, lam: float) -> np.ndarray:
     large powers do not overflow.
     """
     v = as_values(x)
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    _check_param(lam, "lambda")
     if np.any(v < 0):
         raise ValueError("power mechanism needs nonnegative values")
     pos = v > 0
@@ -92,19 +102,43 @@ def power_mechanism(x, lam: float) -> np.ndarray:
     return w / w.sum()
 
 
-def _piece_apply(xs: np.ndarray, k: int) -> np.ndarray:
-    """The k-active matrix A_k applied to a vector in rank order, in float.
+def _power_rows(x, lam: float) -> np.ndarray:
+    v = as_value_rows(x)
+    _check_param(lam, "lambda")
+    if np.any(v < 0):
+        raise ValueError("power mechanism needs nonnegative values")
+    if not np.all(np.any(v > 0, axis=1)):
+        raise ValueError("power mechanism needs at least one positive value")
+    with np.errstate(divide="ignore"):
+        logs = np.log(v)  # -inf at the zeros, which exp maps back to 0
+    w = np.exp(lam * (logs - logs.max(axis=1, keepdims=True)))
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def _piece_apply(xs: np.ndarray, k) -> np.ndarray:
+    """The k-active matrix A_k applied along the last axis of values in rank
+    order, in float.
 
     Computes A_k (xs - xs[0]), which equals A_k xs because every row of A_k
     sums to zero; shifting first keeps the sums small at large offsets.  With
-    t = xs - xs[0], row i < k is t[i]/(i+1) - sum_{j=i+1..k-1} t[j] / ((j+1) j),
-    a suffix sum in O(k).  Rows at and beyond k are zero.
+    t = xs - xs[0], entry i < k is t[i]/(i+1) - sum_{j=i+1..k-1} t[j] / ((j+1) j),
+    a suffix sum in O(k).  Entries at and beyond k are zero.
+
+    For one vector k is an int and the work is O(k) slices.  For (n, d) rows
+    k is an (n, 1) array of per-row counts: the work covers the first max(k)
+    columns, with each row's t masked to zero beyond its own k, so every sum
+    gains only leading zeros and each row equals the 1-D result bit for bit.
     """
-    t = xs[:k] - xs[0]
-    y = np.zeros(xs.size)
-    cols = np.arange(1, k)
-    y[:k] = t / np.arange(1, k + 1)
-    y[: k - 1] -= np.cumsum((t[1:] / ((cols + 1) * cols))[::-1])[::-1]
+    if isinstance(k, np.ndarray):
+        m = int(k.max())
+        t = np.where(np.arange(m) < k, xs[:, :m] - xs[:, :1], 0.0)
+    else:
+        m = k
+        t = xs[:m] - xs[0]
+    y = np.zeros(xs.shape)
+    cols = np.arange(1, m)
+    y[..., :m] = t / np.arange(1, m + 1)
+    y[..., : m - 1] -= np.cumsum((t[..., 1:] / ((cols + 1) * cols))[..., ::-1], axis=-1)[..., ::-1]
     return y
 
 
@@ -132,8 +166,7 @@ def plsoftmax(x, delta: float) -> np.ndarray:
     result for x and for x - max(x) is the same to the last bit.
     """
     v = as_values(x)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    _check_param(delta, "delta")
     v = v - v.max()
     order = np.argsort(-v, kind="stable")
     xs = v[order]
@@ -145,6 +178,20 @@ def plsoftmax(x, delta: float) -> np.ndarray:
     return finalize_distribution(out)
 
 
+def _plsoftmax_rows(x, delta: float) -> np.ndarray:
+    v = as_value_rows(x)
+    _check_param(delta, "delta")
+    v = v - v.max(axis=1, keepdims=True)
+    order = np.argsort(-v, axis=1, kind="stable")
+    xs = np.take_along_axis(v, order, axis=1)
+    k = np.count_nonzero(xs[:, :1] - xs <= delta, axis=1, keepdims=True)
+    f_sorted = _piece_apply(xs, k) / delta
+    np.add(f_sorted, 1.0 / k, out=f_sorted, where=np.arange(v.shape[1]) < k)
+    out = np.empty_like(v)
+    np.put_along_axis(out, order, f_sorted, axis=1)
+    return finalize_rows(out)
+
+
 def log_plsoftmax(x, delta: float) -> np.ndarray:
     """plsoftmax on coordinatewise logs; needs strictly positive values.
 
@@ -153,6 +200,10 @@ def log_plsoftmax(x, delta: float) -> np.ndarray:
     """
     v = as_values(x, positive=True)
     return plsoftmax(np.log(v), delta)
+
+
+def _log_plsoftmax_rows(x, delta: float) -> np.ndarray:
+    return _plsoftmax_rows(np.log(as_value_rows(x, positive=True)), delta)
 
 
 def multiplicative_guarantee(delta: float) -> float:
@@ -180,6 +231,17 @@ def sparsemax(x) -> np.ndarray:
     rho = int(np.count_nonzero(z - cssv / ind > 0))
     tau = cssv[rho - 1] / rho
     return finalize_distribution(np.maximum(v - tau, 0.0))
+
+
+def _sparsemax_rows(x) -> np.ndarray:
+    v = as_value_rows(x)
+    v = v - v.max(axis=1, keepdims=True)
+    z = np.sort(v, axis=1)[:, ::-1]
+    cssv = np.cumsum(z, axis=1) - 1.0
+    ind = np.arange(1, v.shape[1] + 1)
+    rho = np.count_nonzero(z - cssv / ind > 0, axis=1, keepdims=True)
+    tau = np.take_along_axis(cssv, rho - 1, axis=1) / rho
+    return finalize_rows(np.maximum(v - tau, 0.0))
 
 
 def additive_gap(x, p) -> float:
@@ -214,21 +276,25 @@ def worst_case_support_ok(x, p, delta: float, *, slack: float = 1e-9) -> bool:
 
 
 class MechanismKind(NamedTuple):
-    """One mechanism kind: its function of (x, param), the name of its
-    positive parameter (None if it takes none), and whether it needs positive
-    values, which for these kinds is the same as being scale invariant."""
+    """One mechanism kind: its function of (x, param); its row form, a
+    function of (X, param) mapping (n, d) value rows to (n, d) distribution
+    rows, each equal bit for bit to the function on that row and raising the
+    same exception types; the name of its positive parameter (None if it
+    takes none); and whether it needs positive values, which for these kinds
+    is the same as being scale invariant."""
 
     function: Callable[[np.ndarray, float | None], np.ndarray]
+    rows: Callable[[np.ndarray, float | None], np.ndarray]
     param: str | None
     positive_domain: bool
 
 
 MECHANISM_KINDS = {
-    "exp": MechanismKind(exp_mechanism, "lambda", False),
-    "pow": MechanismKind(power_mechanism, "lambda", True),
-    "plsoftmax": MechanismKind(plsoftmax, "delta", False),
-    "logplsoftmax": MechanismKind(log_plsoftmax, "delta", True),
-    "sparsemax": MechanismKind(lambda x, _: sparsemax(x), None, False),
+    "exp": MechanismKind(exp_mechanism, _exp_rows, "lambda", False),
+    "pow": MechanismKind(power_mechanism, _power_rows, "lambda", True),
+    "plsoftmax": MechanismKind(plsoftmax, _plsoftmax_rows, "delta", False),
+    "logplsoftmax": MechanismKind(log_plsoftmax, _log_plsoftmax_rows, "delta", True),
+    "sparsemax": MechanismKind(lambda x, _: sparsemax(x), lambda x, _: _sparsemax_rows(x), None, False),
 }
 
 
@@ -251,8 +317,8 @@ class MechanismSpec:
             if self.param is not None:
                 raise ValueError(f"{self.kind} takes no parameter")
         else:
-            if self.param is None or not self.param > 0:
-                raise ValueError(f"{self.kind} needs a positive {needs}")
+            if self.param is None or not 0 < self.param < np.inf:
+                raise ValueError(f"{self.kind} needs a positive finite {needs}")
 
     @classmethod
     def parse(cls, text: str) -> "MechanismSpec":

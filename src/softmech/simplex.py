@@ -18,7 +18,22 @@ def as_values(x, *, positive: bool = False) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    if v.size < 1:
+    return _checked_values(v, positive)
+
+
+def as_value_rows(x, *, positive: bool = False) -> np.ndarray:
+    """Validate and return an (n, d) float array whose rows are value vectors.
+
+    Every row gets :func:`as_values`' checks, with the same exceptions.
+    """
+    v = np.asarray(x, dtype=float)
+    if v.ndim != 2:
+        raise ValueError(f"expected rows of values, got shape {v.shape}")
+    return _checked_values(v, positive)
+
+
+def _checked_values(v: np.ndarray, positive: bool) -> np.ndarray:
+    if v.shape[-1] < 1:
         raise ValueError("value vector must be non-empty")
     if not np.all(np.isfinite(v)):
         raise ValueError("value vector must be finite")
@@ -43,6 +58,34 @@ def finalize_distribution(raw: np.ndarray) -> np.ndarray:
     if not np.isfinite(total) or total <= 0.0:
         raise AssertionError(f"distribution sums to {total}")
     return p / total
+
+
+def finalize_rows(raw: np.ndarray) -> np.ndarray:
+    """:func:`finalize_distribution` applied to each row of an (n, d) array.
+
+    The same clamp, the same AssertionError checks, and per row the same
+    sum, so each row equals the 1-D result bit for bit.
+    """
+    p = np.asarray(raw, dtype=float)
+    low = p.min(axis=1, initial=0.0)
+    if np.any(low <= -NEGATIVE_CLAMP):
+        raise AssertionError(f"distribution entry {low[low <= -NEGATIVE_CLAMP][0]} below clamping range")
+    if np.any(low < 0.0):
+        p = np.where(p < 0.0, 0.0, p)
+    total = p.sum(axis=1, keepdims=True)
+    bad = ~(np.isfinite(total) & (total > 0.0))
+    if np.any(bad):
+        raise AssertionError(f"distribution sums to {total[bad][0]}")
+    return p / total
+
+
+def distribution_rows_ok(p) -> np.ndarray:
+    """Per row of an (n, d) array, whether :func:`check_distribution` with
+    its default tolerances would accept that row."""
+    q = np.asarray(p, dtype=float)
+    finite = np.all(np.isfinite(q), axis=1)
+    with np.errstate(invalid="ignore"):
+        return finite & (q.min(axis=1) >= -NEGATIVE_CLAMP) & (np.abs(q.sum(axis=1) - 1.0) <= SUM_TOLERANCE)
 
 
 def check_distribution(p, *, neg_tol: float = NEGATIVE_CLAMP, sum_tol: float = SUM_TOLERANCE) -> np.ndarray:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -26,16 +27,23 @@ from .seeding import spawn_rng
 _PERTURB_STEPS = (1e-2, 1e-4, 1e-6)
 _BOUNDARY_STEP = 1e-6
 _WITNESS_STEP = 1e-4
+_BLOCK_ROWS = 256  # pairs evaluated together: row-wise speed, memory bounded whatever the trial count
 
 
 @dataclass(frozen=True)
 class LipschitzEstimate:
-    """Largest observed distance ratio together with the pair attaining it."""
+    """Largest observed distance ratio together with the pair attaining it.
+
+    ``trials`` counts the pairs evaluated, ``skipped`` the pairs drawn but
+    dropped: outside the domain metric's domain, or at a zero or non-finite
+    domain distance.
+    """
 
     mechanism: str
     domain_metric: str
     range_metric: str
     trials: int
+    skipped: int
     max_ratio: float
     witness_x: np.ndarray
     witness_y: np.ndarray
@@ -106,6 +114,27 @@ def _designed_pairs(mech: MechanismSpec, d: int) -> list[tuple[np.ndarray, np.nd
     return pairs
 
 
+def _drawn_pairs(mech: MechanismSpec, d: int, trials: int, rng_seed: int):
+    """The designed pairs, then one pair per trial from the generator of
+    (rng_seed, i), cycling the three families, three scales and three steps."""
+    positive = mech.positive_domain
+    name = MECHANISM_KINDS[mech.kind].param if mech.kind in MECHANISM_KINDS else None
+    delta = mech.param if name == "delta" else None  # plsoftmax kinds: seam at max - delta
+    base_scale = delta if delta is not None else 1.0 / mech.param if name == "lambda" else 1.0
+    yield from _designed_pairs(mech, d)
+    for i in range(trials):
+        rng = spawn_rng(rng_seed, i)
+        scale = base_scale * (0.5, 1.0, 2.0)[(i // 3) % 3]
+        family = i % 3
+        if family == 0:
+            yield _random_pair(rng, d, scale, positive)
+        elif family == 1:
+            step = _PERTURB_STEPS[(i // 3) % len(_PERTURB_STEPS)]
+            yield _perturbation_pair(rng, d, scale, positive, step)
+        else:
+            yield _boundary_pair(rng, d, scale, positive, delta)
+
+
 def empirical_lipschitz(
     mech: MechanismSpec,
     d: int,
@@ -117,52 +146,46 @@ def empirical_lipschitz(
     """Max observed distance ratio for mech over seeded pair families.
 
     Deterministic per seed: trial i draws from a generator derived from
-    (rng_seed, i).  An infinite range distance is recorded as a +inf estimate
-    with its witness; it signals a non-Lipschitz metric pairing rather than
-    an error.
+    (rng_seed, i).  Pairs are evaluated in blocks of rows: one row-wise
+    domain distance, one row-wise selector call on each side (a mechanism
+    outside ``MECHANISM_KINDS`` is called row by row), one row-wise range
+    distance.  The first pair with the largest ratio is the witness; a nan
+    ratio never wins.  An infinite range distance is recorded as a +inf
+    estimate with its witness; it signals a non-Lipschitz metric pairing
+    rather than an error.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     dom = metric_from_id(domain_metric)
     rng_m = metric_from_id(range_metric)
-    positive = mech.positive_domain
-    name = MECHANISM_KINDS[mech.kind].param if mech.kind in MECHANISM_KINDS else None
-    delta = mech.param if name == "delta" else None  # plsoftmax kinds: seam at max - delta
-    base_scale = delta if delta is not None else 1.0 / mech.param if name == "lambda" else 1.0
+    kind = MECHANISM_KINDS.get(mech.kind)
+
+    def select(rows):
+        if kind is None:
+            return np.array([mech(row) for row in rows])
+        return kind.rows(rows, mech.param)
 
     best = -1.0
     witness = None
-    evaluated = 0
-
-    def consider(x, y):
-        nonlocal best, witness, evaluated
-        try:
-            dxy = dom(x, y)
-        except ValueError:
-            return  # pair outside the metric's domain (e.g. log metric on zeros)
-        if not np.isfinite(dxy) or dxy == 0.0:
-            return
-        rxy = rng_m(mech(x), mech(y))
-        evaluated += 1
-        ratio = float("inf") if np.isinf(rxy) else rxy / dxy
-        if ratio > best:
-            best = ratio
-            witness = (np.array(x), np.array(y))
-
-    for x, y in _designed_pairs(mech, d):
-        consider(x, y)
-    for i in range(trials):
-        rng = spawn_rng(rng_seed, i)
-        scale = base_scale * (0.5, 1.0, 2.0)[(i // 3) % 3]
-        family = i % 3
-        if family == 0:
-            x, y = _random_pair(rng, d, scale, positive)
-        elif family == 1:
-            step = _PERTURB_STEPS[(i // 3) % len(_PERTURB_STEPS)]
-            x, y = _perturbation_pair(rng, d, scale, positive, step)
-        else:
-            x, y = _boundary_pair(rng, d, scale, positive, delta)
-        consider(x, y)
+    evaluated = drawn = 0
+    pairs = _drawn_pairs(mech, d, trials, rng_seed)
+    while block := list(islice(pairs, _BLOCK_ROWS)):
+        drawn += len(block)
+        x = np.array([a for a, _ in block])
+        y = np.array([b for _, b in block])
+        dxy = dom(x, y)  # nan where a row is outside the metric's domain
+        used = np.isfinite(dxy) & (dxy != 0.0)
+        if not used.any():
+            continue
+        x, y, dxy = x[used], y[used], dxy[used]
+        rxy = rng_m(select(x), select(y))
+        evaluated += dxy.size
+        ratio = np.where(np.isinf(rxy), np.inf, rxy / dxy)
+        ratio[np.isnan(ratio)] = -np.inf
+        j = int(np.argmax(ratio))
+        if ratio[j] > best:
+            best = float(ratio[j])
+            witness = (x[j].copy(), y[j].copy())
 
     if witness is None:
         raise ValueError(f"no pair gave a usable distance ratio under {domain_metric} -> {range_metric}")
@@ -171,6 +194,7 @@ def empirical_lipschitz(
         domain_metric=domain_metric,
         range_metric=range_metric,
         trials=evaluated,
+        skipped=drawn - evaluated,
         max_ratio=max(best, 0.0),
         witness_x=witness[0],
         witness_y=witness[1],

@@ -55,6 +55,10 @@ class TestEval:
         assert code == 2
         err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert "line 2" in err["error"]
+        for mech, x, name in (("exp:lambda=inf", "1,0", "lambda"), ("plsoftmax:delta=inf", "1e308,-1e308", "delta")):
+            assert main(["eval", "--mech", mech, "--x", x]) == 2
+            err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+            assert err["command"] == "eval" and name in err["error"]
 
 
     def test_huge_values_sparsemax(self, capsys):
@@ -86,6 +90,15 @@ class TestLipschitz:
         for line in lines[1:]:
             cols = line.split(",")
             assert float(cols[5]) <= float(cols[6]) + 1e-9
+
+    def test_summary_counts_skipped_pairs(self, capsys):
+        # plsoftmax draws pairs on the whole line; log-l2 needs positive entries
+        code = main(["lipschitz", "--mech", "plsoftmax:delta=1", "--d", "4", "--domain", "log-l2",
+                     "--range", "l1", "--trials", "300", "--seeds", "0,1"])
+        assert code == 0
+        pairs = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["pairs"]
+        assert pairs["evaluated"] + pairs["skipped"] == 600
+        assert pairs["skipped"] > pairs["evaluated"] > 0
 
     def test_constant_bound_inf_ok(self, tmp_path):
         out = tmp_path / "lip.csv"

@@ -79,6 +79,39 @@ class TestRenyi:
             assert lp_distance(a, b, 1.0) <= two_sided + 1e-9
 
 
+class TestRows:
+    def test_rows_equal_vector_calls(self):
+        rng = np.random.default_rng(5)
+        x, y = rng.normal(size=(2, 40, 7))
+        for p in (1.0, 1.5, 2.0, 3.0, INF):
+            loop = np.array([lp_distance(a, b, p) for a, b in zip(x, y)])
+            assert lp_distance(x, y, p).tobytes() == loop.tobytes()
+            loop = np.array([log_lp_distance(a, b, p) for a, b in zip(np.exp(x), np.exp(y))])
+            assert log_lp_distance(np.exp(x), np.exp(y), p).tobytes() == loop.tobytes()
+        p, q = np.exp(3.0 * x), np.exp(y)
+        p[::3, :2] = 0.0
+        q[::5, 3] = 0.0
+        p, q = p / p.sum(axis=1, keepdims=True), q / q.sum(axis=1, keepdims=True)
+        for order in (1.0, 2.0, INF):
+            loop = np.array([renyi_divergence(a, b, order) for a, b in zip(p, q)])
+            assert np.isinf(loop).any()
+            assert renyi_divergence(p, q, order).tobytes() == loop.tobytes()
+
+    def test_rows_outside_the_domain_give_nan(self):
+        x = np.exp(np.random.default_rng(6).normal(size=(4, 3)))
+        y = x[::-1] / x[::-1].sum(axis=1, keepdims=True)
+        x[1, 2] = 0.0
+        with pytest.raises(ValueError):
+            log_lp_distance(x[1], y[1], 2.0)
+        assert np.isnan(log_lp_distance(x, y, 2.0)).tolist() == [False, True, False, False]
+        with pytest.raises(ValueError):
+            renyi_divergence(x[0], y[0], 1.0)
+        p = x / x.sum(axis=1, keepdims=True)
+        p[3] *= 2.0
+        for order in (1.0, INF):
+            assert np.isnan(renyi_divergence(p, y, order)).tolist() == [False, False, False, True]
+
+
 class TestLogLp:
     def test_examples(self):
         assert log_lp_distance([2.0, 3.0], [2.0, 3.0], 2.0) == 0.0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from softmech.mechanisms import (
+    MECHANISM_KINDS,
     MechanismSpec,
     _piece_apply,
     _piece_apply_transpose,
@@ -19,7 +20,7 @@ from softmech.mechanisms import (
     sparsemax,
     worst_case_support_ok,
 )
-from softmech.simplex import check_distribution
+from softmech.simplex import check_distribution, finalize_distribution, finalize_rows
 from softmech.smmatrix import build_softmax_matrix, uniform_prefix
 
 
@@ -127,6 +128,13 @@ class TestValidation:
             power_mechanism([0.0, 0.0], 1.0)
         with pytest.raises(ValueError):
             plsoftmax([1.0, 0.0], -1.0)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError):
+                exp_mechanism([1.0, 0.0], bad)
+            with pytest.raises(ValueError):
+                power_mechanism([1.0, 0.5], bad)
+            with pytest.raises(ValueError):
+                plsoftmax([1e308, -1e308], bad)
 
 
 class TestAgainstMatrixEvaluation:
@@ -138,6 +146,15 @@ class TestAgainstMatrixEvaluation:
                 v = rng.normal(0.0, 2.0, size=d)
                 assert np.allclose(_piece_apply(v, k), A @ v, atol=1e-12)
                 assert np.allclose(_piece_apply_transpose(v, k), A.T @ v, atol=1e-12)
+
+    def test_piece_kernel_rows_equal_vector_calls(self):
+        rng = np.random.default_rng(13)
+        for d in (1, 2, 5, 12, 64):
+            rows = -np.sort(-rng.normal(0.0, 2.0, size=(50, d)), axis=1)
+            k = rng.integers(1, d + 1, size=(50, 1))
+            out = _piece_apply(rows, k)
+            for row, kr, o in zip(rows, k[:, 0], out):
+                assert o.tobytes() == _piece_apply(row, int(kr)).tobytes()
 
     def test_random_inputs_match_reference(self):
         rng = np.random.default_rng(11)
@@ -310,11 +327,82 @@ class TestSpecParsing:
             assert MechanismSpec.parse(spec.label()) == spec
 
     def test_parse_errors(self):
-        for bad in ["nope", "exp", "exp:delta=1", "plsoftmax:delta=-1", "sparsemax:delta=1", "exp:lambda"]:
+        for bad in ["nope", "exp", "exp:delta=1", "plsoftmax:delta=-1", "sparsemax:delta=1", "exp:lambda",
+                    "exp:lambda=inf", "plsoftmax:delta=inf", "pow:lambda=nan"]:
             with pytest.raises(ValueError):
                 MechanismSpec.parse(bad)
+        with pytest.raises(ValueError, match="lambda"):
+            MechanismSpec("exp", float("inf"))
 
     def test_dispatch(self):
         x = np.array([2.0, 1.0])
         assert np.allclose(MechanismSpec.parse("pow:lambda=1")(x), [2 / 3, 1 / 3])
         assert np.allclose(MechanismSpec.parse("sparsemax")(np.zeros(4)), 0.25)
+
+
+PARAMS = {"exp": 1.5, "pow": 2.0, "plsoftmax": 0.5, "logplsoftmax": 1.0, "sparsemax": None}
+
+
+def parity_rows(kind, d, rng):
+    """Value rows for a kind: ties, rows of equal entries, offsets up to 1e12
+    (scales up to 1e12 for the positive kinds), and zeros for pow."""
+    z = rng.normal(0.0, 1.0, size=(60, d))
+    z[::4] = np.round(z[::4])
+    z[1::4] = z[1::4, :1]
+    shift = rng.choice([0.0, 1e4, 1e8, 1e10, 1e12], size=(60, 1))
+    if kind == "pow":
+        x = np.maximum(z, 0.0)
+        x[np.arange(60), rng.integers(d, size=60)] += 1.0
+        return x * np.maximum(shift, 1.0)
+    if kind == "logplsoftmax":
+        return np.exp(z) * np.maximum(shift, 1.0)
+    return z + shift
+
+
+def raising_rows(kind, d):
+    """Rows on which the 1-D call raises."""
+    rows = [np.full(d, np.nan), np.full(d, np.inf)]
+    if kind == "pow":
+        rows += [np.zeros(d), -np.ones(d)]
+    if kind == "logplsoftmax":
+        rows.append(np.zeros(d))
+    return rows
+
+
+class TestRowForms:
+    @pytest.mark.parametrize("kind", sorted(PARAMS))
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 16, 64, 1024])
+    def test_rows_equal_vector_calls(self, kind, d):
+        entry, param = MECHANISM_KINDS[kind], PARAMS[kind]
+        x = parity_rows(kind, d, np.random.default_rng(d))
+        out = entry.rows(x, param)
+        assert out.shape == x.shape
+        for row, o in zip(x, out):
+            assert o.tobytes() == entry.function(row, param).tobytes()
+
+    @pytest.mark.parametrize("kind", sorted(PARAMS))
+    @pytest.mark.parametrize("d", [1, 4, 64])
+    def test_rows_raise_like_vector_calls(self, kind, d):
+        entry, param = MECHANISM_KINDS[kind], PARAMS[kind]
+        x = parity_rows(kind, d, np.random.default_rng(d))
+        for bad in raising_rows(kind, d):
+            with pytest.raises(Exception) as one:
+                entry.function(bad, param)
+            x[1] = bad
+            with pytest.raises(one.type):
+                entry.rows(x, param)
+        if param is not None:
+            for bad_param in (0.0, np.inf, np.nan):
+                with pytest.raises(ValueError):
+                    entry.rows(x[2:], bad_param)
+
+    def test_finalize_rows_clamps_and_raises_like_vector_calls(self):
+        raw = np.array([[0.5, 0.5, 0.0], [0.7, 0.3 + 1e-13, -1e-13], [0.2, 0.2, 0.2]])
+        out = finalize_rows(raw)
+        for row, o in zip(raw, out):
+            assert o.tobytes() == finalize_distribution(row).tobytes()
+        for bad in ([0.5, 0.6, -1e-9], [0.0, 0.0, 0.0], [np.nan, 0.5, 0.5]):
+            with pytest.raises(AssertionError):
+                finalize_distribution(np.array(bad))
+            with pytest.raises(AssertionError):
+                finalize_rows(np.vstack([raw, bad]))

@@ -1,13 +1,20 @@
 """Smoothness lab: estimator behavior, bounds, and witness floors."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from softmech.distances import lp_distance, renyi_divergence
-from softmech.mechanisms import MechanismSpec, exp_mechanism, plsoftmax, sparsemax
+from softmech.distances import lp_distance, metric_from_id, renyi_divergence
+from softmech.mechanisms import MECHANISM_KINDS, MechanismSpec, exp_mechanism, plsoftmax, sparsemax
+from softmech.seeding import spawn_rng
 from softmech.smoothness import (
+    _PERTURB_STEPS,
+    _boundary_pair,
+    _designed_pairs,
+    _perturbation_pair,
+    _random_pair,
     bound_for_metrics,
     empirical_lipschitz,
     exp_l1_lb_witness,
@@ -82,6 +89,101 @@ class TestEstimator:
         payload = json.loads(est.to_json())
         assert payload["domain_metric"] == "l2"
         assert len(payload["witness_x"]) == 4
+
+
+def per_pair_lipschitz(mech, d, domain_metric, range_metric, trials, rng_seed):
+    """The lab as a loop that evaluates one pair at a time with the 1-D
+    distances and selector calls: the reference for the row-block lab.
+    Returns (max_ratio, witness_x, witness_y, evaluated, skipped)."""
+    dom = metric_from_id(domain_metric)
+    rng_m = metric_from_id(range_metric)
+    positive = mech.positive_domain
+    name = MECHANISM_KINDS[mech.kind].param if mech.kind in MECHANISM_KINDS else None
+    delta = mech.param if name == "delta" else None
+    base_scale = delta if delta is not None else 1.0 / mech.param if name == "lambda" else 1.0
+    best, witness, evaluated, drawn = -1.0, None, 0, 0
+
+    def consider(x, y):
+        nonlocal best, witness, evaluated, drawn
+        drawn += 1
+        try:
+            dxy = dom(x, y)
+        except ValueError:
+            return
+        if not np.isfinite(dxy) or dxy == 0.0:
+            return
+        rxy = rng_m(mech(x), mech(y))
+        evaluated += 1
+        ratio = float("inf") if np.isinf(rxy) else rxy / dxy
+        if ratio > best:
+            best = ratio
+            witness = (np.array(x), np.array(y))
+
+    for x, y in _designed_pairs(mech, d):
+        consider(x, y)
+    for i in range(trials):
+        rng = spawn_rng(rng_seed, i)
+        scale = base_scale * (0.5, 1.0, 2.0)[(i // 3) % 3]
+        family = i % 3
+        if family == 0:
+            x, y = _random_pair(rng, d, scale, positive)
+        elif family == 1:
+            x, y = _perturbation_pair(rng, d, scale, positive, _PERTURB_STEPS[(i // 3) % len(_PERTURB_STEPS)])
+        else:
+            x, y = _boundary_pair(rng, d, scale, positive, delta)
+        consider(x, y)
+    if witness is None:
+        raise ValueError("no usable pair")
+    return max(best, 0.0), witness[0], witness[1], evaluated, drawn - evaluated
+
+
+ORACLE_MECHS = [
+    MechanismSpec("exp", 1.5),
+    MechanismSpec("pow", 2.0),
+    MechanismSpec("plsoftmax", 0.5),
+    MechanismSpec("logplsoftmax", 1.0),
+    MechanismSpec("sparsemax"),
+    ConstantMechanism(),
+]
+ORACLE_METRICS = [("l1", "l1"), ("l2", "l2"), ("linf", "l1"), ("l2", "dinf"), ("linf", "kl"), ("log-l2", "l1")]
+
+
+class TestRowBlocksMatchPerPairLoop:
+    @pytest.mark.parametrize("mech", ORACLE_MECHS, ids=lambda m: m.kind)
+    @pytest.mark.parametrize("domain, range_", ORACLE_METRICS, ids=lambda m: m)
+    def test_same_estimate_witness_and_counts(self, mech, domain, range_):
+        # 256 pairs make a block; the exp and sparsemax designed pairs move
+        # the block edges by one or two
+        for trials in (1, 255, 256, 257, 1000):
+            seed = 1000 + trials
+            try:
+                ref = per_pair_lipschitz(mech, 6, domain, range_, trials, seed)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    empirical_lipschitz(mech, 6, domain, range_, trials, seed)
+                continue
+            est = empirical_lipschitz(mech, 6, domain, range_, trials, seed)
+            got = (est.max_ratio, est.witness_x, est.witness_y, est.trials, est.skipped)
+            assert np.float64(got[0]).tobytes() == np.float64(ref[0]).tobytes(), trials
+            assert got[1].tobytes() == ref[1].tobytes() and got[2].tobytes() == ref[2].tobytes(), trials
+            assert got[3:] == ref[3:], trials
+
+    def test_memory_bounded_by_the_block(self):
+        # all 20 000 pairs at once would hold more than 20 MB of rows
+        tracemalloc.start()
+        try:
+            est = empirical_lipschitz(MechanismSpec("sparsemax"), 64, "l2", "l1", 20_000, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert est.trials == 20_001
+        assert peak < 4 * 2**20
+
+    def test_skipped_pairs_counted(self):
+        # plsoftmax draws pairs on the whole line; log-l2 needs positive entries
+        est = empirical_lipschitz(MechanismSpec("plsoftmax", 1.0), 4, "log-l2", "l1", 600, 0)
+        assert est.trials + est.skipped == 600
+        assert est.skipped > est.trials > 0
 
 
 class TestTheoreticalBound:
