@@ -10,8 +10,6 @@ piecewise-linear selector.
 
 from .mechanisms import (
     MechanismSpec,
-    SortPermutation,
-    active_count,
     additive_gap,
     exp_mechanism,
     log_plsoftmax,
@@ -19,7 +17,6 @@ from .mechanisms import (
     multiplicative_guarantee,
     plsoftmax,
     power_mechanism,
-    sorting_permutation,
     sparsemax,
     worst_case_support_ok,
 )
@@ -55,10 +52,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MechanismSpec",
-    "SortPermutation",
     "SoftMaxMatrix",
     "LipschitzEstimate",
-    "active_count",
     "additive_gap",
     "build_softmax_matrix",
     "column_sums_are_zero",
@@ -79,7 +74,6 @@ __all__ = [
     "recursion_identity_exact",
     "renyi_divergence",
     "sm_norm_bound",
-    "sorting_permutation",
     "sparsegen_lb_witness",
     "sparsemax",
     "subordinate_norm_exact",

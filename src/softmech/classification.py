@@ -13,21 +13,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mechanisms import _piece_apply, _piece_apply_transpose, plsoftmax
+from .mechanisms import _check_param, _piece_apply, _piece_apply_transpose, plsoftmax
 from .seeding import spawn_rng
-from .simplex import as_values, check_distribution
+from .simplex import as_value_rows, as_values, check_distribution
+
+# Trials of the convexity probe evaluated per row-form loss call (three
+# points each); bounds the probe's memory at any trial count.
+_PROBE_BLOCK = 512
 
 
 def target_sort_permutation(q) -> np.ndarray:
     """Non-increasing sort order of the target, ties by ascending index."""
-    qq = check_distribution(q)
-    return np.argsort(-qq, kind="stable")
+    return _target_piece(check_distribution(q))[0]
 
 
 def _target_piece(q: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """q's sort order, its support size k, and the last rank the order part
-    reaches: the first rank outside the support, capped at d - 1."""
-    order = target_sort_permutation(q)
+    """An already validated q's stable non-increasing sort order, its support
+    size k, and the last rank the order part reaches: the first rank outside
+    the support, capped at d - 1."""
+    order = np.argsort(-q, kind="stable")
     k = int(np.count_nonzero(q > 0))
     return order, k, min(k, q.size - 1)
 
@@ -37,8 +41,8 @@ def _validated(x, q, delta: float | None = None):
     qq = check_distribution(q)
     if xx.shape != qq.shape:
         raise ValueError("scores and target must share a dimension")
-    if delta is not None and delta <= 0:
-        raise ValueError("delta must be positive")
+    if delta is not None:
+        _check_param(delta, "delta")
     return xx, qq
 
 
@@ -93,6 +97,38 @@ def loss_total(x, q, delta: float) -> float:
     return loss_ord(x, q) + loss_supp(x, q, delta) + loss_sqr(x, q, delta)
 
 
+def _loss_rows(X, q, delta: float) -> np.ndarray:
+    """loss_total of each row of an (n, d) score array against one target q.
+
+    q is validated and sorted once.  Each entry equals loss_total(X[i], q,
+    delta) bit for bit, and a row loss_total would reject (a non-finite
+    entry) raises the same ValueError.  Every reduction repeats its 1-D
+    counterpart on a C-contiguous row: the hinge sums on contiguous copies
+    (a fancy-indexed column selection is not C-contiguous, and numpy sums
+    such rows in another order), and the square part as a stack of r @ r
+    row products, which numpy computes with the 1-D dot product (einsum
+    rounds differently).
+    """
+    XX = as_value_rows(X)
+    qq = check_distribution(q)
+    if XX.shape[1] != qq.size:
+        raise ValueError("scores and target must share a dimension")
+    _check_param(delta, "delta")
+    order, k, last = _target_piece(qq)
+    XS = np.ascontiguousarray(XX[:, order])
+    ord_part = np.maximum(XS[:, 1 : last + 1] - XS[:, :last], 0.0).sum(axis=1)
+
+    top = XX[:, int(np.argmax(qq)), None]
+    in_support = qq > 0
+    inside = np.maximum(top - np.ascontiguousarray(XX[:, in_support]) - delta, 0.0).sum(axis=1)
+    outside = np.maximum(np.ascontiguousarray(XX[:, ~in_support]) - top + delta, 0.0).sum(axis=1)
+
+    r = qq[order] - _piece_apply(XS, np.full((XX.shape[0], 1), k)) / delta
+    r[:, :k] -= 1.0 / k
+    sqr_part = (r[:, None, :] @ r[:, :, None])[:, 0, 0]
+    return ord_part + (inside + outside) + sqr_part
+
+
 def loss_grad(x, q, delta: float) -> np.ndarray:
     """Gradient of the total loss in x (a subgradient at hinge corners)."""
     xx, qq = _validated(x, q, delta)
@@ -135,20 +171,29 @@ def subgradient_check(x, q, delta: float, fd_step: float = 1e-5) -> float | None
     2 * fd_step of its corner: there the central difference straddles a
     point where the loss is not differentiable.
     """
-    xx, qq = _validated(x, q)
+    xx, qq = _validated(x, q, delta)
     if not _is_smooth_point(xx, qq, delta, 2.0 * fd_step):
         return None
     grad = loss_grad(xx, qq, delta)
+    d, idx = xx.size, np.arange(xx.size)
+    steps = np.tile(xx, (2 * d, 1))  # rows i and d + i step coordinate i up and down
+    steps[idx, idx] += fd_step
+    steps[d + idx, idx] -= fd_step
+    losses = _loss_rows(steps, qq, delta)
+    fds = (losses[:d] - losses[d:]) / (2.0 * fd_step)
     worst = 0.0
-    for i in range(xx.size):
-        hi = xx.copy()
-        lo = xx.copy()
-        hi[i] += fd_step
-        lo[i] -= fd_step
-        fd = (loss_total(hi, qq, delta) - loss_total(lo, qq, delta)) / (2.0 * fd_step)
-        scale = max(abs(fd), abs(grad[i]), 1.0)
-        worst = max(worst, abs(grad[i] - fd) / scale)
+    for g, fd in zip(grad.tolist(), fds.tolist()):
+        scale = max(abs(fd), abs(g), 1.0)
+        worst = max(worst, abs(g - fd) / scale)
     return worst
+
+
+def _chord(rng_seed: int, i: int, d: int, sd: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Trial i's end points x1, x2 and weight t, from spawn_rng(rng_seed, i)."""
+    rng = spawn_rng(rng_seed, i)
+    x1 = rng.normal(0.0, sd, size=d)
+    x2 = rng.normal(0.0, sd, size=d)
+    return x1, x2, rng.random()
 
 
 def convexity_probe(q, delta: float, trials: int, rng_seed: int, loss=None, scale: float = 2.0) -> float:
@@ -156,23 +201,28 @@ def convexity_probe(q, delta: float, trials: int, rng_seed: int, loss=None, scal
 
     Draws random (x1, x2, t) triples and measures
     loss(t x1 + (1-t) x2) - t loss(x1) - (1-t) loss(x2); for a convex loss
-    the max stays at numerical-noise level.  A custom ``loss(x)`` callable can
-    be probed instead, e.g. to confirm the probe flags a concave double.
+    the max stays at numerical-noise level.  The built-in loss is evaluated
+    by the row form, _PROBE_BLOCK trials per call; a custom ``loss(x)``
+    callable is called point by point, e.g. to confirm the probe flags a
+    concave double.
     """
     qq = check_distribution(q)
+    _check_param(delta, "delta")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if loss is None:
-        loss = lambda xv: loss_total(xv, qq, delta)
-    d = qq.size
+    d, sd = qq.size, scale * max(delta, 1.0)
     worst = -np.inf
-    for i in range(trials):
-        rng = spawn_rng(rng_seed, i)
-        x1 = rng.normal(0.0, scale * max(delta, 1.0), size=d)
-        x2 = rng.normal(0.0, scale * max(delta, 1.0), size=d)
-        t = rng.random()
-        violation = loss(t * x1 + (1 - t) * x2) - t * loss(x1) - (1 - t) * loss(x2)
-        worst = max(worst, violation)
+    if loss is not None:
+        for i in range(trials):
+            x1, x2, t = _chord(rng_seed, i, d, sd)
+            worst = max(worst, loss(t * x1 + (1 - t) * x2) - t * loss(x1) - (1 - t) * loss(x2))
+        return float(worst)
+    for start in range(0, trials, _PROBE_BLOCK):
+        chords = [_chord(rng_seed, i, d, sd) for i in range(start, min(start + _PROBE_BLOCK, trials))]
+        x1, x2, t = map(np.array, zip(*chords))
+        mid = t[:, None] * x1 + (1 - t[:, None]) * x2
+        l_mid, l1, l2 = np.split(_loss_rows(np.concatenate([mid, x1, x2]), qq, delta), 3)
+        worst = max(worst, *(l_mid - t * l1 - (1 - t) * l2).tolist())
     return float(worst)
 
 

@@ -25,43 +25,6 @@ import numpy as np
 from .simplex import SUPPORT_EPS, as_value_rows, as_values, finalize_distribution, finalize_rows
 
 
-@dataclass(frozen=True)
-class SortPermutation:
-    """Permutation sorting a vector into non-increasing order.
-
-    ``order[r]`` is the original index holding the rank-r value (x[order] is
-    sorted non-increasing); ``inverse[i]`` is the rank of coordinate i.  Ties
-    are broken by ascending original index.
-    """
-
-    order: np.ndarray
-    inverse: np.ndarray
-
-
-def sorting_permutation(x) -> SortPermutation:
-    """Stable non-increasing sort permutation of x (ties by ascending index)."""
-    v = as_values(x)
-    order = np.argsort(-v, kind="stable")
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(v.size)
-    return SortPermutation(order=order, inverse=inverse)
-
-
-def active_count(sorted_x, delta: float) -> int:
-    """Largest k such that sorted_x[0] - sorted_x[k-1] <= delta.
-
-    The comparison is exact (no epsilon): the selector is continuous across
-    the k boundary, so float jitter only moves between agreeing pieces.
-    Input must already be non-increasing.
-    """
-    xs = as_values(sorted_x)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if np.any(np.diff(xs) > 0):
-        raise ValueError("input must be sorted non-increasing")
-    return int(np.count_nonzero(xs[0] - xs <= delta))
-
-
 def _check_param(value: float, name: str) -> None:
     if not 0 < value < np.inf:
         raise ValueError(f"{name} must be positive and finite")

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from softmech import classification
 from softmech.classification import (
+    _is_smooth_point,
+    _loss_rows,
     convexity_probe,
     loss_grad,
     loss_ord,
@@ -15,6 +18,7 @@ from softmech.classification import (
     zero_iff_residual,
 )
 from softmech.mechanisms import plsoftmax
+from softmech.seeding import spawn_rng
 from softmech.smmatrix import build_softmax_matrix, uniform_prefix
 
 
@@ -28,6 +32,53 @@ def dense_piece_map(q, delta):
     P[np.arange(d), order] = 1.0  # row r picks the rank-r coordinate
     M = P.T @ build_softmax_matrix(k, d).to_float() @ P / delta
     return M, P.T @ uniform_prefix(k, d)
+
+
+def per_point_subgradient_check(x, q, delta, fd_step=1e-5):
+    """subgradient_check with one loss_total call per finite-difference point."""
+    xx, qq = np.asarray(x, dtype=float), np.asarray(q, dtype=float)
+    if not _is_smooth_point(xx, qq, delta, 2.0 * fd_step):
+        return None
+    grad = loss_grad(xx, qq, delta)
+    worst = 0.0
+    for i in range(xx.size):
+        hi = xx.copy()
+        lo = xx.copy()
+        hi[i] += fd_step
+        lo[i] -= fd_step
+        fd = (loss_total(hi, qq, delta) - loss_total(lo, qq, delta)) / (2.0 * fd_step)
+        scale = max(abs(fd), abs(grad[i]), 1.0)
+        worst = max(worst, abs(grad[i] - fd) / scale)
+    return worst
+
+
+def per_trial_convexity_probe(q, delta, trials, rng_seed, scale=2.0):
+    """convexity_probe with three loss_total calls per trial."""
+    d = q.size
+    loss = lambda xv: loss_total(xv, q, delta)
+    worst = -np.inf
+    for i in range(trials):
+        rng = spawn_rng(rng_seed, i)
+        x1 = rng.normal(0.0, scale * max(delta, 1.0), size=d)
+        x2 = rng.normal(0.0, scale * max(delta, 1.0), size=d)
+        t = rng.random()
+        worst = max(worst, loss(t * x1 + (1 - t) * x2) - t * loss(x1) - (1 - t) * loss(x2))
+    return float(worst)
+
+
+def random_target(d, rng):
+    ts = list(targets(d, rng))
+    return ts[int(rng.integers(len(ts)))]
+
+
+def targets(d, rng):
+    """Targets with every support size 1..d: equal weights (uniform at k = d)
+    and weights 1 or 2 (ties) on k random coordinates."""
+    for k in range(1, d + 1):
+        for weights in (np.ones(k), rng.integers(1, 3, size=k).astype(float)):
+            q = np.zeros(d)
+            q[rng.permutation(d)[:k]] = weights / weights.sum()
+            yield q
 
 
 class TestOrder:
@@ -193,3 +244,70 @@ class TestGradient:
         y = x + rng.normal(0.0, 0.01, size=3)
         g = loss_grad(y, q, 2.0)
         assert np.allclose(g, -2.0 * M.T @ (q - M @ y - b), atol=1e-9)
+
+
+class TestLossRows:
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 9, 16, 32, 64])
+    def test_each_row_equals_loss_total_bit_for_bit(self, d):
+        rng = np.random.default_rng(d)
+        for j, q in enumerate(targets(d, rng)):
+            delta = (0.25, 1.0, 3.0)[j % 3]
+            offset = (0.0, 1e4, 1e8, 1e12)[j % 4]
+            X = rng.normal(0.0, 2.0 * delta, size=(4, d))
+            X[1] = np.round(X[1] * 2.0) / 2.0  # ties among the scores
+            X[2] = X[0]
+            X += offset
+            rows = _loss_rows(X, q, delta)
+            assert rows.tolist() == [loss_total(x, q, delta) for x in X]
+
+    def test_rejects_what_loss_total_rejects(self):
+        q = np.full(3, 1 / 3)
+        X = np.zeros((2, 3))
+        X[1, 2] = np.inf
+        with pytest.raises(ValueError, match="value vector must be finite"):
+            loss_total(X[1], q, 1.0)
+        with pytest.raises(ValueError, match="value vector must be finite"):
+            _loss_rows(X, q, 1.0)
+        for delta in (0.0, -1.0, np.inf, np.nan):
+            for call in (lambda: loss_total(X[0], q, delta), lambda: _loss_rows(X[:1], q, delta)):
+                with pytest.raises(ValueError, match="delta must be positive and finite"):
+                    call()
+        with pytest.raises(ValueError, match="share a dimension"):
+            _loss_rows(np.zeros((2, 4)), q, 1.0)
+        with pytest.raises(ValueError, match="sums to"):
+            _loss_rows(X[:1], np.full(3, 0.5), 1.0)
+
+
+class TestProbesMatchPerPointLoops:
+    def test_subgradient_check(self):
+        rng = np.random.default_rng(12)
+        results = []
+        for j in range(320):
+            d = int(rng.choice([1, 2, 3, 8, 9, 16, 32]))
+            delta = float(rng.choice([0.1, 0.5, 1.0, 2.0]))
+            x = rng.normal(0.0, 2.0 * delta, size=d) + float(rng.choice([0.0, 1e4]))
+            if j % 5 == 0 and d > 1:
+                x[1] = x[0]  # a tie: some hinge may sit at its corner
+            q = plsoftmax(rng.normal(0.0, 2.0 * delta, size=d), delta) if j % 2 else random_target(d, rng)
+            got = subgradient_check(x, q, delta)
+            assert got == per_point_subgradient_check(x, q, delta)
+            results.append(got)
+        assert 0 < results.count(None) < len(results)
+
+    @pytest.mark.parametrize("block", [1, 7, 512])
+    def test_convexity_probe(self, monkeypatch, block):
+        monkeypatch.setattr(classification, "_PROBE_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for d in (1, 2, 3, 8, 16):
+            for q in (np.full(d, 1 / d), random_target(d, rng), plsoftmax(rng.normal(size=d), 0.5)):
+                for delta, trials in ((0.5, 1), (1.0, 20), (2.0, 45)):
+                    seed = int(rng.integers(1000))
+                    assert convexity_probe(q, delta, trials, seed) == per_trial_convexity_probe(q, delta, trials, seed)
+
+    def test_probes_reject_bad_delta(self):
+        q = np.full(4, 0.25)
+        for delta in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="delta must be positive and finite"):
+                subgradient_check(np.arange(4.0), q, delta)
+            with pytest.raises(ValueError, match="delta must be positive and finite"):
+                convexity_probe(q, delta, 5, 0)

@@ -174,6 +174,12 @@ class TestLossfn:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "seed,convexity_violation,zero_iff_residual,subgradient_error"
 
+    def test_bad_delta_exits_2(self, capsys):
+        for delta in ("inf", "nan"):
+            assert main(["lossfn", "--d", "4", "--delta", delta, "--trials", "5"]) == 2
+            err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+            assert err["command"] == "lossfn" and "delta" in err["error"]
+
     def test_all_points_skipped_ends_and_fails(self, tmp_path, capsys):
         # with delta = 1e-9 every draw sits within 2e-5 of a hinge corner
         out = tmp_path / "loss.csv"

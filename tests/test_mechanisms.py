@@ -8,7 +8,6 @@ from softmech.mechanisms import (
     MechanismSpec,
     _piece_apply,
     _piece_apply_transpose,
-    active_count,
     additive_gap,
     exp_mechanism,
     log_plsoftmax,
@@ -16,7 +15,6 @@ from softmech.mechanisms import (
     multiplicative_guarantee,
     plsoftmax,
     power_mechanism,
-    sorting_permutation,
     sparsemax,
     worst_case_support_ok,
 )
@@ -49,27 +47,6 @@ class TestExamples:
         assert np.allclose(power_mechanism([4.0, 1.0], 0.5), [2 / 3, 1 / 3])
         assert np.allclose(power_mechanism([3.0, 3.0, 3.0], 2.0), 1 / 3)
         assert np.allclose(power_mechanism([1.0, 0.0], 2.0), [1.0, 0.0])
-
-    def test_sorting_permutation(self):
-        sp = sorting_permutation([3.0, 1.0, 2.0])
-        assert sp.order.tolist() == [0, 2, 1]
-        assert sp.inverse.tolist() == [0, 2, 1]
-        assert sorting_permutation([5.0, 5.0, 5.0]).order.tolist() == [0, 1, 2]
-        assert sorting_permutation([9.0, 4.0, 1.0]).order.tolist() == [0, 1, 2]
-        x = np.array([1.0, 7.0, 3.0, 7.0])
-        sp = sorting_permutation(x)
-        assert np.all(np.diff(x[sp.order]) <= 0)
-        assert np.array_equal(sp.order[sp.inverse], np.arange(4))
-
-    def test_active_count(self):
-        assert active_count([3.0, 2.0, 1.0], 1.5) == 2
-        assert active_count([4.0] * 5, 0.1) == 5
-        assert active_count([2.0, 0.0], 1.0) == 1
-        assert active_count([1.0, 0.0], 1.0) == 2  # boundary uses exact <=
-        with pytest.raises(ValueError):
-            active_count([1.0, 2.0], 1.0)
-        with pytest.raises(ValueError):
-            active_count([2.0, 1.0], 0.0)
 
     def test_plsoftmax(self):
         assert np.allclose(plsoftmax([0.5, 0.0], 1.0), [0.75, 0.25])
