@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .mechanisms import _check_param, _piece_apply, _piece_apply_transpose, plsoftmax
-from .seeding import spawn_rng
+from .seeding import spawn_rngs
 from .simplex import as_value_rows, as_values, check_distribution
 
 # Trials of the convexity probe evaluated per row-form loss call (three
@@ -114,7 +114,12 @@ def _loss_rows(X, q, delta: float) -> np.ndarray:
     if XX.shape[1] != qq.size:
         raise ValueError("scores and target must share a dimension")
     _check_param(delta, "delta")
-    order, k, last = _target_piece(qq)
+    return _piece_loss_rows(XX, qq, delta, _target_piece(qq))
+
+
+def _piece_loss_rows(XX: np.ndarray, qq: np.ndarray, delta: float, piece: tuple[np.ndarray, int, int]) -> np.ndarray:
+    """_loss_rows of validated rows and target, given q's _target_piece."""
+    order, k, last = piece
     XS = np.ascontiguousarray(XX[:, order])
     ord_part = np.maximum(XS[:, 1 : last + 1] - XS[:, :last], 0.0).sum(axis=1)
 
@@ -132,9 +137,13 @@ def _loss_rows(X, q, delta: float) -> np.ndarray:
 def loss_grad(x, q, delta: float) -> np.ndarray:
     """Gradient of the total loss in x (a subgradient at hinge corners)."""
     xx, qq = _validated(x, q, delta)
-    g = np.zeros_like(xx)
+    return _piece_grad(xx, qq, delta, _target_piece(qq))
 
-    order, k, last = _target_piece(qq)
+
+def _piece_grad(xx: np.ndarray, qq: np.ndarray, delta: float, piece: tuple[np.ndarray, int, int]) -> np.ndarray:
+    """loss_grad of a validated point and target, given q's _target_piece."""
+    g = np.zeros_like(xx)
+    order, k, last = piece
     lo, hi = order[:last], order[1 : last + 1]
     inverted = xx[hi] - xx[lo] > 0
     g[hi[inverted]] += 1.0
@@ -153,8 +162,12 @@ def loss_grad(x, q, delta: float) -> np.ndarray:
     return g
 
 
-def _is_smooth_point(x: np.ndarray, q: np.ndarray, delta: float, tol: float) -> bool:
-    order, _, last = _target_piece(q)
+def _is_smooth_point(
+    x: np.ndarray, q: np.ndarray, delta: float, tol: float, piece: tuple[np.ndarray, int, int]
+) -> bool:
+    """Whether every hinge argument at x is farther than tol from its corner;
+    piece is q's _target_piece."""
+    order, _, last = piece
     xs = x[order]
     if np.any(np.abs(xs[1 : last + 1] - xs[:last]) <= tol):
         return False
@@ -172,14 +185,15 @@ def subgradient_check(x, q, delta: float, fd_step: float = 1e-5) -> float | None
     point where the loss is not differentiable.
     """
     xx, qq = _validated(x, q, delta)
-    if not _is_smooth_point(xx, qq, delta, 2.0 * fd_step):
+    piece = _target_piece(qq)
+    if not _is_smooth_point(xx, qq, delta, 2.0 * fd_step, piece):
         return None
-    grad = loss_grad(xx, qq, delta)
+    grad = _piece_grad(xx, qq, delta, piece)
     d, idx = xx.size, np.arange(xx.size)
     steps = np.tile(xx, (2 * d, 1))  # rows i and d + i step coordinate i up and down
     steps[idx, idx] += fd_step
     steps[d + idx, idx] -= fd_step
-    losses = _loss_rows(steps, qq, delta)
+    losses = _piece_loss_rows(as_value_rows(steps), qq, delta, piece)
     fds = (losses[:d] - losses[d:]) / (2.0 * fd_step)
     worst = 0.0
     for g, fd in zip(grad.tolist(), fds.tolist()):
@@ -188,9 +202,8 @@ def subgradient_check(x, q, delta: float, fd_step: float = 1e-5) -> float | None
     return worst
 
 
-def _chord(rng_seed: int, i: int, d: int, sd: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Trial i's end points x1, x2 and weight t, from spawn_rng(rng_seed, i)."""
-    rng = spawn_rng(rng_seed, i)
+def _chord(rng: np.random.Generator, d: int, sd: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """One trial's end points x1, x2 and weight t, drawn from rng."""
     x1 = rng.normal(0.0, sd, size=d)
     x2 = rng.normal(0.0, sd, size=d)
     return x1, x2, rng.random()
@@ -201,10 +214,11 @@ def convexity_probe(q, delta: float, trials: int, rng_seed: int, loss=None, scal
 
     Draws random (x1, x2, t) triples and measures
     loss(t x1 + (1-t) x2) - t loss(x1) - (1-t) loss(x2); for a convex loss
-    the max stays at numerical-noise level.  The built-in loss is evaluated
-    by the row form, _PROBE_BLOCK trials per call; a custom ``loss(x)``
-    callable is called point by point, e.g. to confirm the probe flags a
-    concave double.
+    the max stays at numerical-noise level.  Trial i draws from the
+    generator of spawn_rng(rng_seed, i); the generators come from
+    spawn_rngs.  The built-in loss is evaluated by the row form,
+    _PROBE_BLOCK trials per call; a custom ``loss(x)`` callable is called
+    point by point, e.g. to confirm the probe flags a concave double.
     """
     qq = check_distribution(q)
     _check_param(delta, "delta")
@@ -213,13 +227,13 @@ def convexity_probe(q, delta: float, trials: int, rng_seed: int, loss=None, scal
     d, sd = qq.size, scale * max(delta, 1.0)
     worst = -np.inf
     if loss is not None:
-        for i in range(trials):
-            x1, x2, t = _chord(rng_seed, i, d, sd)
+        for rng in spawn_rngs(rng_seed, 0, trials):
+            x1, x2, t = _chord(rng, d, sd)
             worst = max(worst, loss(t * x1 + (1 - t) * x2) - t * loss(x1) - (1 - t) * loss(x2))
         return float(worst)
     for start in range(0, trials, _PROBE_BLOCK):
-        chords = [_chord(rng_seed, i, d, sd) for i in range(start, min(start + _PROBE_BLOCK, trials))]
-        x1, x2, t = map(np.array, zip(*chords))
+        rngs = spawn_rngs(rng_seed, start, min(_PROBE_BLOCK, trials - start))
+        x1, x2, t = map(np.array, zip(*(_chord(rng, d, sd) for rng in rngs)))
         mid = t[:, None] * x1 + (1 - t[:, None]) * x2
         l_mid, l1, l2 = np.split(_loss_rows(np.concatenate([mid, x1, x2]), qq, delta), 3)
         worst = max(worst, *(l_mid - t * l1 - (1 - t) * l2).tolist())

@@ -22,7 +22,7 @@ import numpy as np
 
 from .distances import lp_distance, metric_exponent, metric_from_id, parse_metric_id, pq_bound_factor
 from .mechanisms import MECHANISM_KINDS, MechanismSpec
-from .seeding import spawn_rng
+from .seeding import spawn_rngs
 
 _PERTURB_STEPS = (1e-2, 1e-4, 1e-6)
 _BOUNDARY_STEP = 1e-6
@@ -116,14 +116,14 @@ def _designed_pairs(mech: MechanismSpec, d: int) -> list[tuple[np.ndarray, np.nd
 
 def _drawn_pairs(mech: MechanismSpec, d: int, trials: int, rng_seed: int):
     """The designed pairs, then one pair per trial from the generator of
-    (rng_seed, i), cycling the three families, three scales and three steps."""
+    spawn_rng(rng_seed, i), here from spawn_rngs, cycling the three families,
+    three scales and three steps."""
     positive = mech.positive_domain
     name = MECHANISM_KINDS[mech.kind].param if mech.kind in MECHANISM_KINDS else None
     delta = mech.param if name == "delta" else None  # plsoftmax kinds: seam at max - delta
     base_scale = delta if delta is not None else 1.0 / mech.param if name == "lambda" else 1.0
     yield from _designed_pairs(mech, d)
-    for i in range(trials):
-        rng = spawn_rng(rng_seed, i)
+    for i, rng in enumerate(spawn_rngs(rng_seed, 0, trials)):
         scale = base_scale * (0.5, 1.0, 2.0)[(i // 3) % 3]
         family = i % 3
         if family == 0:

@@ -7,6 +7,7 @@ from softmech import classification
 from softmech.classification import (
     _is_smooth_point,
     _loss_rows,
+    _target_piece,
     convexity_probe,
     loss_grad,
     loss_ord,
@@ -37,7 +38,7 @@ def dense_piece_map(q, delta):
 def per_point_subgradient_check(x, q, delta, fd_step=1e-5):
     """subgradient_check with one loss_total call per finite-difference point."""
     xx, qq = np.asarray(x, dtype=float), np.asarray(q, dtype=float)
-    if not _is_smooth_point(xx, qq, delta, 2.0 * fd_step):
+    if not _is_smooth_point(xx, qq, delta, 2.0 * fd_step, _target_piece(qq)):
         return None
     grad = loss_grad(xx, qq, delta)
     worst = 0.0

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from softmech import seeding
 from softmech.distances import lp_distance, metric_from_id, renyi_divergence
 from softmech.mechanisms import MECHANISM_KINDS, MechanismSpec, exp_mechanism, plsoftmax, sparsemax
 from softmech.seeding import spawn_rng
@@ -167,6 +168,16 @@ class TestRowBlocksMatchPerPairLoop:
             assert np.float64(got[0]).tobytes() == np.float64(ref[0]).tobytes(), trials
             assert got[1].tobytes() == ref[1].tobytes() and got[2].tobytes() == ref[2].tobytes(), trials
             assert got[3:] == ref[3:], trials
+
+    @pytest.mark.parametrize("mech", [MechanismSpec("exp", 1.5), MechanismSpec("plsoftmax", 0.5)], ids=lambda m: m.kind)
+    def test_across_a_seeding_block_edge(self, mech):
+        # the trial generators come from spawn_rngs, hashed _KEY_BLOCK keys at a time
+        trials = seeding._KEY_BLOCK + 3
+        ref = per_pair_lipschitz(mech, 6, "l2", "l2", trials, 77)
+        est = empirical_lipschitz(mech, 6, "l2", "l2", trials, 77)
+        assert np.float64(est.max_ratio).tobytes() == np.float64(ref[0]).tobytes()
+        assert est.witness_x.tobytes() == ref[1].tobytes() and est.witness_y.tobytes() == ref[2].tobytes()
+        assert (est.trials, est.skipped) == ref[3:]
 
     def test_memory_bounded_by_the_block(self):
         # all 20 000 pairs at once would hold more than 20 MB of rows
