@@ -7,6 +7,11 @@ influence on that vector is bounded and the selector is smooth, the combined
 mechanism is approximately incentive compatible, which ``ic_audit`` verifies
 by exhaustive expected-utility enumeration on small instances.
 
+One outcome rule serves every caller: ``_outcome_rows`` maps rows of bid
+profiles and the grid prices to revenues, win indicators and payments at
+once.  ``revenue_of_reserve`` and ``revenue_vector`` are its one-row views,
+and ``ic_audit`` feeds it each bidder's deviations as blocks of rows.
+
 Instance file format: JSON object {"H": number, "k": int, "bids": [numbers]}.
 k equal to the number of bidders means unlimited supply (digital goods).
 """
@@ -18,12 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mechanisms import MechanismSpec
+from .mechanisms import MECHANISM_KINDS, MechanismSpec
 from .seeding import spawn_rng
 from .simplex import SUPPORT_EPS
 
 _AUDIT_MAX_BIDDERS = 6
 _AUDIT_MAX_GRID = 12
+# Deviation rows per ic_audit block; bounds its (rows, grid, bidders) arrays
+# whatever the resolution.
+_AUDIT_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -39,8 +47,10 @@ class AuctionInstance:
         object.__setattr__(self, "bids", bids)
         if bids.ndim != 1 or bids.size < 1:
             raise ValueError("need at least one bid")
-        if self.H <= 0:
-            raise ValueError("H must be positive")
+        if not 0 < self.H < np.inf:
+            raise ValueError("H must be positive and finite")
+        if not np.all(np.isfinite(bids)):
+            raise ValueError("bids must be finite")
         if np.any(bids < 0) or np.any(bids > self.H):
             raise ValueError("bids must lie in [0, H]")
         if not 1 <= self.supply_k <= bids.size:
@@ -62,6 +72,8 @@ def load_auction_json(path) -> AuctionInstance:
         return AuctionInstance(np.asarray(spec["bids"], dtype=float), float(spec["H"]), int(spec["k"]))
     except KeyError as exc:
         raise ValueError(f"{path}: missing auction field {exc}") from None
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"{path}: bad auction field: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -85,11 +97,11 @@ class PriceGrid:
 def reserve_grid(H: float, delta_price: float, floor_alpha: float) -> PriceGrid:
     """Grid p_i = H(1-delta)^i, stopping at the first price <= floor_alpha.
 
-    Needs 0 < delta_price <= 1/2 and 0 < floor_alpha < H; the resulting size
-    is at most 2 log(H/alpha)/delta_price.
+    Needs a finite H > 0, 0 < delta_price <= 1/2 and 0 < floor_alpha < H;
+    the resulting size is at most 2 log(H/alpha)/delta_price.
     """
-    if H <= 0:
-        raise ValueError("H must be positive")
+    if not 0 < H < np.inf:
+        raise ValueError("H must be positive and finite")
     if not 0 < delta_price <= 0.5:
         raise ValueError("delta_price must be in (0, 1/2]")
     if not 0 < floor_alpha < H:
@@ -104,37 +116,48 @@ def reserve_grid(H: float, delta_price: float, floor_alpha: float) -> PriceGrid:
     return PriceGrid(np.array(prices), delta_price, float(prices[-1]), H)
 
 
-def revenue_of_reserve(inst: AuctionInstance, r: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """Revenue, win indicators and payments of the reserve-r ground auction.
+def _outcome_rows(bids: np.ndarray, prices: np.ndarray,
+                  supply_k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ground-auction outcomes of (m, n) bid rows at every grid price.
 
-    Unlimited supply: every bidder at or above r wins and pays r.  Limited
-    supply: the top min(k, #eligible) bidders win (ties to the lower index)
-    and each pays max(r, (k+1)-th highest bid overall), the uniform price
-    that keeps the ground auction truthful.
+    Returns revenues (m, g), win indicators (m, g, n) and payments (m, g, n).
+    Unlimited supply (k >= n): every bidder at or above r wins and pays r.
+    Limited supply: the eligible bidders ranked below k in a stable
+    descending sort win (ties to the lower index; the eligible bidders are a
+    prefix of that order) and each pays max(r, (k+1)-th highest bid), the
+    uniform price that keeps the ground auction truthful.  numpy sums each
+    row of payments on its own (left to right below 8 bidders), so every
+    revenue equals the sum of its payment row alone, bit for bit.
     """
+    r = prices[:, None]
+    eligible = bids[:, None, :] >= r
+    n = bids.shape[1]
+    if supply_k >= n:
+        wins = eligible
+        price = r
+    else:
+        order = np.argsort(-bids, axis=1, kind="stable")
+        rank = np.empty_like(order)
+        np.put_along_axis(rank, order, np.arange(n), axis=1)
+        wins = eligible & (rank < supply_k)[:, None, :]
+        runner_up = np.take_along_axis(bids, order[:, supply_k:supply_k + 1], axis=1)
+        price = np.maximum(prices, runner_up)[:, :, None]
+    payments = np.where(wins, price, 0.0)
+    return payments.sum(axis=-1), wins, payments
+
+
+def revenue_of_reserve(inst: AuctionInstance, r: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """Revenue, win indicators and payments of the reserve-r ground auction
+    (the rule of ``_outcome_rows`` on the instance's bids)."""
     if not 0 < r <= inst.H:
         raise ValueError("reserve must be in (0, H]")
-    bids = inst.bids
-    wins = np.zeros(inst.n, dtype=bool)
-    payments = np.zeros(inst.n)
-    eligible = bids >= r
-    if inst.unlimited:
-        wins[:] = eligible
-        payments[wins] = r
-    else:
-        order = np.lexsort((np.arange(inst.n), -bids))
-        winners = [i for i in order if eligible[i]][: inst.supply_k]
-        desc = np.sort(bids)[::-1]
-        runner_up = desc[inst.supply_k] if inst.n > inst.supply_k else 0.0
-        price = max(r, float(runner_up))
-        wins[winners] = True
-        payments[winners] = price
-    return float(payments.sum()), wins, payments
+    revenue, wins, payments = _outcome_rows(inst.bids[None, :], np.array([float(r)]), inst.supply_k)
+    return float(revenue[0, 0]), wins[0, 0], payments[0, 0]
 
 
 def revenue_vector(inst: AuctionInstance, grid: PriceGrid) -> np.ndarray:
     """Per-grid-price revenue; the input the price selector sees."""
-    return np.array([revenue_of_reserve(inst, p)[0] for p in grid.prices])
+    return _outcome_rows(inst.bids[None, :], grid.prices, inst.supply_k)[0][0]
 
 
 @dataclass(frozen=True)
@@ -190,16 +213,19 @@ def ic_epsilon_for(mech: MechanismSpec, grid: PriceGrid, H: float) -> float:
     return lipschitz * sensitivity_l1_revenue(grid)
 
 
-def _expected_utility(true_value: float, bidder: int, reported: np.ndarray, inst: AuctionInstance,
-                      grid: PriceGrid, dist: np.ndarray) -> float:
-    total = 0.0
-    shadow = AuctionInstance(reported, inst.H, inst.supply_k)
-    for j, p in enumerate(grid.prices):
-        if dist[j] == 0.0:
-            continue
-        _, wins, payments = revenue_of_reserve(shadow, float(p))
-        if wins[bidder]:
-            total += dist[j] * (true_value - payments[bidder])
+def _expected_utilities(true_value: float, bidder: int, wins: np.ndarray, payments: np.ndarray,
+                        dist: np.ndarray) -> np.ndarray:
+    """Per-row expected utility of ``bidder`` over the selection rows ``dist``
+    (m, g), given the outcome rows of ``_outcome_rows``.
+
+    Sums over the grid column by column, in grid order, adding nothing where
+    the price has probability 0 or the bidder loses, so each row's total is
+    the same float as a scalar loop over the grid would give.
+    """
+    total = np.zeros(dist.shape[0])
+    for j in range(dist.shape[1]):
+        d = dist[:, j]
+        total += np.where((d != 0.0) & wins[:, j, bidder], d * (true_value - payments[:, j, bidder]), 0.0)
     return total
 
 
@@ -213,6 +239,11 @@ def ic_audit(inst: AuctionInstance, grid: PriceGrid, mech: MechanismSpec,
     records (bidder, deviation_bid, utility_gain).  Instances beyond 6
     bidders or 12 grid prices are refused; the enumeration is exact, no
     sampling is involved.
+
+    Each bidder's deviations run as blocks of at most ``_AUDIT_BLOCK`` bid
+    rows: one ``_outcome_rows`` call and one row-form selector call per
+    block, so the working arrays do not grow with ``resolution``.  Every
+    record equals the one a per-deviation loop over single profiles gives.
     """
     if inst.n > _AUDIT_MAX_BIDDERS or grid.size > _AUDIT_MAX_GRID:
         raise ValueError(
@@ -220,20 +251,26 @@ def ic_audit(inst: AuctionInstance, grid: PriceGrid, mech: MechanismSpec,
         )
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
-    truthful_dist = mech(revenue_vector(inst, grid))
+    prices, k = grid.prices, inst.supply_k
+    revenue, wins, payments = _outcome_rows(inst.bids[None, :], prices, k)
+    truthful_dist = mech(revenue[0])[None, :]
+    selector = MECHANISM_KINDS[mech.kind].rows
+    devs = np.linspace(0.0, inst.H, resolution)
     records = []
     max_gain = 0.0
     for i in range(inst.n):
         true_value = float(inst.bids[i])
-        base = _expected_utility(true_value, i, inst.bids, inst, grid, truthful_dist)
-        for dev in np.linspace(0.0, inst.H, resolution):
-            reported = inst.bids.copy()
-            reported[i] = dev
-            dist = mech(revenue_vector(AuctionInstance(reported, inst.H, inst.supply_k), grid))
-            gain = (_expected_utility(true_value, i, reported, inst, grid, dist) - base) / inst.H
-            records.append((i, float(dev), float(gain)))
-            max_gain = max(max_gain, gain)
-    return float(max_gain), records
+        base = _expected_utilities(true_value, i, wins, payments, truthful_dist)[0]
+        for start in range(0, resolution, _AUDIT_BLOCK):
+            block = devs[start:start + _AUDIT_BLOCK]
+            reported = np.repeat(inst.bids[None, :], block.size, axis=0)
+            reported[:, i] = block
+            dev_revenue, dev_wins, dev_payments = _outcome_rows(reported, prices, k)
+            dist = selector(dev_revenue, mech.param)
+            gains = (_expected_utilities(true_value, i, dev_wins, dev_payments, dist) - base) / inst.H
+            records.extend(zip([i] * block.size, block.tolist(), gains.tolist()))
+            max_gain = max(max_gain, float(gains.max()))
+    return max_gain, records
 
 
 def worst_case_revenue_check(inst: AuctionInstance, grid: PriceGrid, mech: MechanismSpec,

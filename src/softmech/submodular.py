@@ -14,8 +14,9 @@ integer element ids, blank lines ignored, UTF-8.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -39,15 +40,25 @@ class CoverageInstance:
             raise ValueError("universe_size must be >= 1")
         if len(self.sets) < 2:
             raise ValueError("need at least 2 sets")
-        masks = []
-        for s in self.sets:
-            mask = 0
-            for e in s:
-                if not 0 <= e < self.universe_size:
-                    raise ValueError(f"element id {e} outside universe [0, {self.universe_size})")
-                mask |= 1 << e
-            masks.append(mask)
-        object.__setattr__(self, "masks", tuple(masks))
+        flat = list(chain.from_iterable(self.sets))
+        if flat and not (0 <= min(flat) and max(flat) < self.universe_size):
+            e = next(e for e in flat if not 0 <= e < self.universe_size)
+            raise ValueError(f"element id {e} outside universe [0, {self.universe_size})")
+        # All masks from one packed buffer: set r owns the bytes just wide
+        # enough for its largest id, and element e is bit e % 8 of its byte
+        # e // 8 (little-endian), so the buffer is no larger than the masks.
+        ids = np.fromiter(map(operator.index, flat), dtype=np.intp, count=len(flat))
+        lengths = np.fromiter(map(len, self.sets), dtype=np.intp, count=len(self.sets))
+        nonempty = lengths > 0
+        widths = np.zeros_like(lengths)
+        widths[nonempty] = (np.maximum.reduceat(ids, (np.cumsum(lengths) - lengths)[nonempty]) >> 3) + 1
+        offsets = np.cumsum(widths) - widths
+        packed = np.zeros(int(widths.sum()), dtype=np.uint8)
+        np.bitwise_or.at(packed, np.repeat(offsets, lengths) + (ids >> 3),
+                         np.left_shift(1, ids & 7).astype(np.uint8))
+        view = memoryview(packed)
+        masks = tuple(int.from_bytes(view[o:o + w], "little") for o, w in zip(offsets.tolist(), widths.tolist()))
+        object.__setattr__(self, "masks", masks)
 
     @property
     def num_sets(self) -> int:
@@ -55,7 +66,7 @@ class CoverageInstance:
 
 
 def make_instance(universe_size: int, sets) -> CoverageInstance:
-    return CoverageInstance(universe_size, tuple(tuple(int(e) for e in s) for s in sets))
+    return CoverageInstance(universe_size, tuple(tuple(map(int, s)) for s in sets))
 
 
 def synthetic_coverage_instance(
@@ -68,8 +79,8 @@ def synthetic_coverage_instance(
     sets = []
     for i in range(num_sets):
         size = max(1, int(round(top * (i + 1) ** (-size_exponent))))
-        sets.append(sorted(rng.choice(universe_size, size=size, replace=False).tolist()))
-    return make_instance(universe_size, sets)
+        sets.append(tuple(sorted(rng.choice(universe_size, size=size, replace=False).tolist())))
+    return CoverageInstance(universe_size, tuple(sets))
 
 
 def load_set_family(path, universe_size: int | None = None) -> CoverageInstance:
@@ -118,7 +129,7 @@ def marginal_gains(inst: CoverageInstance, selected) -> tuple[list[int], np.ndar
     covered = _union_mask(inst, selected)
     chosen = set(selected)
     items = [v for v in range(inst.num_sets) if v not in chosen]
-    gains = np.array([(inst.masks[v] | covered).bit_count() - covered.bit_count() for v in items], dtype=float)
+    gains = np.array([(inst.masks[v] & ~covered).bit_count() for v in items], dtype=float)
     return items, gains
 
 
@@ -362,9 +373,8 @@ def drop_elements(inst: CoverageInstance, drop_prob: float, rng: np.random.Gener
     """Remove each universe element independently with probability drop_prob."""
     if not 0 <= drop_prob < 1:
         raise ValueError("drop_prob must be in [0, 1)")
-    keep = rng.random(inst.universe_size) >= drop_prob
-    sets = [[e for e in s if keep[e]] for s in inst.sets]
-    return make_instance(inst.universe_size, sets)
+    keep = (rng.random(inst.universe_size) >= drop_prob).tolist()
+    return CoverageInstance(inst.universe_size, tuple([tuple([e for e in s if keep[e]]) for s in inst.sets]))
 
 
 def manipulation_records(inst: CoverageInstance, k: int, mech: MechanismSpec, drop_prob: float, seeds) -> list[dict]:
@@ -376,10 +386,10 @@ def manipulation_records(inst: CoverageInstance, k: int, mech: MechanismSpec, dr
     objective relative to the non-private greedy.
     """
     base = greedy(inst, k).objective_values[-1]
+    p_orig = first_step_distribution(inst, mech)
     records = []
     for seed in seeds:
         perturbed = drop_elements(inst, drop_prob, spawn_rng(seed, 0))
-        p_orig = first_step_distribution(inst, mech)
         p_pert = first_step_distribution(perturbed, mech)
         run = private_greedy(inst, k, mech, seed)
         records.append(

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from softmech import auctions
 from softmech.auctions import (
     AuctionInstance,
     ic_audit,
@@ -18,7 +19,79 @@ from softmech.auctions import (
     worst_case_revenue_check,
     write_audit_csv,
 )
+from softmech.cli import main
 from softmech.mechanisms import MechanismSpec
+
+
+def per_price_outcome(bids, H, k, r):
+    """The ground auction at one reserve, one bidder at a time: the rule
+    ``ic_audit`` was first written against, kept as the oracle."""
+    n = bids.size
+    wins = np.zeros(n, dtype=bool)
+    payments = np.zeros(n)
+    eligible = bids >= r
+    if k >= n:
+        wins[:] = eligible
+        payments[wins] = r
+    else:
+        order = np.lexsort((np.arange(n), -bids))
+        winners = [i for i in order if eligible[i]][:k]
+        runner_up = np.sort(bids)[::-1][k]
+        wins[winners] = True
+        payments[winners] = max(r, float(runner_up))
+    return float(payments.sum()), wins, payments
+
+
+def per_deviation_ic_audit(inst, grid, mech, resolution):
+    """One full auction per deviation and one scalar pass over the grid per
+    expected utility; ``ic_audit`` must return exactly what this returns."""
+
+    def revenues(bids):
+        return np.array([per_price_outcome(bids, inst.H, inst.supply_k, float(p))[0] for p in grid.prices])
+
+    def utility(true_value, bidder, bids, dist):
+        total = 0.0
+        for j, p in enumerate(grid.prices):
+            if dist[j] == 0.0:
+                continue
+            _, wins, payments = per_price_outcome(bids, inst.H, inst.supply_k, float(p))
+            if wins[bidder]:
+                total += dist[j] * (true_value - payments[bidder])
+        return total
+
+    truthful_dist = mech(revenues(inst.bids))
+    records = []
+    max_gain = 0.0
+    for i in range(inst.n):
+        true_value = float(inst.bids[i])
+        base = utility(true_value, i, inst.bids, truthful_dist)
+        for dev in np.linspace(0.0, inst.H, resolution):
+            reported = inst.bids.copy()
+            reported[i] = dev
+            dist = mech(revenues(reported))
+            gain = (utility(true_value, i, reported, dist) - base) / inst.H
+            records.append((i, float(dev), float(gain)))
+            max_gain = max(max_gain, gain)
+    return float(max_gain), records
+
+
+SELECTORS = [
+    MechanismSpec("exp", 0.7),
+    MechanismSpec("exp", 40.0),
+    MechanismSpec("pow", 2.0),
+    MechanismSpec("plsoftmax", 0.05),
+    MechanismSpec("plsoftmax", 4.0),
+    MechanismSpec("logplsoftmax", 0.5),
+    MechanismSpec("sparsemax"),
+]
+
+
+def _outcome(fn, *args):
+    """(result, None) or (None, exception type)."""
+    try:
+        return fn(*args), None
+    except (ValueError, AssertionError) as exc:
+        return None, type(exc)
 
 
 class TestGrid:
@@ -238,6 +311,32 @@ class TestIO:
         with pytest.raises(ValueError):
             load_auction_json(path)
 
+    def test_non_finite_instance_rejected(self):
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="H must be positive and finite"):
+                AuctionInstance(np.array([0.5]), bad, 1)
+            with pytest.raises(ValueError, match="bids must be finite"):
+                AuctionInstance(np.array([bad, 0.5]), 1.0, 2)
+        with pytest.raises(ValueError, match="bids must be finite"):
+            AuctionInstance(np.array([-np.inf, 0.5]), 1.0, 2)
+
+    def test_non_finite_grid_rejected(self):
+        for bad in (float("inf"), float("nan"), float("-inf")):
+            with pytest.raises(ValueError, match="H must be positive and finite"):
+                reserve_grid(bad, 0.25, 0.05)
+
+    @pytest.mark.parametrize("field", ["H", "bids", "k"])
+    def test_non_finite_file_exits_2(self, tmp_path, capsys, field):
+        spec = {"H": 1.0, "k": 1, "bids": [0.9, 0.4]}
+        spec[field] = [float("inf"), 0.4] if field == "bids" else float("inf")
+        path = tmp_path / "auction.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")  # writes Infinity
+        code = main(["auction", "--instance-file", str(path), "--mech", "plsoftmax:delta=4",
+                     "--grid-delta", "0.25", "--grid-floor", "0.05"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["command"] == "auction" and err["error"]
+
     def test_instance_validation(self):
         with pytest.raises(ValueError):
             AuctionInstance(np.array([1.5]), 1.0, 1)
@@ -245,3 +344,97 @@ class TestIO:
             AuctionInstance(np.array([0.5]), 1.0, 2)
         with pytest.raises(ValueError):
             AuctionInstance(np.array([-0.1]), 1.0, 1)
+
+
+class TestRowAuditMatchesPerDeviationLoop:
+    """ic_audit's row blocks against the per-deviation oracle, compared with ==."""
+
+    @staticmethod
+    def _compare(inst, grid, mech, resolution):
+        got, got_exc = _outcome(ic_audit, inst, grid, mech, resolution)
+        want, want_exc = _outcome(per_deviation_ic_audit, inst, grid, mech, resolution)
+        assert got_exc is want_exc
+        assert got == want
+        return got_exc is None
+
+    @pytest.mark.parametrize("mech", SELECTORS, ids=lambda m: m.label())
+    @pytest.mark.parametrize("grid_size", [1, 7, 12])
+    def test_random_instances(self, mech, grid_size):
+        rng = np.random.default_rng(grid_size)
+        grid = reserve_grid(1.0, 0.5, 0.6) if grid_size == 1 else reserve_grid(
+            1.0, {7: 0.25, 12: 0.15}[grid_size], {7: 0.14, 12: 0.15}[grid_size])
+        assert grid.size == grid_size
+        ran = 0
+        for trial in range(6):
+            n = int(rng.integers(1, 7))
+            k = n if trial % 2 == 0 else int(rng.integers(1, n + 1))
+            bids = rng.uniform(0.0, 1.0, size=n)
+            if n > 2:
+                bids[1] = bids[0]  # a tie
+            if trial == 3:
+                bids[-1] = grid.prices[grid_size // 2]  # a bid on a grid price
+            ran += self._compare(AuctionInstance(bids, 1.0, k), grid, mech, int(rng.integers(2, 30)))
+        if mech.kind in ("exp", "plsoftmax", "sparsemax"):
+            assert ran == 6  # these selectors accept every revenue row
+
+    @pytest.mark.parametrize("supply_k", [2, 4])
+    def test_tied_bids_on_grid_prices(self, supply_k):
+        grid = reserve_grid(1.0, 0.25, 0.14)
+        bids = np.array([grid.prices[2], grid.prices[2], grid.prices[4], 0.0])
+        for mech in SELECTORS:
+            self._compare(AuctionInstance(bids, 1.0, supply_k), grid, mech, 17)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_resolution_straddling_a_block_edge(self, extra):
+        grid = reserve_grid(1.0, 0.25, 0.14)
+        inst = AuctionInstance(np.array([0.8, 0.55, 0.3]), 1.0, 2)
+        mech = MechanismSpec("plsoftmax", 0.3)
+        resolution = auctions._AUDIT_BLOCK + extra
+        assert self._compare(inst, grid, mech, resolution)
+
+    def test_small_block_size(self, monkeypatch):
+        monkeypatch.setattr(auctions, "_AUDIT_BLOCK", 4)
+        grid = reserve_grid(1.0, 0.25, 0.14)
+        inst = AuctionInstance(np.array([0.9, 0.7, 0.7, 0.2]), 1.0, 4)
+        for resolution in (3, 4, 5, 9, 41):
+            assert self._compare(inst, grid, MechanismSpec("exp", 3.0), resolution)
+
+    def test_working_rows_bounded_by_the_block(self, monkeypatch):
+        seen = []
+        kernel = auctions._outcome_rows
+
+        def recording(bids, prices, supply_k):
+            seen.append(bids.shape[0])
+            return kernel(bids, prices, supply_k)
+
+        monkeypatch.setattr(auctions, "_outcome_rows", recording)
+        inst = AuctionInstance(np.array([0.8, 0.3]), 1.0, 2)
+        _, records = ic_audit(inst, reserve_grid(1.0, 0.5, 0.1), MechanismSpec("exp", 1.0),
+                              3 * auctions._AUDIT_BLOCK + 5)
+        assert len(records) == 2 * (3 * auctions._AUDIT_BLOCK + 5)
+        assert max(seen) == auctions._AUDIT_BLOCK
+        assert sum(seen) == 1 + len(records)  # the truthful row, then every deviation once
+
+    def test_selector_error_matches(self):
+        # a deviation to 0 leaves no revenue at any price: pow and
+        # logplsoftmax refuse that row on both paths
+        grid = reserve_grid(1.0, 0.25, 0.14)
+        inst = AuctionInstance(np.array([0.5]), 1.0, 1)
+        for mech in (MechanismSpec("pow", 2.0), MechanismSpec("logplsoftmax", 0.5)):
+            assert not self._compare(inst, grid, mech, 11)
+
+    def test_revenue_views_match_per_price_rule(self):
+        rng = np.random.default_rng(5)
+        grid = reserve_grid(1.0, 0.15, 0.15)
+        for _ in range(40):
+            n = int(rng.integers(1, 12))
+            k = int(rng.integers(1, n + 1))
+            bids = np.round(rng.uniform(0.0, 1.0, size=n), 1)  # many ties
+            inst = AuctionInstance(bids, 1.0, k)
+            want = [per_price_outcome(bids, 1.0, k, float(p)) for p in grid.prices]
+            assert revenue_vector(inst, grid).tolist() == [w[0] for w in want]
+            for p, (rev, wins, pay) in zip(grid.prices, want):
+                got = revenue_of_reserve(inst, float(p))
+                assert got[0] == rev
+                assert got[1].tolist() == wins.tolist()
+                assert got[2].tolist() == pay.tolist()

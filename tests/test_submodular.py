@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from softmech import submodular
 from softmech.mechanisms import MechanismSpec
 from softmech.submodular import (
     CoverageInstance,
@@ -68,6 +69,47 @@ class TestCoverage:
             for v, g in zip(base_items, base_gains):
                 if v in lookup:
                     assert lookup[v] <= g + 1e-12
+
+
+def per_element_masks(inst):
+    """One bit set at a time: the mask rule the packed build must match."""
+    masks = []
+    for s in inst.sets:
+        mask = 0
+        for e in s:
+            mask |= 1 << e
+        masks.append(mask)
+    return tuple(masks)
+
+
+class TestMasksMatchPerElementLoop:
+    @pytest.mark.parametrize("universe", [1, 7, 8, 9, 63, 64, 65, 1001])
+    def test_random_families(self, universe):
+        rng = np.random.default_rng(universe)
+        for _ in range(10):
+            sets = [rng.integers(0, universe, size=int(rng.integers(0, 2 * universe + 2))).tolist()
+                    for _ in range(int(rng.integers(2, 9)))]
+            sets[0] = []
+            sets[1] = [0, universe - 1, universe - 1, 0]
+            inst = make_instance(universe, sets)
+            assert inst.masks == per_element_masks(inst)
+            assert all(m.bit_count() == len(set(s)) for m, s in zip(inst.masks, sets))
+
+    def test_all_empty_sets(self):
+        assert make_instance(5, [[], [], []]).masks == (0, 0, 0)
+
+    @pytest.mark.parametrize("bad", [-1, 9, 10**30, -(10**30)])
+    def test_out_of_universe_id_message(self, bad):
+        with pytest.raises(ValueError) as err:
+            make_instance(9, [[0, 8], [3, bad, 4], [-5]])
+        assert str(err.value) == f"element id {bad} outside universe [0, 9)"
+        if bad > 0:
+            with pytest.raises(ValueError, match=f"element id {bad} outside"):
+                make_instance(9, [[0, 8], [3, bad]])
+
+    def test_first_offending_id_reported(self):
+        with pytest.raises(ValueError, match=r"element id 12 outside universe \[0, 10\)"):
+            make_instance(10, [[1, 2], [12, -1], [10**30]])
 
 
 class TestGreedy:
@@ -238,6 +280,21 @@ class TestManipulation:
         recs = manipulation_records(inst, 3, MechanismSpec("exp", 500.0), 0.2, range(20))
         for r in recs:
             assert min(r["l1_dist"], abs(r["l1_dist"] - 2.0)) <= 1e-9
+
+    def test_original_distribution_computed_once(self, monkeypatch):
+        calls = []
+        real = submodular.first_step_distribution
+
+        def counting(inst, mech):
+            calls.append(inst)
+            return real(inst, mech)
+
+        monkeypatch.setattr(submodular, "first_step_distribution", counting)
+        inst = synthetic_coverage_instance(10, 40, 6)
+        recs = manipulation_records(inst, 3, POW2, 0.05, [0, 1, 2, 3])
+        assert len(recs) == 4
+        assert sum(c is inst for c in calls) == 1
+        assert len(calls) == 5
 
     def test_determinism(self):
         inst = synthetic_coverage_instance(10, 40, 6)
