@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mechanisms import MECHANISM_KINDS, MechanismSpec
+from .mechanisms import MechanismSpec
 from .seeding import spawn_rng
 from .simplex import SUPPORT_EPS
 
@@ -253,8 +253,7 @@ def ic_audit(inst: AuctionInstance, grid: PriceGrid, mech: MechanismSpec,
         raise ValueError("resolution must be >= 2")
     prices, k = grid.prices, inst.supply_k
     revenue, wins, payments = _outcome_rows(inst.bids[None, :], prices, k)
-    truthful_dist = mech(revenue[0])[None, :]
-    selector = MECHANISM_KINDS[mech.kind].rows
+    truthful_dist = mech.rows(revenue)
     devs = np.linspace(0.0, inst.H, resolution)
     records = []
     max_gain = 0.0
@@ -266,7 +265,7 @@ def ic_audit(inst: AuctionInstance, grid: PriceGrid, mech: MechanismSpec,
             reported = np.repeat(inst.bids[None, :], block.size, axis=0)
             reported[:, i] = block
             dev_revenue, dev_wins, dev_payments = _outcome_rows(reported, prices, k)
-            dist = selector(dev_revenue, mech.param)
+            dist = mech.rows(dev_revenue)
             gains = (_expected_utilities(true_value, i, dev_wins, dev_payments, dist) - base) / inst.H
             records.extend(zip([i] * block.size, block.tolist(), gains.tolist()))
             max_gain = max(max_gain, float(gains.max()))

@@ -202,13 +202,6 @@ def subgradient_check(x, q, delta: float, fd_step: float = 1e-5) -> float | None
     return worst
 
 
-def _chord(rng: np.random.Generator, d: int, sd: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """One trial's end points x1, x2 and weight t, drawn from rng."""
-    x1 = rng.normal(0.0, sd, size=d)
-    x2 = rng.normal(0.0, sd, size=d)
-    return x1, x2, rng.random()
-
-
 def convexity_probe(q, delta: float, trials: int, rng_seed: int, loss=None, scale: float = 2.0) -> float:
     """Max observed convexity violation of the loss in x for fixed q.
 
@@ -216,9 +209,10 @@ def convexity_probe(q, delta: float, trials: int, rng_seed: int, loss=None, scal
     loss(t x1 + (1-t) x2) - t loss(x1) - (1-t) loss(x2); for a convex loss
     the max stays at numerical-noise level.  Trial i draws from the
     generator of spawn_rng(rng_seed, i); the generators come from
-    spawn_rngs.  The built-in loss is evaluated by the row form,
-    _PROBE_BLOCK trials per call; a custom ``loss(x)`` callable is called
-    point by point, e.g. to confirm the probe flags a concave double.
+    spawn_rngs, and the triples are drawn into rows _PROBE_BLOCK trials at a
+    time.  The built-in loss is evaluated by the row form, one call per
+    block; a custom ``loss(x)`` callable is called point by point over the
+    block's rows, e.g. to confirm the probe flags a concave double.
     """
     qq = check_distribution(q)
     _check_param(delta, "delta")
@@ -226,17 +220,20 @@ def convexity_probe(q, delta: float, trials: int, rng_seed: int, loss=None, scal
         raise ValueError("trials must be >= 1")
     d, sd = qq.size, scale * max(delta, 1.0)
     worst = -np.inf
-    if loss is not None:
-        for rng in spawn_rngs(rng_seed, 0, trials):
-            x1, x2, t = _chord(rng, d, sd)
-            worst = max(worst, loss(t * x1 + (1 - t) * x2) - t * loss(x1) - (1 - t) * loss(x2))
-        return float(worst)
     for start in range(0, trials, _PROBE_BLOCK):
-        rngs = spawn_rngs(rng_seed, start, min(_PROBE_BLOCK, trials - start))
-        x1, x2, t = map(np.array, zip(*(_chord(rng, d, sd) for rng in rngs)))
+        n = min(_PROBE_BLOCK, trials - start)
+        x1, x2, t = np.empty((n, d)), np.empty((n, d)), np.empty(n)
+        for j, rng in enumerate(spawn_rngs(rng_seed, start, n)):
+            x1[j] = rng.normal(0.0, sd, size=d)
+            x2[j] = rng.normal(0.0, sd, size=d)
+            t[j] = rng.random()
         mid = t[:, None] * x1 + (1 - t[:, None]) * x2
-        l_mid, l1, l2 = np.split(_loss_rows(np.concatenate([mid, x1, x2]), qq, delta), 3)
-        worst = max(worst, *(l_mid - t * l1 - (1 - t) * l2).tolist())
+        if loss is None:
+            l_mid, l1, l2 = np.split(_loss_rows(np.concatenate([mid, x1, x2]), qq, delta), 3)
+            gaps = (l_mid - t * l1 - (1 - t) * l2).tolist()
+        else:
+            gaps = [loss(m) - s * loss(a) - (1 - s) * loss(b) for m, a, b, s in zip(mid, x1, x2, t.tolist())]
+        worst = max(worst, *gaps)
     return float(worst)
 
 

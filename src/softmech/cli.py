@@ -245,6 +245,8 @@ _DRAWS_PER_GRADIENT_CHECK = 20
 
 
 def cmd_lossfn(args) -> int:
+    if args.d < 1:
+        raise ValueError("d must be >= 1")
     checks = Checks()
     rows = ["seed,convexity_violation,zero_iff_residual,subgradient_error\n"]
     points = {"checked": 0, "skipped_near_hinge": 0}
@@ -347,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("submodular", help="manipulation-robustness frontier on a coverage instance")
     p.add_argument("--instance-file", help="set-family text file (one set per line)")
-    p.add_argument("--synthetic", action="store_true")
     p.add_argument("--num-sets", type=int, default=30)
     p.add_argument("--universe", type=int, default=200)
     p.add_argument("--instance-seed", type=int, default=0)

@@ -311,3 +311,7 @@ class MechanismSpec:
 
     def __call__(self, x) -> np.ndarray:
         return MECHANISM_KINDS[self.kind].function(x, self.param)
+
+    def rows(self, X) -> np.ndarray:
+        """The mechanism on each row of an (n, d) value array; see MechanismKind."""
+        return MECHANISM_KINDS[self.kind].rows(X, self.param)

@@ -4,9 +4,10 @@
 range_distance(f(x), f(y)) / domain_distance(x, y) over three seeded pair
 families: independent random pairs, single-coordinate perturbations at three
 step sizes, and pairs straddling the sort-order / active-count seams of the
-piecewise-linear selector.  The estimate is a certified lower bound on the
-true Lipschitz constant; ``theoretical_bound`` gives the proven upper bounds
-it is checked against.
+piecewise-linear selector.  Trials are drawn straight into blocks of (n, d)
+rows, and each block is evaluated row-wise.  The estimate is a certified
+lower bound on the true Lipschitz constant; ``theoretical_bound`` gives the
+proven upper bounds it is checked against.
 
 The witness constructors return concrete input pairs at which any mechanism
 of the relevant class must exhibit a known minimum of output movement.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain
 
 import numpy as np
 
@@ -61,78 +62,69 @@ class LipschitzEstimate:
         return json.dumps(payload, sort_keys=True)
 
 
-def _to_domain(z: np.ndarray, positive: bool) -> np.ndarray:
-    return np.exp(z) if positive else z
+def _pair_rows(mech: MechanismSpec, d: int, rng_seed: int, start: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Trials start .. start + n - 1 as (n, d) rows x and y.
 
-
-def _random_pair(rng, d, scale, positive):
-    x = rng.normal(0.0, scale, size=d)
-    y = rng.normal(0.0, scale, size=d)
-    return _to_domain(x, positive), _to_domain(y, positive)
-
-
-def _perturbation_pair(rng, d, scale, positive, step):
-    x = rng.normal(0.0, scale, size=d)
-    y = x.copy()
-    y[rng.integers(d)] += step
-    return _to_domain(x, positive), _to_domain(y, positive)
-
-
-def _boundary_pair(rng, d, scale, positive, delta):
-    """Pair with gap 1e-6 in the sup norm, straddling a selector seam.
-
-    For delta-parameterized mechanisms (delta not None) the straddle crosses
-    the active-count boundary (a coordinate placed just inside/outside
-    max - delta); otherwise it crosses an order-change boundary (two
-    coordinates swapping rank).
+    Trial i draws from the generator of spawn_rng(rng_seed, i), here from
+    spawn_rngs, and cycles three families, three scales and three steps:
+    an independent random pair; a single-coordinate perturbation; and a pair
+    with gap 1e-6 in the sup norm straddling a selector seam.  For
+    delta-parameterized mechanisms the straddle crosses the active-count
+    boundary (the coordinate of a drawn rank placed just inside/outside
+    max - delta); otherwise it crosses an order-change boundary (two drawn
+    coordinates swapping rank).  Each trial makes its generator calls in
+    turn; the steps and seams are placed, and positive-domain rows
+    exponentiated, for the whole block at once.
     """
-    z = rng.normal(0.0, scale, size=d)
-    h = _BOUNDARY_STEP
+    kind = MECHANISM_KINDS.get(mech.kind)
+    name = kind.param if kind else None
+    delta = mech.param if name == "delta" else None  # plsoftmax kinds: seam at max - delta
+    base_scale = delta if delta is not None else 1.0 / mech.param if name == "lambda" else 1.0
+    x, y = np.empty((n, d)), np.empty((n, d))
+    picks = np.zeros((n, 2), dtype=np.intp)  # the coordinates (or rank) each trial draws
+    trial = np.arange(start, start + n)
+    for j, (i, rng) in enumerate(zip(trial.tolist(), spawn_rngs(rng_seed, start, n))):
+        scale = base_scale * (0.5, 1.0, 2.0)[(i // 3) % 3]
+        x[j] = rng.normal(0.0, scale, size=d)
+        if i % 3 == 0:
+            y[j] = rng.normal(0.0, scale, size=d)
+        elif i % 3 == 1:
+            picks[j, 0] = rng.integers(d)
+        elif delta is not None and d >= 2:
+            picks[j, 0] = rng.integers(1, d)
+        else:
+            picks[j] = rng.choice(d, size=2, replace=False)
+    y[trial % 3 != 0] = x[trial % 3 != 0]
+
+    rows = np.flatnonzero(trial % 3 == 1)
+    y[rows, picks[rows, 0]] += np.array(_PERTURB_STEPS)[(trial[rows] // 3) % len(_PERTURB_STEPS)]
+
+    rows, h = np.flatnonzero(trial % 3 == 2), _BOUNDARY_STEP
     if delta is not None and d >= 2:
-        order = np.argsort(-z, kind="stable")
-        j = int(rng.integers(1, d))
-        edge = z[order[0]] - delta
-        a, b = z.copy(), z.copy()
-        a[order[j]] = edge + h / 2
-        b[order[j]] = edge - h / 2
-        return _to_domain(a, positive), _to_domain(b, positive)
-    i, j = rng.choice(d, size=2, replace=False)
-    mid = (z[i] + z[j]) / 2
-    a, b = z.copy(), z.copy()
-    a[i], a[j] = mid + h / 2, mid - h / 2
-    b[i], b[j] = mid - h / 2, mid + h / 2
-    return _to_domain(a, positive), _to_domain(b, positive)
+        order = np.argsort(-x[rows], axis=1, kind="stable")
+        col = order[np.arange(rows.size), picks[rows, 0]]
+        edge = x[rows, order[:, 0]] - delta
+        x[rows, col] = edge + h / 2
+        y[rows, col] = edge - h / 2
+    else:
+        p, q = picks[rows].T
+        mid = (x[rows, p] + x[rows, q]) / 2
+        x[rows, p], x[rows, q] = mid + h / 2, mid - h / 2
+        y[rows, p], y[rows, q] = mid - h / 2, mid + h / 2
+    if mech.positive_domain:
+        return np.exp(x), np.exp(y)
+    return x, y
 
 
-def _designed_pairs(mech: MechanismSpec, d: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def _designed_rows(mech: MechanismSpec, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs built to attain a known ratio, as (k, d) rows x and y; k may be 0."""
     pairs = []
     if mech.kind == "exp":
         pairs.append(exp_l1_lb_witness(d, mech.param))
     if mech.kind == "sparsemax" and d % 2 == 0:
-        x, y, _ = sparsegen_lb_witness(d, 2.0)
-        pairs.append((x, y))
-    return pairs
-
-
-def _drawn_pairs(mech: MechanismSpec, d: int, trials: int, rng_seed: int):
-    """The designed pairs, then one pair per trial from the generator of
-    spawn_rng(rng_seed, i), here from spawn_rngs, cycling the three families,
-    three scales and three steps."""
-    positive = mech.positive_domain
-    name = MECHANISM_KINDS[mech.kind].param if mech.kind in MECHANISM_KINDS else None
-    delta = mech.param if name == "delta" else None  # plsoftmax kinds: seam at max - delta
-    base_scale = delta if delta is not None else 1.0 / mech.param if name == "lambda" else 1.0
-    yield from _designed_pairs(mech, d)
-    for i, rng in enumerate(spawn_rngs(rng_seed, 0, trials)):
-        scale = base_scale * (0.5, 1.0, 2.0)[(i // 3) % 3]
-        family = i % 3
-        if family == 0:
-            yield _random_pair(rng, d, scale, positive)
-        elif family == 1:
-            step = _PERTURB_STEPS[(i // 3) % len(_PERTURB_STEPS)]
-            yield _perturbation_pair(rng, d, scale, positive, step)
-        else:
-            yield _boundary_pair(rng, d, scale, positive, delta)
+        pairs.append(sparsegen_lb_witness(d, 2.0)[:2])
+    x, y = np.reshape(pairs, (len(pairs), 2, d)).transpose(1, 0, 2)
+    return x, y
 
 
 def empirical_lipschitz(
@@ -146,39 +138,31 @@ def empirical_lipschitz(
     """Max observed distance ratio for mech over seeded pair families.
 
     Deterministic per seed: trial i draws from a generator derived from
-    (rng_seed, i).  Pairs are evaluated in blocks of rows: one row-wise
-    domain distance, one row-wise selector call on each side (a mechanism
-    outside ``MECHANISM_KINDS`` is called row by row), one row-wise range
-    distance.  The first pair with the largest ratio is the witness; a nan
-    ratio never wins.  An infinite range distance is recorded as a +inf
-    estimate with its witness; it signals a non-Lipschitz metric pairing
-    rather than an error.
+    (rng_seed, i).  The designed pairs form the first block of rows, then the
+    trials follow in blocks of _BLOCK_ROWS drawn straight into rows; each
+    block gets one row-wise domain distance, one ``mech.rows`` call on each
+    side and one row-wise range distance.  The first pair with the largest
+    ratio is the witness (first argmax in a block, strict > between blocks);
+    a nan ratio never wins.  An infinite range distance is recorded as a
+    +inf estimate with its witness; it signals a non-Lipschitz metric
+    pairing rather than an error.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     dom = metric_from_id(domain_metric)
     rng_m = metric_from_id(range_metric)
-    kind = MECHANISM_KINDS.get(mech.kind)
-
-    def select(rows):
-        if kind is None:
-            return np.array([mech(row) for row in rows])
-        return kind.rows(rows, mech.param)
-
     best = -1.0
     witness = None
     evaluated = drawn = 0
-    pairs = _drawn_pairs(mech, d, trials, rng_seed)
-    while block := list(islice(pairs, _BLOCK_ROWS)):
-        drawn += len(block)
-        x = np.array([a for a, _ in block])
-        y = np.array([b for _, b in block])
+    blocks = (_pair_rows(mech, d, rng_seed, s, min(_BLOCK_ROWS, trials - s)) for s in range(0, trials, _BLOCK_ROWS))
+    for x, y in chain([_designed_rows(mech, d)], blocks):
+        drawn += len(x)
         dxy = dom(x, y)  # nan where a row is outside the metric's domain
         used = np.isfinite(dxy) & (dxy != 0.0)
         if not used.any():
             continue
         x, y, dxy = x[used], y[used], dxy[used]
-        rxy = rng_m(select(x), select(y))
+        rxy = rng_m(mech.rows(x), mech.rows(y))
         evaluated += dxy.size
         ratio = np.where(np.isinf(rxy), np.inf, rxy / dxy)
         ratio[np.isnan(ratio)] = -np.inf

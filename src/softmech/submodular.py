@@ -8,7 +8,9 @@ manipulation test measures how much those distributions move when the ground
 set is randomly thinned.
 
 Set-family file format: one line per set, whitespace-separated nonnegative
-integer element ids, blank lines ignored, UTF-8.
+integer element ids, blank lines ignored, UTF-8.  The universe is capped at
+``UNIVERSE_CAP`` = 2**24 elements, so ids run below 2**24: at the cap each
+set's mask takes 2 MB and ``drop_elements`` draws 128 MB.
 """
 
 from __future__ import annotations
@@ -25,6 +27,12 @@ from .mechanisms import MechanismSpec
 from .seeding import spawn_rng
 
 _BRUTE_FORCE_CAP = 10**6
+UNIVERSE_CAP = 2**24
+
+
+def _check_universe(universe_size: int) -> None:
+    if not 1 <= universe_size <= UNIVERSE_CAP:
+        raise ValueError(f"universe_size {universe_size} outside [1, {UNIVERSE_CAP}]")
 
 
 @dataclass(frozen=True)
@@ -36,8 +44,7 @@ class CoverageInstance:
     masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.universe_size < 1:
-            raise ValueError("universe_size must be >= 1")
+        _check_universe(self.universe_size)
         if len(self.sets) < 2:
             raise ValueError("need at least 2 sets")
         flat = list(chain.from_iterable(self.sets))
@@ -74,6 +81,7 @@ def synthetic_coverage_instance(
 ) -> CoverageInstance:
     """Random instance with power-law set sizes: the rank-i set has about
     (universe/3) * (i+1)**-size_exponent elements drawn without replacement."""
+    _check_universe(universe_size)
     rng = spawn_rng(rng_seed, 0)
     top = max(2, universe_size // 3)
     sets = []

@@ -53,10 +53,11 @@ def per_point_subgradient_check(x, q, delta, fd_step=1e-5):
     return worst
 
 
-def per_trial_convexity_probe(q, delta, trials, rng_seed, scale=2.0):
-    """convexity_probe with three loss_total calls per trial."""
+def per_trial_convexity_probe(q, delta, trials, rng_seed, scale=2.0, loss=None):
+    """convexity_probe with three loss calls (loss_total by default) per trial."""
     d = q.size
-    loss = lambda xv: loss_total(xv, q, delta)
+    if loss is None:
+        loss = lambda xv: loss_total(xv, q, delta)
     worst = -np.inf
     for i in range(trials):
         rng = spawn_rng(rng_seed, i)
@@ -304,6 +305,16 @@ class TestProbesMatchPerPointLoops:
                 for delta, trials in ((0.5, 1), (1.0, 20), (2.0, 45)):
                     seed = int(rng.integers(1000))
                     assert convexity_probe(q, delta, trials, seed) == per_trial_convexity_probe(q, delta, trials, seed)
+
+    def test_convexity_probe_custom_loss(self):
+        # a concave double, called point by point over rows drawn a block at a time
+        concave = lambda x: -float(x @ x)
+        q = np.full(5, 0.2)
+        for trials in (classification._PROBE_BLOCK - 1, classification._PROBE_BLOCK + 1):
+            got = convexity_probe(q, 1.5, trials, 3, loss=concave)
+            ref = per_trial_convexity_probe(q, 1.5, trials, 3, loss=concave)
+            assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+            assert got > 1e-3
 
     def test_probes_reject_bad_delta(self):
         q = np.full(4, 0.25)

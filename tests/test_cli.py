@@ -123,7 +123,7 @@ class TestSubmodular:
     def test_zero_drop_distances(self, tmp_path):
         out = tmp_path / "frontier.csv"
         code = main(
-            ["submodular", "--synthetic", "--num-sets", "8", "--universe", "30", "--k", "3",
+            ["submodular", "--num-sets", "8", "--universe", "30", "--k", "3",
              "--mechs", "pow:lambda=2,exp:lambda=0.5", "--drop-prob", "0", "--seeds", "0-2",
              "--out", str(out)]
         )
@@ -143,6 +143,15 @@ class TestSubmodular:
              "--drop-prob", "0.1", "--seeds", "0,1", "--out", str(out)]
         )
         assert code == 0
+
+    @pytest.mark.parametrize("big", [10**12, 10**30])
+    def test_huge_element_id_exits_2(self, tmp_path, capsys, big):
+        fam = tmp_path / "sets.txt"
+        fam.write_text(f"0 1\n2 {big}\n", encoding="utf-8")
+        code = main(["submodular", "--instance-file", str(fam), "--mechs", "exp:lambda=1", "--seeds", "0"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["command"] == "submodular" and f"universe_size {big + 1}" in err["error"]
 
 
 class TestAuction:
@@ -179,6 +188,13 @@ class TestLossfn:
             assert main(["lossfn", "--d", "4", "--delta", delta, "--trials", "5"]) == 2
             err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
             assert err["command"] == "lossfn" and "delta" in err["error"]
+
+    def test_dimension_below_one_exits_2(self, capsys):
+        for d in ("0", "-3"):
+            assert main(["lossfn", "--d", d, "--trials", "5"]) == 2
+            err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+            assert err == {"command": "lossfn", "error": "d must be >= 1"}
+        assert main(["lossfn", "--d", "1", "--trials", "5"]) == 0
 
     def test_all_points_skipped_ends_and_fails(self, tmp_path, capsys):
         # with delta = 1e-9 every draw sits within 2e-5 of a hinge corner

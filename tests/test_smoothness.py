@@ -11,11 +11,8 @@ from softmech.distances import lp_distance, metric_from_id, renyi_divergence
 from softmech.mechanisms import MECHANISM_KINDS, MechanismSpec, exp_mechanism, plsoftmax, sparsemax
 from softmech.seeding import spawn_rng
 from softmech.smoothness import (
+    _BOUNDARY_STEP,
     _PERTURB_STEPS,
-    _boundary_pair,
-    _designed_pairs,
-    _perturbation_pair,
-    _random_pair,
     bound_for_metrics,
     empirical_lipschitz,
     exp_l1_lb_witness,
@@ -43,6 +40,11 @@ class ConstantMechanism:
     def __call__(self, x):
         out = np.zeros(np.asarray(x).size)
         out[0] = 1.0
+        return out
+
+    def rows(self, X):
+        out = np.zeros(np.shape(X))
+        out[:, 0] = 1.0
         return out
 
 
@@ -92,10 +94,58 @@ class TestEstimator:
         assert len(payload["witness_x"]) == 4
 
 
+# The lab's pair families one trial at a time, as the lab drew them before
+# it drew whole blocks of rows: the oracle below checks the draws as well as
+# the evaluation.
+
+
+def _to_domain(z: np.ndarray, positive: bool) -> np.ndarray:
+    return np.exp(z) if positive else z
+
+
+def _random_pair(rng, d, scale, positive):
+    x = rng.normal(0.0, scale, size=d)
+    y = rng.normal(0.0, scale, size=d)
+    return _to_domain(x, positive), _to_domain(y, positive)
+
+
+def _perturbation_pair(rng, d, scale, positive, step):
+    x = rng.normal(0.0, scale, size=d)
+    y = x.copy()
+    y[rng.integers(d)] += step
+    return _to_domain(x, positive), _to_domain(y, positive)
+
+
+def _boundary_pair(rng, d, scale, positive, delta):
+    """Pair with gap 1e-6 in the sup norm, straddling a selector seam.
+
+    For delta-parameterized mechanisms (delta not None) the straddle crosses
+    the active-count boundary (a coordinate placed just inside/outside
+    max - delta); otherwise it crosses an order-change boundary (two
+    coordinates swapping rank).
+    """
+    z = rng.normal(0.0, scale, size=d)
+    h = _BOUNDARY_STEP
+    if delta is not None and d >= 2:
+        order = np.argsort(-z, kind="stable")
+        j = int(rng.integers(1, d))
+        edge = z[order[0]] - delta
+        a, b = z.copy(), z.copy()
+        a[order[j]] = edge + h / 2
+        b[order[j]] = edge - h / 2
+        return _to_domain(a, positive), _to_domain(b, positive)
+    i, j = rng.choice(d, size=2, replace=False)
+    mid = (z[i] + z[j]) / 2
+    a, b = z.copy(), z.copy()
+    a[i], a[j] = mid + h / 2, mid - h / 2
+    b[i], b[j] = mid - h / 2, mid + h / 2
+    return _to_domain(a, positive), _to_domain(b, positive)
+
+
 def per_pair_lipschitz(mech, d, domain_metric, range_metric, trials, rng_seed):
-    """The lab as a loop that evaluates one pair at a time with the 1-D
-    distances and selector calls: the reference for the row-block lab.
-    Returns (max_ratio, witness_x, witness_y, evaluated, skipped)."""
+    """The lab as a loop that draws and evaluates one pair at a time with
+    the 1-D distances and selector calls: the reference for the row-block
+    lab.  Returns (max_ratio, witness_x, witness_y, evaluated, skipped)."""
     dom = metric_from_id(domain_metric)
     rng_m = metric_from_id(range_metric)
     positive = mech.positive_domain
@@ -120,8 +170,10 @@ def per_pair_lipschitz(mech, d, domain_metric, range_metric, trials, rng_seed):
             best = ratio
             witness = (np.array(x), np.array(y))
 
-    for x, y in _designed_pairs(mech, d):
-        consider(x, y)
+    if mech.kind == "exp":
+        consider(*exp_l1_lb_witness(d, mech.param))
+    if mech.kind == "sparsemax" and d % 2 == 0:
+        consider(*sparsegen_lb_witness(d, 2.0)[:2])
     for i in range(trials):
         rng = spawn_rng(rng_seed, i)
         scale = base_scale * (0.5, 1.0, 2.0)[(i // 3) % 3]
@@ -168,6 +220,22 @@ class TestRowBlocksMatchPerPairLoop:
             assert np.float64(got[0]).tobytes() == np.float64(ref[0]).tobytes(), trials
             assert got[1].tobytes() == ref[1].tobytes() and got[2].tobytes() == ref[2].tobytes(), trials
             assert got[3:] == ref[3:], trials
+
+    @pytest.mark.parametrize("mech", ORACLE_MECHS[:5], ids=lambda m: m.kind)
+    @pytest.mark.parametrize("d", [1, 2, 3, 17])
+    def test_other_dimensions(self, mech, d):
+        # d = 1 has no seam to straddle: the draws raise ValueError from trial 2 on
+        for trials in (2, 257):
+            try:
+                ref = per_pair_lipschitz(mech, d, "l2", "l1", trials, d)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    empirical_lipschitz(mech, d, "l2", "l1", trials, d)
+                continue
+            est = empirical_lipschitz(mech, d, "l2", "l1", trials, d)
+            assert np.float64(est.max_ratio).tobytes() == np.float64(ref[0]).tobytes()
+            assert est.witness_x.tobytes() == ref[1].tobytes() and est.witness_y.tobytes() == ref[2].tobytes()
+            assert (est.trials, est.skipped) == ref[3:]
 
     @pytest.mark.parametrize("mech", [MechanismSpec("exp", 1.5), MechanismSpec("plsoftmax", 0.5)], ids=lambda m: m.kind)
     def test_across_a_seeding_block_edge(self, mech):

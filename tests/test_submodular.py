@@ -112,6 +112,27 @@ class TestMasksMatchPerElementLoop:
             make_instance(10, [[1, 2], [12, -1], [10**30]])
 
 
+class TestUniverseCap:
+    def test_cap_is_inclusive(self):
+        inst = make_instance(submodular.UNIVERSE_CAP, [[0], [submodular.UNIVERSE_CAP - 1]])
+        assert inst.masks[1] == 1 << (submodular.UNIVERSE_CAP - 1)
+
+    @pytest.mark.parametrize("size", [2**24 + 1, 10**12, 10**30 + 1])
+    def test_beyond_cap_refused_before_masks(self, size):
+        with pytest.raises(ValueError, match=f"universe_size {size} outside"):
+            make_instance(size, [[0], [size - 1]])
+
+    def test_synthetic_refused_before_drawing(self):
+        with pytest.raises(ValueError, match=f"universe_size {10**12} outside"):
+            synthetic_coverage_instance(10, 10**12, 0)
+
+    def test_file_with_huge_id(self, tmp_path):
+        fam = tmp_path / "sets.txt"
+        fam.write_text(f"0 1\n{10**30}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"universe_size {10**30 + 1} outside"):
+            load_set_family(str(fam))
+
+
 class TestGreedy:
     def test_all_items(self):
         inst = make_instance(8, [[0, 1], [2], [3, 4]])
