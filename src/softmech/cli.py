@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -191,18 +192,20 @@ def cmd_submodular(args) -> int:
     else:
         inst = submodular.synthetic_coverage_instance(args.num_sets, args.universe, args.instance_seed)
     seeds = parse_seeds(args.seeds)
+    mechs = [MechanismSpec.parse(text) for text in args.mechs.split(",")]
+    work = Counter()
+    records = submodular.manipulation_records(inst, args.k, mechs, args.drop_prob, seeds, work=work)
     rows = ["mechanism,param,seed,obj_ratio,l1_dist,linf_dist\n"]
-    for spec_text in args.mechs.split(","):
-        mech = MechanismSpec.parse(spec_text)
-        for rec in submodular.manipulation_records(inst, args.k, mech, args.drop_prob, seeds):
-            if args.drop_prob == 0:
-                checks.add(f"zero_drop_zero_distance_{mech.label()}_s{rec['seed']}", rec["l1_dist"] == 0.0)
-            rows.append(
-                f"{rec['mechanism']},{_fmt(rec['param'])},{rec['seed']},"
-                f"{_fmt(rec['obj_ratio'])},{_fmt(rec['l1_dist'])},{_fmt(rec['linf_dist'])}\n"
-            )
+    for i, rec in enumerate(records):
+        if args.drop_prob == 0:
+            label = mechs[i // len(seeds)].label()
+            checks.add(f"zero_drop_zero_distance_{label}_s{rec['seed']}", rec["l1_dist"] == 0.0)
+        rows.append(
+            f"{rec['mechanism']},{_fmt(rec['param'])},{rec['seed']},"
+            f"{_fmt(rec['obj_ratio'])},{_fmt(rec['l1_dist'])},{_fmt(rec['linf_dist'])}\n"
+        )
     _write(args.out, "".join(rows))
-    return checks.finish("submodular")
+    return checks.finish("submodular", work=dict(work))
 
 
 def cmd_auction(args) -> int:

@@ -9,8 +9,10 @@ set is randomly thinned.
 
 Set-family file format: one line per set, whitespace-separated nonnegative
 integer element ids, blank lines ignored, UTF-8.  The universe is capped at
-``UNIVERSE_CAP`` = 2**24 elements, so ids run below 2**24: at the cap each
-set's mask takes 2 MB and ``drop_elements`` draws 128 MB.
+``UNIVERSE_CAP`` = 2**24 elements, so ids run below 2**24.  The coverage
+matrix has one column per distinct id, so it takes num_sets * ceil(distinct
+ids / 64) * 8 bytes whatever the largest id; ``drop_elements`` draws one
+float per universe element, 128 MB at the cap.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import chain
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from .distances import renyi_divergence
 from .mechanisms import MechanismSpec
 from .seeding import spawn_rng
 
-_BRUTE_FORCE_CAP = 10**6
+_NODE_CAP = 10**5
 UNIVERSE_CAP = 2**24
 
 
@@ -37,11 +39,21 @@ def _check_universe(universe_size: int) -> None:
 
 @dataclass(frozen=True)
 class CoverageInstance:
-    """Family of element-id sets over the universe [0, universe_size)."""
+    """Family of element-id sets over the universe [0, universe_size).
+
+    ``words`` is the coverage matrix: row r holds set r as bits, one column
+    per id in ``elements``, column j in bit j % 64 of word j // 64.
+    ``elements`` holds the sorted distinct ids of the family, or, for an
+    instance made by ``drop_elements``, those of the family it was thinned
+    from.  Both arrays are read-only.
+    """
 
     universe_size: int
     sets: tuple[tuple[int, ...], ...]
-    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    elements: np.ndarray = field(init=False, repr=False, compare=False)
+    words: np.ndarray = field(init=False, repr=False, compare=False)
+    _ids: np.ndarray = field(init=False, repr=False, compare=False)  # every set's ids, in order
+    _lengths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_universe(self.universe_size)
@@ -51,21 +63,20 @@ class CoverageInstance:
         if flat and not (0 <= min(flat) and max(flat) < self.universe_size):
             e = next(e for e in flat if not 0 <= e < self.universe_size)
             raise ValueError(f"element id {e} outside universe [0, {self.universe_size})")
-        # All masks from one packed buffer: set r owns the bytes just wide
-        # enough for its largest id, and element e is bit e % 8 of its byte
-        # e // 8 (little-endian), so the buffer is no larger than the masks.
         ids = np.fromiter(map(operator.index, flat), dtype=np.intp, count=len(flat))
         lengths = np.fromiter(map(len, self.sets), dtype=np.intp, count=len(self.sets))
-        nonempty = lengths > 0
-        widths = np.zeros_like(lengths)
-        widths[nonempty] = (np.maximum.reduceat(ids, (np.cumsum(lengths) - lengths)[nonempty]) >> 3) + 1
-        offsets = np.cumsum(widths) - widths
-        packed = np.zeros(int(widths.sum()), dtype=np.uint8)
-        np.bitwise_or.at(packed, np.repeat(offsets, lengths) + (ids >> 3),
-                         np.left_shift(1, ids & 7).astype(np.uint8))
-        view = memoryview(packed)
-        masks = tuple(int.from_bytes(view[o:o + w], "little") for o, w in zip(offsets.tolist(), widths.tolist()))
-        object.__setattr__(self, "masks", masks)
+        elements, cols = np.unique(ids, return_inverse=True)
+        words = np.zeros((len(self.sets), -(-elements.size // 64)), dtype=np.uint64)
+        rows = np.repeat(np.arange(len(self.sets)), lengths)
+        np.bitwise_or.at(words, (rows, cols >> 6), np.left_shift(np.uint64(1), (cols & 63).astype(np.uint64)))
+        self._assign(elements=elements, words=words, _ids=ids, _lengths=lengths)
+
+    def _assign(self, **fields) -> None:
+        """Set fields of the frozen instance, making its arrays read-only."""
+        for name, value in fields.items():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def num_sets(self) -> int:
@@ -118,27 +129,31 @@ def save_set_family(inst: CoverageInstance, path) -> None:
             fh.write(" ".join(str(e) for e in s) + "\n")
 
 
-def _union_mask(inst: CoverageInstance, items) -> int:
-    mask = 0
+def _union_words(inst: CoverageInstance, items) -> np.ndarray:
+    items = list(items)
     for v in items:
         if not 0 <= v < inst.num_sets:
             raise ValueError(f"item index {v} out of range")
-        mask |= inst.masks[v]
-    return mask
+    return np.bitwise_or.reduce(inst.words[items], axis=0)
+
+
+def _uncovered_counts(words: np.ndarray, covered: np.ndarray) -> np.ndarray:
+    """Per row of ``words``, the number of its bits outside ``covered``."""
+    return np.bitwise_count(words & ~covered).sum(axis=1)
 
 
 def coverage_value(inst: CoverageInstance, items) -> int:
     """Number of universe elements covered by the union of the chosen sets."""
-    return _union_mask(inst, items).bit_count()
+    return int(np.bitwise_count(_union_words(inst, items)).sum())
 
 
 def marginal_gains(inst: CoverageInstance, selected) -> tuple[list[int], np.ndarray]:
     """Remaining item indices and their marginal coverage gains at ``selected``."""
-    covered = _union_mask(inst, selected)
-    chosen = set(selected)
-    items = [v for v in range(inst.num_sets) if v not in chosen]
-    gains = np.array([(inst.masks[v] & ~covered).bit_count() for v in items], dtype=float)
-    return items, gains
+    covered = _union_words(inst, selected)
+    remaining = np.ones(inst.num_sets, dtype=bool)
+    remaining[list(selected)] = False
+    gains = _uncovered_counts(inst.words[remaining], covered).astype(float)
+    return np.flatnonzero(remaining).tolist(), gains
 
 
 @dataclass
@@ -164,15 +179,17 @@ def greedy(inst: CoverageInstance, k: int) -> SelectionTrace:
     if not 1 <= k <= inst.num_sets:
         raise ValueError("need 1 <= k <= number of sets")
     trace = SelectionTrace([], [], [], [])
+    value = 0
     for _ in range(k):
         items, gains = marginal_gains(inst, trace.chosen)
         best = int(np.argmax(gains))  # first occurrence wins ties
         dist = np.zeros(len(items))
         dist[best] = 1.0
+        value += int(gains[best])
         trace.step_items.append(items)
         trace.step_distributions.append(dist)
         trace.chosen.append(items[best])
-        trace.objective_values.append(coverage_value(inst, trace.chosen))
+        trace.objective_values.append(value)
     return trace
 
 
@@ -189,14 +206,16 @@ def private_greedy(inst: CoverageInstance, k: int, mech: MechanismSpec, rng_seed
         raise ValueError("need 1 <= k <= number of sets")
     rng = spawn_rng(rng_seed, 1)
     trace = SelectionTrace([], [], [], [])
+    value = 0
     for _ in range(k):
         items, gains = marginal_gains(inst, trace.chosen)
         dist = _mechanism_distribution(mech, gains)
-        pick = items[int(rng.choice(len(items), p=dist))]
+        pick = int(rng.choice(len(items), p=dist))
+        value += int(gains[pick])
         trace.step_items.append(items)
         trace.step_distributions.append(dist)
-        trace.chosen.append(pick)
-        trace.objective_values.append(coverage_value(inst, trace.chosen))
+        trace.chosen.append(items[pick])
+        trace.objective_values.append(value)
     return trace
 
 
@@ -206,21 +225,52 @@ def first_step_distribution(inst: CoverageInstance, mech: MechanismSpec) -> np.n
     return _mechanism_distribution(mech, gains)
 
 
+def _top_sum(values: np.ndarray, r: int) -> int:
+    """Sum of the r largest entries (all of them when there are at most r)."""
+    if r < values.size:
+        values = np.partition(values, values.size - r)[values.size - r:]
+    return int(values.sum())
+
+
 def brute_force_opt(inst: CoverageInstance, k: int) -> tuple[int, tuple[int, ...]]:
-    """Exhaustive optimum; refuses more than 10^6 candidate subsets."""
-    if not 1 <= k <= inst.num_sets:
+    """Exact optimum: the lexicographically first k-subset of largest coverage.
+
+    Branch and bound over the k-subsets in lexicographic order, depth first.
+    A node is a prefix of chosen items; with r items still to pick, its
+    subtree covers at most the prefix's coverage plus the sum of the r
+    largest marginal gains of the items after its last one, and it is pruned
+    when that bound is at most the best value so far.  Only a strictly
+    larger value replaces the best, so the first optimum in lexicographic
+    order is kept.  Refuses to visit more than 10^5 nodes.
+    """
+    n = inst.num_sets
+    if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= number of sets")
-    if math.comb(inst.num_sets, k) > _BRUTE_FORCE_CAP:
-        raise ValueError(f"C({inst.num_sets},{k}) exceeds the enumeration cap {_BRUTE_FORCE_CAP}")
+    words = inst.words
     best_val, best_set = -1, ()
-    masks = inst.masks
-    for combo in combinations(range(inst.num_sets), k):
-        m = 0
-        for v in combo:
-            m |= masks[v]
-        val = m.bit_count()
-        if val > best_val:
-            best_val, best_set = val, combo
+    nodes = 0
+    # Each entry is a child still to visit: (parent prefix, its covered
+    # words, the child's item, the child's coverage).  Siblings are pushed
+    # last-first, so the stack pops them in lexicographic order.
+    stack = [((), np.zeros(words.shape[1], dtype=np.uint64), None, 0)]
+    while stack:
+        prefix, covered, item, value = stack.pop()
+        if item is not None:
+            prefix, covered = prefix + (item,), covered | words[item]
+        nodes += 1
+        if nodes > _NODE_CAP:
+            raise ValueError(f"branch and bound for k={k} over {n} sets exceeds the node cap {_NODE_CAP}")
+        start = prefix[-1] + 1 if prefix else 0
+        r = k - len(prefix)
+        gains = _uncovered_counts(words[start:], covered)
+        if value + _top_sum(gains, r) <= best_val:
+            continue
+        if r == 1:
+            j = int(np.argmax(gains))  # first occurrence: lexicographically first leaf
+            best_val, best_set = value + int(gains[j]), prefix + (start + j,)
+            continue
+        for v in range(n - r, start - 1, -1):
+            stack.append((prefix, covered, v, value + int(gains[v - start])))
     return best_val, best_set
 
 
@@ -269,7 +319,7 @@ def compose_privacy(
 def _check_neighbors(inst_a: CoverageInstance, inst_b: CoverageInstance) -> None:
     if inst_a.universe_size != inst_b.universe_size or inst_a.num_sets != inst_b.num_sets:
         raise ValueError("neighboring instances must share universe and set count")
-    differing = sum(1 for a, b in zip(inst_a.masks, inst_b.masks) if a != b)
+    differing = sum(1 for a, b in zip(inst_a.sets, inst_b.sets) if set(a) != set(b))
     if differing > 1:
         raise ValueError(f"instances differ in {differing} sets; neighbors differ in at most one")
 
@@ -378,44 +428,74 @@ def exp_error_bound(k: int, d: int, eps: float, s_inf: float, opt: float) -> flo
 
 
 def drop_elements(inst: CoverageInstance, drop_prob: float, rng: np.random.Generator) -> CoverageInstance:
-    """Remove each universe element independently with probability drop_prob."""
+    """Remove each universe element independently with probability drop_prob.
+
+    One draw per universe element, ``rng.random(universe_size)``; the
+    thinned coverage matrix is the original ANDed with the packed keep mask
+    of its columns, and each thinned set keeps its surviving ids in order.
+    """
     if not 0 <= drop_prob < 1:
         raise ValueError("drop_prob must be in [0, 1)")
-    keep = (rng.random(inst.universe_size) >= drop_prob).tolist()
-    return CoverageInstance(inst.universe_size, tuple([tuple([e for e in s if keep[e]]) for s in inst.sets]))
+    keep = rng.random(inst.universe_size) >= drop_prob
+    kept = keep[inst._ids]
+    ids = inst._ids[kept]
+    ends = np.concatenate(([0], np.cumsum(kept)))[np.cumsum(inst._lengths)]
+    lengths = np.diff(ends, prepend=0)
+    flat = ids.tolist()
+    sets = tuple([tuple(flat[a:b]) for a, b in zip((ends - lengths).tolist(), ends.tolist())])
+    keep_bits = np.zeros(inst.words.shape[1] * 64, dtype=bool)
+    keep_bits[:inst.elements.size] = keep[inst.elements]
+    keep_words = np.packbits(keep_bits, bitorder="little").view("<u8").astype(np.uint64, copy=False)
+    thinned = object.__new__(CoverageInstance)  # already valid: skip the build
+    thinned._assign(universe_size=inst.universe_size, sets=sets, elements=inst.elements,
+                    words=inst.words & keep_words, _ids=ids, _lengths=lengths)
+    return thinned
 
 
-def manipulation_records(inst: CoverageInstance, k: int, mech: MechanismSpec, drop_prob: float, seeds) -> list[dict]:
-    """Per-seed manipulation results.
+def manipulation_records(inst: CoverageInstance, k: int, mechs, drop_prob: float, seeds, work=None) -> list[dict]:
+    """Per-mechanism, per-seed manipulation results, mechanism by mechanism.
 
-    Each seed thins the ground set, compares the exact first-pick
-    distributions on the original vs thinned instance (l1 and sup distance),
-    and runs the private greedy on the original instance to get its realized
-    objective relative to the non-private greedy.
+    Each seed thins the ground set, compares each mechanism's exact
+    first-pick distributions on the original vs thinned instance (l1 and sup
+    distance), and runs that mechanism's private greedy on the original
+    instance to get its realized objective relative to the non-private
+    greedy.  The greedy baseline and the original first-step gains are
+    computed once, the thinned first-step gains once per seed; they do not
+    depend on the mechanism.  A ``collections.Counter`` passed as ``work``
+    gains the counts of greedy runs (baseline and private), thinned
+    instances and gain evaluations (calls of ``marginal_gains``).
     """
-    base = greedy(inst, k).objective_values[-1]
-    p_orig = first_step_distribution(inst, mech)
+    seeds = list(seeds)
+    baseline = greedy(inst, k)
+    base = baseline.objective_values[-1]
+    _, gains = marginal_gains(inst, [])
+    thinned = [marginal_gains(drop_elements(inst, drop_prob, spawn_rng(seed, 0)), [])[1] for seed in seeds]
+    evaluations = len(baseline.step_items) + 1 + len(thinned)
     records = []
-    for seed in seeds:
-        perturbed = drop_elements(inst, drop_prob, spawn_rng(seed, 0))
-        p_pert = first_step_distribution(perturbed, mech)
-        run = private_greedy(inst, k, mech, seed)
-        records.append(
-            {
-                "mechanism": mech.kind,
-                "param": mech.param,
-                "seed": int(seed),
-                "obj_ratio": run.objective_values[-1] / base,
-                "l1_dist": float(np.abs(p_orig - p_pert).sum()),
-                "linf_dist": float(np.abs(p_orig - p_pert).max()),
-            }
-        )
+    for mech in mechs:
+        p_orig = _mechanism_distribution(mech, gains)
+        for seed, thinned_gains in zip(seeds, thinned):
+            p_pert = _mechanism_distribution(mech, thinned_gains)
+            run = private_greedy(inst, k, mech, seed)
+            evaluations += len(run.step_items)
+            records.append(
+                {
+                    "mechanism": mech.kind,
+                    "param": mech.param,
+                    "seed": int(seed),
+                    "obj_ratio": run.objective_values[-1] / base,
+                    "l1_dist": float(np.abs(p_orig - p_pert).sum()),
+                    "linf_dist": float(np.abs(p_orig - p_pert).max()),
+                }
+            )
+    if work is not None:
+        work.update(greedy_runs=1 + len(records), thinned_instances=len(thinned), gain_evaluations=evaluations)
     return records
 
 
 def manipulation_test(inst: CoverageInstance, k: int, mech: MechanismSpec, drop_prob: float, seeds) -> tuple[float, float, float]:
     """Seed-averaged (objective ratio, l1 distance, sup distance)."""
-    recs = manipulation_records(inst, k, mech, drop_prob, seeds)
+    recs = manipulation_records(inst, k, [mech], drop_prob, seeds)
     return (
         float(np.mean([r["obj_ratio"] for r in recs])),
         float(np.mean([r["l1_dist"] for r in recs])),

@@ -144,6 +144,19 @@ class TestSubmodular:
         )
         assert code == 0
 
+    def test_summary_reports_work(self, tmp_path, capsys):
+        code = main(
+            ["submodular", "--num-sets", "8", "--universe", "30", "--k", "3",
+             "--mechs", "pow:lambda=2,exp:lambda=0.5,pow:lambda=8", "--drop-prob", "0.2", "--seeds", "0-3",
+             "--out", str(tmp_path / "frontier.csv")]
+        )
+        assert code == 0
+        summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        # one baseline greedy plus a private run per (mechanism, seed); the
+        # gain vectors of every run's k steps, the original first step and
+        # one thinned first step per seed
+        assert summary["work"] == {"greedy_runs": 13, "thinned_instances": 4, "gain_evaluations": 13 * 3 + 1 + 4}
+
     @pytest.mark.parametrize("big", [10**12, 10**30])
     def test_huge_element_id_exits_2(self, tmp_path, capsys, big):
         fam = tmp_path / "sets.txt"

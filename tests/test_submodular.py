@@ -1,10 +1,15 @@
 """Coverage objective, greedy loops, privacy accounting, manipulation test."""
 
+import tracemalloc
+from collections import Counter
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from softmech import submodular
 from softmech.mechanisms import MechanismSpec
+from softmech.seeding import spawn_rng
 from softmech.submodular import (
     CoverageInstance,
     brute_force_opt,
@@ -71,15 +76,30 @@ class TestCoverage:
                     assert lookup[v] <= g + 1e-12
 
 
-def per_element_masks(inst):
-    """One bit set at a time: the mask rule the packed build must match."""
+def per_element_masks(sets, elements):
+    """One bit set at a time: set r's mask has bit j for each of its ids
+    equal to elements[j], the rule the word matrix must match."""
+    column = {e: j for j, e in enumerate(elements)}
     masks = []
-    for s in inst.sets:
+    for s in sets:
         mask = 0
         for e in s:
-            mask |= 1 << e
+            mask |= 1 << column[e]
         masks.append(mask)
     return tuple(masks)
+
+
+def word_masks(inst):
+    return tuple(int.from_bytes(row.astype("<u8").tobytes(), "little") for row in inst.words)
+
+
+def random_family(rng, universe):
+    """Unsorted sets with repeated ids, one empty and one with the extreme ids."""
+    sets = [rng.integers(0, universe, size=int(rng.integers(0, 2 * universe + 2))).tolist()
+            for _ in range(int(rng.integers(2, 9)))]
+    sets[0] = []
+    sets[1] = [0, universe - 1, universe - 1, 0]
+    return sets
 
 
 class TestMasksMatchPerElementLoop:
@@ -87,16 +107,31 @@ class TestMasksMatchPerElementLoop:
     def test_random_families(self, universe):
         rng = np.random.default_rng(universe)
         for _ in range(10):
-            sets = [rng.integers(0, universe, size=int(rng.integers(0, 2 * universe + 2))).tolist()
-                    for _ in range(int(rng.integers(2, 9)))]
-            sets[0] = []
-            sets[1] = [0, universe - 1, universe - 1, 0]
+            sets = random_family(rng, universe)
             inst = make_instance(universe, sets)
-            assert inst.masks == per_element_masks(inst)
-            assert all(m.bit_count() == len(set(s)) for m, s in zip(inst.masks, sets))
+            assert inst.elements.tolist() == sorted({e for s in sets for e in s})
+            assert inst.words.shape == (len(sets), -(-inst.elements.size // 64))
+            assert word_masks(inst) == per_element_masks(sets, inst.elements.tolist())
+            assert all(m.bit_count() == len(set(s)) for m, s in zip(word_masks(inst), sets))
+
+    @pytest.mark.parametrize("drop_prob", [0.0, 0.5, 0.999])
+    @pytest.mark.parametrize("universe", [1, 9, 64, 65, 1001])
+    def test_thinned_sets_match_comprehension(self, universe, drop_prob):
+        rng = np.random.default_rng(universe)
+        for trial in range(10):
+            inst = make_instance(universe, random_family(rng, universe))
+            thinned = submodular.drop_elements(inst, drop_prob, spawn_rng(trial, 0))
+            keep = (spawn_rng(trial, 0).random(universe) >= drop_prob).tolist()
+            assert thinned.sets == tuple(tuple(e for e in s if keep[e]) for s in inst.sets)
+            assert thinned.universe_size == universe
+            assert word_masks(thinned) == per_element_masks(thinned.sets, inst.elements.tolist())
+            assert marginal_gains(thinned, [1])[1].tolist() == marginal_gains(make_instance(universe, thinned.sets), [1])[1].tolist()
 
     def test_all_empty_sets(self):
-        assert make_instance(5, [[], [], []]).masks == (0, 0, 0)
+        inst = make_instance(5, [[], [], []])
+        assert inst.words.shape == (3, 0) and inst.elements.size == 0
+        assert coverage_value(inst, [0, 2]) == 0
+        assert marginal_gains(inst, [1])[1].tolist() == [0.0, 0.0]
 
     @pytest.mark.parametrize("bad", [-1, 9, 10**30, -(10**30)])
     def test_out_of_universe_id_message(self, bad):
@@ -115,7 +150,19 @@ class TestMasksMatchPerElementLoop:
 class TestUniverseCap:
     def test_cap_is_inclusive(self):
         inst = make_instance(submodular.UNIVERSE_CAP, [[0], [submodular.UNIVERSE_CAP - 1]])
-        assert inst.masks[1] == 1 << (submodular.UNIVERSE_CAP - 1)
+        assert inst.elements.tolist() == [0, submodular.UNIVERSE_CAP - 1]
+        assert inst.words.tolist() == [[1], [2]]
+
+    def test_top_id_allocates_one_word_per_set(self):
+        top = submodular.UNIVERSE_CAP - 1
+        tracemalloc.start()
+        try:
+            inst = make_instance(submodular.UNIVERSE_CAP, [[top, 5]] * 100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert inst.words.shape == (100, 1) and coverage_value(inst, [7]) == 2
+        assert peak < 1_000_000  # a 2 MB mask per set would be 200 MB
 
     @pytest.mark.parametrize("size", [2**24 + 1, 10**12, 10**30 + 1])
     def test_beyond_cap_refused_before_masks(self, size):
@@ -200,6 +247,17 @@ class TestPrivateGreedy:
             private_greedy(inst, 1, MechanismSpec("plsoftmax", 1.0), 0)
 
 
+def exhaustive_opt(inst, k):
+    """Every k-subset in lexicographic order, unions of Python sets: the
+    first subset of largest coverage."""
+    best_val, best_set = -1, ()
+    for combo in combinations(range(inst.num_sets), k):
+        val = len(set().union(*(inst.sets[v] for v in combo)))
+        if val > best_val:
+            best_val, best_set = val, combo
+    return best_val, best_set
+
+
 class TestBruteForce:
     def test_small_cases(self):
         inst = make_instance(10, [[0, 1, 2], [3], [4, 5]])
@@ -208,9 +266,29 @@ class TestBruteForce:
         val, items = brute_force_opt(inst, 3)
         assert val == 6 and items == (0, 1, 2)
 
+    @pytest.mark.parametrize("universe", [1, 6, 40, 130])
+    def test_matches_exhaustive_oracle(self, universe):
+        rng = np.random.default_rng(universe)
+        for _ in range(15):
+            sets = [rng.integers(0, universe, size=int(rng.integers(0, universe + 2))).tolist()
+                    for _ in range(int(rng.integers(2, 11)))]
+            inst = make_instance(universe, sets)
+            for k in range(1, inst.num_sets + 1):
+                assert brute_force_opt(inst, k) == exhaustive_opt(inst, k)
+        for seed in range(3):
+            inst = synthetic_coverage_instance(16, max(universe, 16), seed)
+            for k in (2, 4, 7):
+                assert brute_force_opt(inst, k) == exhaustive_opt(inst, k)
+
+    def test_first_of_tied_optima(self):
+        inst = make_instance(8, [[0, 1], [2, 3], [0, 1], [4, 5], [2, 3]])
+        assert brute_force_opt(inst, 2) == (4, (0, 1))
+        assert brute_force_opt(make_instance(4, [[], [], []]), 2) == (0, (0, 1))
+
     def test_capacity_error(self):
-        inst = synthetic_coverage_instance(40, 50, 0)
-        with pytest.raises(ValueError):
+        rng = np.random.default_rng(0)
+        inst = make_instance(50, [rng.choice(50, size=10, replace=False).tolist() for _ in range(40)])
+        with pytest.raises(ValueError, match="exceeds the node cap"):
             brute_force_opt(inst, 15)
 
 
@@ -298,29 +376,55 @@ class TestManipulation:
 
     def test_argmax_limit_distances_binary(self):
         inst = synthetic_coverage_instance(10, 40, 5)
-        recs = manipulation_records(inst, 3, MechanismSpec("exp", 500.0), 0.2, range(20))
+        recs = manipulation_records(inst, 3, [MechanismSpec("exp", 500.0)], 0.2, range(20))
         for r in recs:
             assert min(r["l1_dist"], abs(r["l1_dist"] - 2.0)) <= 1e-9
 
     def test_original_distribution_computed_once(self, monkeypatch):
-        calls = []
-        real = submodular.first_step_distribution
+        calls = Counter()
 
-        def counting(inst, mech):
-            calls.append(inst)
-            return real(inst, mech)
+        def counting(name):
+            real = getattr(submodular, name)
 
-        monkeypatch.setattr(submodular, "first_step_distribution", counting)
+            def wrapper(*args):
+                calls[name, args[0] is inst] += 1
+                return real(*args)
+
+            monkeypatch.setattr(submodular, name, wrapper)
+
+        for name in ("greedy", "drop_elements", "marginal_gains"):
+            counting(name)
         inst = synthetic_coverage_instance(10, 40, 6)
-        recs = manipulation_records(inst, 3, POW2, 0.05, [0, 1, 2, 3])
-        assert len(recs) == 4
-        assert sum(c is inst for c in calls) == 1
-        assert len(calls) == 5
+        work = Counter()
+        recs = manipulation_records(inst, 3, [POW2, EXP1], 0.05, [0, 1, 2, 3], work=work)
+        assert len(recs) == 8
+        assert calls["greedy", True] == 1
+        assert calls["drop_elements", True] == 4
+        assert calls["marginal_gains", False] == 4  # thinned first steps, once per seed
+        assert calls["marginal_gains", True] == 3 + 1 + 8 * 3  # greedy, original first step, private runs
+        assert work == {"greedy_runs": 9, "thinned_instances": 4,
+                        "gain_evaluations": calls["marginal_gains", True] + calls["marginal_gains", False]}
+
+    def test_mechanisms_match_separate_calls(self):
+        inst = synthetic_coverage_instance(12, 60, 8)
+        mechs = [POW2, EXP1, MechanismSpec("pow", 8.0)]
+        together = manipulation_records(inst, 4, mechs, 0.1, range(5))
+        assert together == [r for m in mechs for r in manipulation_records(inst, 4, [m], 0.1, range(5))]
+        base = greedy(inst, 4).objective_values[-1]
+        for i, rec in enumerate(together):
+            mech, seed = mechs[i // 5], i % 5
+            thinned = submodular.drop_elements(inst, 0.1, spawn_rng(seed, 0))
+            move = first_step_distribution(inst, mech) - first_step_distribution(thinned, mech)
+            assert (rec["mechanism"], rec["param"], rec["seed"]) == (mech.kind, mech.param, seed)
+            assert rec["l1_dist"] == float(np.abs(move).sum()) and rec["linf_dist"] == float(np.abs(move).max())
+            assert rec["obj_ratio"] == private_greedy(inst, 4, mech, seed).objective_values[-1] / base
+        with pytest.raises(ValueError, match="exp or pow"):
+            manipulation_records(inst, 4, [POW2, MechanismSpec("plsoftmax", 1.0)], 0.1, range(5))
 
     def test_determinism(self):
         inst = synthetic_coverage_instance(10, 40, 6)
-        a = manipulation_records(inst, 3, POW2, 0.05, [0, 1])
-        b = manipulation_records(inst, 3, POW2, 0.05, [0, 1])
+        a = manipulation_records(inst, 3, [POW2], 0.05, [0, 1])
+        b = manipulation_records(inst, 3, [POW2], 0.05, [0, 1])
         assert a == b
 
 
