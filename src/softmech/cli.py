@@ -11,6 +11,7 @@ passes; a machine-readable JSON summary line is always printed last.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import Counter
@@ -335,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-file", help="file with one whitespace/comma separated vector")
     p.add_argument("--out")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("lipschitz", help="empirical Lipschitz estimates vs proven bounds")
     p.add_argument("--mech", required=True)
@@ -348,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default="0")
     p.add_argument("--out")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_lipschitz)
 
     p = sub.add_parser("submodular", help="manipulation-robustness frontier on a coverage instance")
     p.add_argument("--instance-file", help="set-family text file (one set per line)")
@@ -360,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drop-prob", type=float, default=1e-3)
     p.add_argument("--seeds", default="0-19")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_submodular)
 
     p = sub.add_parser("auction", help="soft-max reserve selection with optional IC audit")
     p.add_argument("--instance-file", required=True, help='JSON {"H":..,"k":..,"bids":[..]}')
@@ -374,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=int, default=101)
     p.add_argument("--audit-out")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_auction)
 
     p = sub.add_parser("lossfn", help="convexity / zero-residual / gradient probes of the loss")
     p.add_argument("--d", type=int, default=8)
@@ -382,19 +379,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seeds", default="0")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_lossfn)
 
     p = sub.add_parser("selftest", help="quick invariant smoke test")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_selftest)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    command = globals()[f"cmd_{args.command}"]  # looked up per call, so a replaced cmd_* is used
     try:
-        return args.func(args)
+        return command(args)
     except (ValueError, OSError, AssertionError) as exc:
         print(json.dumps({"command": args.command, "error": str(exc)}, sort_keys=True))
         return 2

@@ -54,10 +54,10 @@ def power_mechanism(x, lam: float) -> np.ndarray:
     """
     v = as_values(x)
     _check_param(lam, "lambda")
-    if np.any(v < 0):
+    if (v < 0).any():
         raise ValueError("power mechanism needs nonnegative values")
     pos = v > 0
-    if not np.any(pos):
+    if not pos.any():
         raise ValueError("power mechanism needs at least one positive value")
     logs = np.log(v[pos])
     w = np.zeros_like(v)
@@ -68,9 +68,9 @@ def power_mechanism(x, lam: float) -> np.ndarray:
 def _power_rows(x, lam: float) -> np.ndarray:
     v = as_value_rows(x)
     _check_param(lam, "lambda")
-    if np.any(v < 0):
+    if (v < 0).any():
         raise ValueError("power mechanism needs nonnegative values")
-    if not np.all(np.any(v > 0, axis=1)):
+    if not (v > 0).any(axis=1).all():
         raise ValueError("power mechanism needs at least one positive value")
     with np.errstate(divide="ignore"):
         logs = np.log(v)  # -inf at the zeros, which exp maps back to 0
@@ -122,21 +122,23 @@ def _piece_apply_transpose(rs: np.ndarray, k: int) -> np.ndarray:
 def plsoftmax(x, delta: float) -> np.ndarray:
     """Piecewise-linear soft-max with worst-case additive slack delta.
 
-    Sorts x, finds the active count k (values within delta of the max),
-    applies the exact k-active matrix scaled by 1/delta, adds the uniform
-    prefix 1/k, and undoes the sort.  Support is confined to coordinates
-    with x_i >= max(x) - delta.  Everything works on x - max(x), so the
-    result for x and for x - max(x) is the same to the last bit.
+    Only the k entries within delta of the max can carry weight, so only
+    they are sorted: O(d + k log k).  The exact k-active matrix scaled by
+    1/delta is applied to them in rank order, the uniform prefix 1/k is
+    added, and the result is scattered back; every other entry is 0.  The
+    stable sort of the active entries gives them the order they take in a
+    stable sort of all of x.  Everything works on x - max(x), so the result
+    for x and for x - max(x) is the same to the last bit.
     """
     v = as_values(x)
     _check_param(delta, "delta")
     v = v - v.max()
-    order = np.argsort(-v, kind="stable")
-    xs = v[order]
-    k = int(np.count_nonzero(xs[0] - xs <= delta))
-    f_sorted = _piece_apply(xs, k) / delta
-    f_sorted[:k] += 1.0 / k
-    out = np.empty_like(v)
+    active = np.flatnonzero(v >= -delta)
+    order = active[np.argsort(-v[active], kind="stable")]
+    k = order.size
+    f_sorted = _piece_apply(v[order], k) / delta
+    f_sorted += 1.0 / k
+    out = np.zeros_like(v)
     out[order] = f_sorted
     return finalize_distribution(out)
 
@@ -173,24 +175,39 @@ def multiplicative_guarantee(delta: float) -> float:
     """Worst-case multiplicative slack of a log-domain selector with additive
     slack delta: 1 - exp(-delta).  Reported in diagnostics rather than the
     looser bound delta itself."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    _check_param(delta, "delta")
     return float(-np.expm1(-delta))
+
+
+def _sparsemax_floor(d: int) -> float:
+    """Entries of x - max(x) below this value cannot pass sparsemax's
+    threshold test, so they need not be sorted.
+
+    The support lies in {v > tau} with tau >= max - 1, and in exact
+    arithmetic the test fails at every entry below max - 1.  In floating
+    point the rounding of the prefix sums can pass it at an entry up to
+    about d^2 ulp below max - 1, which then moves tau; the floor sits below
+    that margin.  Past d of about 4e7 the margin would reach 1 and every
+    entry is kept.
+    """
+    margin = 3.0 * d * (d + 3) * np.finfo(float).eps
+    return -1.0 - margin if margin < 1.0 else -np.inf
 
 
 def sparsemax(x) -> np.ndarray:
     """Euclidean projection of x onto the probability simplex.
 
-    Standard sort-and-threshold: find the largest prefix whose shifted values
-    stay positive, subtract the prefix threshold, clip at zero.  The max is
-    subtracted first, which is exact by translation invariance and keeps the
-    prefix sums from overflowing.
+    Sort-and-threshold over the entries at or above ``_sparsemax_floor``
+    only, O(d + k log k) for k such entries: find the largest prefix whose
+    shifted values stay positive, subtract the prefix threshold, clip at
+    zero.  The max is subtracted first, which is exact by translation
+    invariance and keeps the prefix sums from overflowing.
     """
     v = as_values(x)
     v = v - v.max()
-    z = np.sort(v)[::-1]
+    z = np.sort(v[v >= _sparsemax_floor(v.size)])[::-1]
     cssv = np.cumsum(z) - 1.0
-    ind = np.arange(1, v.size + 1)
+    ind = np.arange(1, z.size + 1)
     rho = int(np.count_nonzero(z - cssv / ind > 0))
     tau = cssv[rho - 1] / rho
     return finalize_distribution(np.maximum(v - tau, 0.0))
@@ -202,7 +219,8 @@ def _sparsemax_rows(x) -> np.ndarray:
     z = np.sort(v, axis=1)[:, ::-1]
     cssv = np.cumsum(z, axis=1) - 1.0
     ind = np.arange(1, v.shape[1] + 1)
-    rho = np.count_nonzero(z - cssv / ind > 0, axis=1, keepdims=True)
+    # only entries at or above the floor count, as in sparsemax, where far entries' sums may overflow
+    rho = np.count_nonzero((z - cssv / ind > 0) & (z >= _sparsemax_floor(v.shape[1])), axis=1, keepdims=True)
     tau = np.take_along_axis(cssv, rho - 1, axis=1) / rho
     return finalize_rows(np.maximum(v - tau, 0.0))
 
@@ -235,7 +253,7 @@ def worst_case_support_ok(x, p, delta: float, *, slack: float = 1e-9) -> bool:
     if q.shape != v.shape:
         raise ValueError("dimension mismatch")
     support = q > SUPPORT_EPS
-    return bool(np.all(v[support] >= v.max() - delta - slack))
+    return bool((v[support] >= v.max() - delta - slack).all())
 
 
 class MechanismKind(NamedTuple):

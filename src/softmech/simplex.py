@@ -35,9 +35,9 @@ def as_value_rows(x, *, positive: bool = False) -> np.ndarray:
 def _checked_values(v: np.ndarray, positive: bool) -> np.ndarray:
     if v.shape[-1] < 1:
         raise ValueError("value vector must be non-empty")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("value vector must be finite")
-    if positive and not np.all(v > 0):
+    if positive and not (v > 0).all():
         raise ValueError("value vector must be strictly positive")
     return v
 
@@ -55,7 +55,7 @@ def finalize_distribution(raw: np.ndarray) -> np.ndarray:
     if low < 0.0:
         p = np.where(p < 0.0, 0.0, p)
     total = p.sum()
-    if not np.isfinite(total) or total <= 0.0:
+    if not 0.0 < total < np.inf:
         raise AssertionError(f"distribution sums to {total}")
     return p / total
 
@@ -68,13 +68,13 @@ def finalize_rows(raw: np.ndarray) -> np.ndarray:
     """
     p = np.asarray(raw, dtype=float)
     low = p.min(axis=1, initial=0.0)
-    if np.any(low <= -NEGATIVE_CLAMP):
+    if (low <= -NEGATIVE_CLAMP).any():
         raise AssertionError(f"distribution entry {low[low <= -NEGATIVE_CLAMP][0]} below clamping range")
-    if np.any(low < 0.0):
+    if (low < 0.0).any():
         p = np.where(p < 0.0, 0.0, p)
     total = p.sum(axis=1, keepdims=True)
     bad = ~(np.isfinite(total) & (total > 0.0))
-    if np.any(bad):
+    if bad.any():
         raise AssertionError(f"distribution sums to {total[bad][0]}")
     return p / total
 
@@ -83,7 +83,7 @@ def distribution_rows_ok(p) -> np.ndarray:
     """Per row of an (n, d) array, whether :func:`check_distribution` with
     its default tolerances would accept that row."""
     q = np.asarray(p, dtype=float)
-    finite = np.all(np.isfinite(q), axis=1)
+    finite = np.isfinite(q).all(axis=1)
     with np.errstate(invalid="ignore"):
         return finite & (q.min(axis=1) >= -NEGATIVE_CLAMP) & (np.abs(q.sum(axis=1) - 1.0) <= SUM_TOLERANCE)
 
@@ -93,7 +93,7 @@ def check_distribution(p, *, neg_tol: float = NEGATIVE_CLAMP, sum_tol: float = S
     q = np.asarray(p, dtype=float)
     if q.ndim != 1 or q.size < 1:
         raise ValueError("distribution must be a non-empty 1-D vector")
-    if not np.all(np.isfinite(q)):
+    if not np.isfinite(q).all():
         raise ValueError("distribution must be finite")
     if q.min() < -neg_tol:
         raise ValueError(f"distribution entry {q.min()} is negative beyond tolerance")

@@ -75,6 +75,11 @@ class TestEval:
         err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert err == {"command": "eval", "error": "distribution sums to nan"}
 
+    def test_command_replaced_after_first_call_is_used(self, capsys, monkeypatch):
+        assert main(["eval", "--mech", "sparsemax", "--x", "1,2"]) == 0
+        monkeypatch.setattr(cli, "cmd_eval", lambda args: 7)
+        assert main(["eval", "--mech", "sparsemax", "--x", "1,2"]) == 7
+
 
 class TestLipschitz:
     def test_rows_within_bound(self, tmp_path, capsys):

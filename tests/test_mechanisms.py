@@ -18,7 +18,7 @@ from softmech.mechanisms import (
     sparsemax,
     worst_case_support_ok,
 )
-from softmech.simplex import check_distribution, finalize_distribution, finalize_rows
+from softmech.simplex import as_values, check_distribution, finalize_distribution, finalize_rows
 from softmech.smmatrix import build_softmax_matrix, uniform_prefix
 
 
@@ -91,6 +91,9 @@ class TestExamples:
     def test_multiplicative_guarantee(self):
         assert np.isclose(multiplicative_guarantee(1.0), 1 - np.exp(-1))
         assert multiplicative_guarantee(0.3) < 0.3
+        for bad in (np.nan, np.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match="delta"):
+                multiplicative_guarantee(bad)
 
 
 class TestValidation:
@@ -383,3 +386,94 @@ class TestRowForms:
                 finalize_distribution(np.array(bad))
             with pytest.raises(AssertionError):
                 finalize_rows(np.vstack([raw, bad]))
+
+
+def plsoftmax_full_sort(x, delta):
+    """The former plsoftmax body, which stable-sorts all d entries."""
+    v = as_values(x)
+    v = v - v.max()
+    order = np.argsort(-v, kind="stable")
+    xs = v[order]
+    k = int(np.count_nonzero(xs[0] - xs <= delta))
+    f_sorted = _piece_apply(xs, k) / delta
+    f_sorted[:k] += 1.0 / k
+    out = np.empty_like(v)
+    out[order] = f_sorted
+    return finalize_distribution(out)
+
+
+def sparsemax_full_sort(x):
+    """The former sparsemax body, which sorts all d entries."""
+    v = as_values(x)
+    v = v - v.max()
+    z = np.sort(v)[::-1]
+    cssv = np.cumsum(z) - 1.0
+    ind = np.arange(1, v.size + 1)
+    rho = int(np.count_nonzero(z - cssv / ind > 0))
+    tau = cssv[rho - 1] / rho
+    return finalize_distribution(np.maximum(v - tau, 0.0))
+
+
+# values just below max - 1 at which the former sparsemax's threshold test
+# passes through rounding in its prefix sums, giving them weight
+SPARSEMAX_ROUNDING_EDGE = np.concatenate([[0.0], np.full(40, -1.0 - 9 * 2.0**-52)])
+
+
+def support_edge_inputs(d, rng):
+    """Value vectors of dimension d for the support-first selectors: random,
+    one active entry (k = 1), all entries active (k = d), ties, entries at
+    max - delta and max - 1 moved by up to 3 ulp either way, and each of
+    these again at offsets 1e8 and 1e12."""
+    base = [rng.normal(0.0, 1.0, size=d), np.round(rng.normal(0.0, 2.0, size=d)), np.zeros(d),
+            rng.uniform(-0.4, 0.0, size=d)]
+    lone = np.full(d, -50.0)
+    lone[rng.integers(d)] = 0.0
+    base.append(lone)
+    for edge in (0.5, 1.0, 2.0):
+        z = rng.normal(0.0, 1.0, size=d)
+        at = rng.random(d) < 0.5
+        at[np.argmax(z)] = False
+        z[at] = z.max() - edge
+        z[at] += rng.integers(-3, 4, size=d)[at] * np.spacing(z[at])
+        base.append(z)
+    return [x + offset for x in base for offset in (0.0, 1e8, 1e12)]
+
+
+class TestSupportFirst:
+    @pytest.mark.parametrize("d", [1, 2, 4, 64, 1024])
+    def test_plsoftmax_equals_full_sort(self, d):
+        for x in support_edge_inputs(d, np.random.default_rng(d)):
+            for delta in (0.5, 1.0, 2.0):
+                assert plsoftmax(x, delta).tobytes() == plsoftmax_full_sort(x, delta).tobytes()
+                y = np.exp(x - x.max())
+                assert log_plsoftmax(y, delta).tobytes() == plsoftmax_full_sort(np.log(y), delta).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 64, 1024])
+    def test_sparsemax_equals_full_sort(self, d):
+        for x in support_edge_inputs(d, np.random.default_rng(d)):
+            assert sparsemax(x).tobytes() == sparsemax_full_sort(x).tobytes()
+
+    def test_active_counts_span_one_to_d(self):
+        x = support_edge_inputs(64, np.random.default_rng(64))
+        counts = {int(np.count_nonzero(plsoftmax(v, 2.0))) for v in x}
+        assert {1, 64} <= counts
+
+    def test_sparsemax_keeps_entries_passing_by_rounding(self):
+        x = SPARSEMAX_ROUNDING_EDGE
+        assert (x[1:] < x[0] - 1.0).all() and (sparsemax(x)[1:] > 0).all()
+        assert sparsemax(x).tobytes() == sparsemax_full_sort(x).tobytes()
+
+    def test_sparsemax_ignores_far_entries_whose_sums_overflow(self):
+        x = np.array([0.0, -1e308, -1e308, -1e308])
+        with np.errstate(over="ignore"):
+            assert sparsemax(x).tolist() == [1.0, 0.0, 0.0, 0.0]
+            assert MechanismSpec("sparsemax").rows(np.vstack([x, x[::-1]])).tolist() == [[1.0, 0, 0, 0], [0, 0, 0, 1.0]]
+
+    @pytest.mark.parametrize("kind", ["plsoftmax", "logplsoftmax", "sparsemax"])
+    def test_rows_equal_vector_calls_at_1024(self, kind):
+        spec = MechanismSpec(kind, PARAMS[kind])
+        x = np.vstack(support_edge_inputs(1024, np.random.default_rng(7)))
+        if spec.positive_domain:
+            x = np.exp(x - x.max(axis=1, keepdims=True))
+        for row, o in zip(x, spec.rows(x)):
+            assert o.tobytes() == spec(row).tobytes()

@@ -89,8 +89,9 @@ def main(argv=None) -> int:
     criteria = {}
     for name in sorted(times["after"][0]):
         row = {side: summary([run[name] for run in times[side]]) for side in times if name in times[side][0]}
-        if len(row) == 2:
-            row["after_over_before"] = round(row["after"]["median_s"] / row["before"]["median_s"], 3)
+        if len(row) == 2:  # JUnit times have millisecond resolution, so a median can be 0
+            before_s = row["before"]["median_s"]
+            row["after_over_before"] = round(row["after"]["median_s"] / before_s, 3) if before_s else None
         criteria[name] = row
     payload = {
         "what": "wall time of each acceptance criterion (pytest call time from its JUnit XML report), "
