@@ -196,18 +196,16 @@ def sensitivity_l1_revenue(grid: PriceGrid) -> float:
 def ic_epsilon_for(mech: MechanismSpec, grid: PriceGrid, H: float) -> float:
     """Incentive-compatibility slack L * S1(revenue) in H-normalized utility.
 
-    L is the selector's (l1, l1)-Lipschitz constant: 4/eta for the
-    piecewise-linear selector (p=1 bound), 2*lambda for the exponential one.
-    A unilateral misreport moves the revenue vector by at most S1, hence the
-    selection distribution by L*S1 in l1, hence any bidder's expected
-    utility (scaled to [0,1] by H) by at most L*S1.
+    L is the selector's dimension-free (l1, l1)-Lipschitz constant from the
+    mechanism table: 4/eta for the piecewise-linear selector (p=1 bound),
+    2*lambda for the exponential one.  A unilateral misreport moves the
+    revenue vector by at most S1, hence the selection distribution by L*S1
+    in l1, hence any bidder's expected utility (scaled to [0,1] by H) by at
+    most L*S1.
     """
-    if mech.kind == "plsoftmax":
-        lipschitz = 4.0 / mech.param
-    elif mech.kind == "exp":
-        lipschitz = 2.0 * mech.param
-    else:
-        raise ValueError("IC bound available for plsoftmax and exp selectors only")
+    lipschitz = mech.lipschitz_bound(1.0, 1.0, float("inf"))
+    if lipschitz == float("inf"):
+        raise ValueError(f"no proven (l1, l1) Lipschitz constant for {mech.kind}, so no IC bound")
     if H <= 0:
         raise ValueError("H must be positive")
     return lipschitz * sensitivity_l1_revenue(grid)

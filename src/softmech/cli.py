@@ -42,16 +42,6 @@ def _vec(values) -> str:
     return ";".join(_fmt(v) for v in values)
 
 
-def resolve_mechanism(text: str, delta=None, lam=None) -> MechanismSpec:
-    """Mechanism from a spec string, or from a bare name plus --delta/--lambda."""
-    name = text.strip().lower()
-    if name in MECHANISM_KINDS:
-        value = {"delta": delta, "lambda": lam}.get(MECHANISM_KINDS[name].param)
-        if value is not None:
-            return MechanismSpec(name, float(value))
-    return MechanismSpec.parse(text)
-
-
 def parse_seeds(text: str) -> list[int]:
     """Comma list with ranges: "0,5,10-12" -> [0, 5, 10, 11, 12]."""
     seeds: list[int] = []
@@ -116,7 +106,7 @@ class Checks:
 
 def cmd_eval(args) -> int:
     checks = Checks()
-    mech = resolve_mechanism(args.mech, args.delta, args.lam)
+    mech = MechanismSpec.parse(args.mech)
     x = read_vector_file(args.x_file) if args.x_file else parse_vector(args.x)
     if x.size < 2:
         raise ValueError("need at least 2 option values")
@@ -149,7 +139,7 @@ def cmd_eval(args) -> int:
 
 def cmd_lipschitz(args) -> int:
     checks = Checks()
-    mech = resolve_mechanism(args.mech, args.delta, args.lam)
+    mech = MechanismSpec.parse(args.mech)
     p = distances.metric_exponent(args.domain)
     q = distances.metric_exponent(args.range)
     bound = smoothness.bound_for_metrics(mech, args.d, args.domain, args.range)
@@ -213,7 +203,7 @@ def cmd_auction(args) -> int:
     checks = Checks()
     inst = auctions.load_auction_json(args.instance_file)
     grid = auctions.reserve_grid(inst.H, args.grid_delta, args.grid_floor)
-    mech = resolve_mechanism(args.mech, args.delta, args.lam)
+    mech = MechanismSpec.parse(args.mech)
     outcome = auctions.soft_maximizer(inst, grid, mech, args.seed)
     util = inst.bids * outcome.allocations - outcome.payments
     checks.add("individual_rationality", bool(np.all(util >= -1e-12)))
@@ -225,7 +215,7 @@ def cmd_auction(args) -> int:
         "chosen_price": float(f"{grid.prices[outcome.chosen_price_index]:.12g}"),
         "revenue": float(f"{outcome.revenue:.12g}"),
     }
-    if mech.kind in ("plsoftmax", "exp"):
+    if MECHANISM_KINDS[mech.kind].lipschitz is not None:
         epsilon = auctions.ic_epsilon_for(mech, grid, inst.H)
         payload["epsilon_ic"] = float(f"{epsilon:.12g}")
     if mech.kind == "plsoftmax":
@@ -320,8 +310,18 @@ def cmd_selftest(args) -> int:
     return checks.finish("selftest")
 
 
+class _UsageError(Exception):
+    """A bad command line, reported as a JSON error line instead of argparse's exit."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise _UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="softmech",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -330,8 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a mechanism on one value vector")
     p.add_argument("--mech", required=True, help="mechanism spec, e.g. plsoftmax:delta=1")
-    p.add_argument("--delta", type=float, help="parameter for a bare plsoftmax/logplsoftmax name")
-    p.add_argument("--lambda", dest="lam", type=float, help="parameter for a bare exp/pow name")
     p.add_argument("--x", help="inline vector, e.g. 0.5,0")
     p.add_argument("--x-file", help="file with one whitespace/comma separated vector")
     p.add_argument("--out")
@@ -339,8 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lipschitz", help="empirical Lipschitz estimates vs proven bounds")
     p.add_argument("--mech", required=True)
-    p.add_argument("--delta", type=float, help="parameter for a bare plsoftmax/logplsoftmax name")
-    p.add_argument("--lambda", dest="lam", type=float, help="parameter for a bare exp/pow name")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--domain", default="linf", help="domain metric id (l1, l2, linf, lp:P, log-l2, ...)")
     p.add_argument("--range", default="l1", help="range metric id (adds kl, dinf, renyi:A)")
@@ -365,8 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-delta", type=float, default=0.25)
     p.add_argument("--grid-floor", type=float, default=0.05)
     p.add_argument("--mech", required=True)
-    p.add_argument("--delta", type=float, help="parameter for a bare plsoftmax/logplsoftmax name")
-    p.add_argument("--lambda", dest="lam", type=float, help="parameter for a bare exp/pow name")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--audit", action="store_true")
     p.add_argument("--resolution", type=int, default=101)
@@ -391,14 +385,23 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _error(command: str | None, exc: Exception) -> int:
+    print(json.dumps({"command": command, "error": str(exc)}, sort_keys=True))
+    return 2
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except _UsageError as exc:
+        # the subcommand, when it is the first argument, even if its options are bad
+        return _error(argv[0] if argv and f"cmd_{argv[0]}" in globals() else None, exc)
     command = globals()[f"cmd_{args.command}"]  # looked up per call, so a replaced cmd_* is used
     try:
         return command(args)
     except (ValueError, OSError, AssertionError) as exc:
-        print(json.dumps({"command": args.command, "error": str(exc)}, sort_keys=True))
-        return 2
+        return _error(args.command, exc)
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .distances import pq_bound_factor
 from .simplex import SUPPORT_EPS, as_value_rows, as_values, finalize_distribution, finalize_rows
 
 
@@ -179,33 +180,19 @@ def multiplicative_guarantee(delta: float) -> float:
     return float(-np.expm1(-delta))
 
 
-def _sparsemax_floor(d: int) -> float:
-    """Entries of x - max(x) below this value cannot pass sparsemax's
-    threshold test, so they need not be sorted.
-
-    The support lies in {v > tau} with tau >= max - 1, and in exact
-    arithmetic the test fails at every entry below max - 1.  In floating
-    point the rounding of the prefix sums can pass it at an entry up to
-    about d^2 ulp below max - 1, which then moves tau; the floor sits below
-    that margin.  Past d of about 4e7 the margin would reach 1 and every
-    entry is kept.
-    """
-    margin = 3.0 * d * (d + 3) * np.finfo(float).eps
-    return -1.0 - margin if margin < 1.0 else -np.inf
-
-
 def sparsemax(x) -> np.ndarray:
     """Euclidean projection of x onto the probability simplex.
 
-    Sort-and-threshold over the entries at or above ``_sparsemax_floor``
-    only, O(d + k log k) for k such entries: find the largest prefix whose
-    shifted values stay positive, subtract the prefix threshold, clip at
-    zero.  The max is subtracted first, which is exact by translation
-    invariance and keeps the prefix sums from overflowing.
+    The threshold tau is at least max - 1, so no entry at or below max - 1
+    is in the support; sort-and-threshold runs over the k entries above it
+    only, O(d + k log k): find the largest prefix whose shifted values stay
+    positive, subtract the prefix threshold, clip at zero.  The max is
+    subtracted first, which is exact by translation invariance and keeps the
+    prefix sums from overflowing.
     """
     v = as_values(x)
     v = v - v.max()
-    z = np.sort(v[v >= _sparsemax_floor(v.size)])[::-1]
+    z = np.sort(v[v > -1.0])[::-1]
     cssv = np.cumsum(z) - 1.0
     ind = np.arange(1, z.size + 1)
     rho = int(np.count_nonzero(z - cssv / ind > 0))
@@ -219,8 +206,8 @@ def _sparsemax_rows(x) -> np.ndarray:
     z = np.sort(v, axis=1)[:, ::-1]
     cssv = np.cumsum(z, axis=1) - 1.0
     ind = np.arange(1, v.shape[1] + 1)
-    # only entries at or above the floor count, as in sparsemax, where far entries' sums may overflow
-    rho = np.count_nonzero((z - cssv / ind > 0) & (z >= _sparsemax_floor(v.shape[1])), axis=1, keepdims=True)
+    # only entries above max - 1 count, as in sparsemax, where far entries' sums may overflow
+    rho = np.count_nonzero((z - cssv / ind > 0) & (z > -1.0), axis=1, keepdims=True)
     tau = np.take_along_axis(cssv, rho - 1, axis=1) / rho
     return finalize_rows(np.maximum(v - tau, 0.0))
 
@@ -261,19 +248,25 @@ class MechanismKind(NamedTuple):
     function of (X, param) mapping (n, d) value rows to (n, d) distribution
     rows, each equal bit for bit to the function on that row and raising the
     same exception types; the name of its positive parameter (None if it
-    takes none); and whether it needs positive values, which for these kinds
-    is the same as being scale invariant."""
+    takes none); whether it needs positive values, which for these kinds is
+    the same as being scale invariant; and its proven (p, q) Lipschitz
+    constant as a function of (param, p, q, cap), where cap bounds the
+    dimension-dependent term (log d, or inf for a dimension-free constant),
+    or None if no constant is proven."""
 
     function: Callable[[np.ndarray, float | None], np.ndarray]
     rows: Callable[[np.ndarray, float | None], np.ndarray]
     param: str | None
     positive_domain: bool
+    lipschitz: Callable[[float, float, float, float], float] | None = None
 
 
 MECHANISM_KINDS = {
-    "exp": MechanismKind(exp_mechanism, _exp_rows, "lambda", False),
+    # 2*lambda holds against every Renyi order, hence also against l1
+    "exp": MechanismKind(exp_mechanism, _exp_rows, "lambda", False, lambda lam, p, q, cap: 2.0 * lam),
     "pow": MechanismKind(power_mechanism, _power_rows, "lambda", True),
-    "plsoftmax": MechanismKind(plsoftmax, _plsoftmax_rows, "delta", False),
+    "plsoftmax": MechanismKind(plsoftmax, _plsoftmax_rows, "delta", False,
+                               lambda delta, p, q, cap: (2.0 / delta) * pq_bound_factor(p, q, cap)),
     "logplsoftmax": MechanismKind(log_plsoftmax, _log_plsoftmax_rows, "delta", True),
     "sparsemax": MechanismKind(lambda x, _: sparsemax(x), lambda x, _: _sparsemax_rows(x), None, False),
 }
@@ -325,7 +318,11 @@ class MechanismSpec:
     def positive_domain(self) -> bool:
         return MECHANISM_KINDS[self.kind].positive_domain
 
-    scale_invariant = positive_domain
+    def lipschitz_bound(self, p: float, q: float, cap: float) -> float:
+        """The kind's proven (p, q) Lipschitz constant with its dimension term
+        capped at cap; +inf where none is proven."""
+        bound = MECHANISM_KINDS[self.kind].lipschitz
+        return float("inf") if bound is None else bound(self.param, p, q, cap)
 
     def __call__(self, x) -> np.ndarray:
         return MECHANISM_KINDS[self.kind].function(x, self.param)

@@ -21,7 +21,7 @@ from itertools import chain
 
 import numpy as np
 
-from .distances import lp_distance, metric_exponent, metric_from_id, parse_metric_id, pq_bound_factor
+from .distances import lp_distance, metric_exponent, metric_from_id, parse_metric_id
 from .mechanisms import MECHANISM_KINDS, MechanismSpec
 from .seeding import spawn_rngs
 
@@ -186,31 +186,27 @@ def empirical_lipschitz(
 
 
 def theoretical_bound(mech: MechanismSpec, d: int, p: float, q_or_alpha: float) -> float:
-    """Proven Lipschitz upper bound for the mechanisms that carry one.
+    """Proven Lipschitz upper bound in dimension d: the kind's table constant
+    with its dimension term capped at log d, or +inf (no claim).
 
     exp: 2*lambda against any Renyi order (hence also against l1).
     plsoftmax: (2/delta) * min(p+1, q/(q-1), log d) against l_q.
-    Everything else: +inf (no claim).
     """
     if d < 2:
         raise ValueError("d must be >= 2")
-    if mech.kind == "exp":
-        return 2.0 * mech.param
-    if mech.kind == "plsoftmax":
-        return (2.0 / mech.param) * pq_bound_factor(p, q_or_alpha, float(np.log(d)))
-    return float("inf")
+    return mech.lipschitz_bound(p, q_or_alpha, float(np.log(d)))
 
 
 def bound_for_metrics(mech: MechanismSpec, d: int, domain_metric: str, range_metric: str) -> float:
     """theoretical_bound dispatched on metric ids.
 
     The exponential bound 2*lambda covers every Renyi range order and, by the
-    two-sided divergence domination of l1, every l_q range as well.  The
-    piecewise-linear bound applies only to plain l_q ranges; pairing it with
-    a divergence yields no claim (+inf), as no worst-case-approximate
-    selector is divergence-Lipschitz.
+    two-sided divergence domination of l1, every l_q range as well.  A bound
+    for a kind with a delta parameter applies only to plain l_q ranges;
+    pairing it with a divergence yields no claim (+inf), as no
+    worst-case-approximate selector is divergence-Lipschitz.
     """
-    if mech.kind == "plsoftmax" and parse_metric_id(range_metric)[0] == "renyi":
+    if MECHANISM_KINDS[mech.kind].param == "delta" and parse_metric_id(range_metric)[0] == "renyi":
         return float("inf")
     return theoretical_bound(mech, d, metric_exponent(domain_metric), metric_exponent(range_metric))
 
@@ -290,7 +286,7 @@ def multiplicative_lb_probe(
         raise ValueError("d must be >= 2")
     if mode not in ("scale", "shift"):
         raise ValueError("mode must be 'scale' or 'shift'")
-    if mode == "scale" and not mech.scale_invariant:
+    if mode == "scale" and not mech.positive_domain:
         raise ValueError("scale probe expects a scale-invariant mechanism (pow or logplsoftmax)")
     x0 = np.ones(d)
     y0 = np.ones(d)

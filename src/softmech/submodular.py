@@ -357,11 +357,11 @@ def _log_linf_gap(a: np.ndarray, b: np.ndarray) -> float:
 def privacy_link_margin(inst_a: CoverageInstance, inst_b: CoverageInstance, mech: MechanismSpec, contexts=None) -> float:
     """Max over contexts of (selection-distribution max-divergence minus bound).
 
-    The bound links smoothness to privacy: the power mechanism's divergence
-    between neighbor selection distributions is at most lambda times the
-    log-domain sup distance of the gain vectors; the exponential mechanism's
-    is at most 2 lambda times the plain sup distance.  Nonpositive margins
-    mean the link holds.
+    The bound links smoothness to privacy: the exponential mechanism's
+    divergence between neighbor selection distributions is at most 2 lambda
+    times the sup distance of the gain vectors.  The power mechanism is the
+    exponential one on log values, so its bound is the same on log gains.
+    Nonpositive margins mean the link holds.
     """
     if mech.kind not in ("exp", "pow"):
         raise ValueError("privacy link applies to exp or pow mechanisms")
@@ -377,10 +377,8 @@ def privacy_link_margin(inst_a: CoverageInstance, inst_b: CoverageInstance, mech
         pa = _mechanism_distribution(mech, ga)
         pb = _mechanism_distribution(mech, gb)
         div = max(renyi_divergence(pa, pb, float("inf")), renyi_divergence(pb, pa, float("inf")))
-        if mech.kind == "pow":
-            bound = mech.param * _log_linf_gap(ga, gb)
-        else:
-            bound = 2.0 * mech.param * float(np.abs(ga - gb).max())
+        gap = _log_linf_gap(ga, gb) if mech.positive_domain else float(np.abs(ga - gb).max())
+        bound = 2.0 * mech.param * gap
         margin = float("-inf") if np.isinf(bound) else div - bound
         worst = max(worst, margin)
     return worst

@@ -246,6 +246,23 @@ class TestICEpsilon:
         with pytest.raises(ValueError):
             ic_epsilon_for(MechanismSpec("sparsemax"), grid, 1.0)
 
+    def test_table_equals_former_constants(self):
+        # the constants ic_epsilon_for stated before the mechanism table held them
+        for grid in (reserve_grid(1.0, 0.5, 0.1), reserve_grid(3.0, 0.125, 0.01)):
+            s1 = sensitivity_l1_revenue(grid)
+            for v in np.geomspace(1e-3, 1e3, 61):
+                assert ic_epsilon_for(MechanismSpec("plsoftmax", v), grid, grid.H) == 4.0 / v * s1
+                assert ic_epsilon_for(MechanismSpec("exp", v), grid, grid.H) == 2.0 * v * s1
+
+    @pytest.mark.parametrize("mech", [MechanismSpec("pow", 1.0), MechanismSpec("logplsoftmax", 1.0),
+                                      MechanismSpec("sparsemax")], ids=lambda m: m.kind)
+    def test_kinds_without_a_constant(self, mech):
+        inf = float("inf")
+        for p, q, cap in ((1.0, 1.0, inf), (2.0, 2.0, 3.0), (inf, 1.0, 1.0)):
+            assert mech.lipschitz_bound(p, q, cap) == inf
+        with pytest.raises(ValueError, match="no proven"):
+            ic_epsilon_for(mech, reserve_grid(1.0, 0.5, 0.1), 1.0)
+
 
 class TestAudit:
     def test_gain_within_epsilon(self):

@@ -1,5 +1,6 @@
 """CLI behavior: parsing, subcommands, exit codes, reproducibility."""
 
+import argparse
 import json
 
 import numpy as np
@@ -230,3 +231,47 @@ class TestSelftest:
         assert main(["selftest"]) == 0
         text = capsys.readouterr().out
         assert "FAIL" not in text
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize(
+        "argv, command, needle",
+        [
+            (["eval", "--x", "1,0"], "eval", "--mech"),
+            (["eval", "--mech", "exp:lambda=1", "--x", "1,0", "--bogus"], "eval", "--bogus"),
+            (["eval", "--mech", "plsoftmax", "--delta", "1", "--x", "1,0"], "eval", "--delta"),
+            (["lipschitz", "--mech", "exp:lambda=1", "--d", "x"], "lipschitz", "--d"),
+            (["nonsense"], None, "nonsense"),
+            ([], None, "command"),
+        ],
+    )
+    def test_bad_arguments_end_with_a_json_line(self, capsys, argv, command, needle):
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["command"] == command and needle in err["error"]
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--help"])
+        assert exc.value.code == 0
+        assert "--mech" in capsys.readouterr().out
+
+
+def option_strings(parser):
+    return [s for action in parser._actions for s in action.option_strings if s not in ("-h", "--help")]
+
+
+def test_option_surface():
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {name: option_strings(p) for name, p in subparsers.choices.items()}
+    assert surface == {
+        "eval": ["--mech", "--x", "--x-file", "--out", "--format"],
+        "lipschitz": ["--mech", "--d", "--domain", "--range", "--trials", "--seeds", "--out", "--format"],
+        "submodular": ["--instance-file", "--num-sets", "--universe", "--instance-seed", "--k", "--mechs",
+                       "--drop-prob", "--seeds", "--out"],
+        "auction": ["--instance-file", "--grid-delta", "--grid-floor", "--mech", "--seed", "--audit",
+                    "--resolution", "--audit-out", "--out"],
+        "lossfn": ["--d", "--delta", "--trials", "--seeds", "--out"],
+        "selftest": ["--seed"],
+    }
+    assert sum(map(len, surface.values())) == 37

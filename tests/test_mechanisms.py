@@ -1,5 +1,7 @@
 """Mechanism examples and invariants, cross-checked against direct matrix evaluation."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -403,19 +405,33 @@ def plsoftmax_full_sort(x, delta):
 
 
 def sparsemax_full_sort(x):
-    """The former sparsemax body, which sorts all d entries."""
+    """The former sparsemax body, which sorts all d entries, with the exact
+    cut: no entry at or below max - 1 can be in the support."""
     v = as_values(x)
     v = v - v.max()
     z = np.sort(v)[::-1]
     cssv = np.cumsum(z) - 1.0
     ind = np.arange(1, v.size + 1)
-    rho = int(np.count_nonzero(z - cssv / ind > 0))
+    rho = int(np.count_nonzero((z - cssv / ind > 0) & (z > -1.0)))
     tau = cssv[rho - 1] / rho
     return finalize_distribution(np.maximum(v - tau, 0.0))
 
 
-# values just below max - 1 at which the former sparsemax's threshold test
-# passes through rounding in its prefix sums, giving them weight
+def sparsemax_exact(x):
+    """Euclidean projection onto the simplex in exact rational arithmetic."""
+    v = [Fraction(float(t)) for t in x]
+    z = sorted(v, reverse=True)
+    total, tau = Fraction(0), None
+    for j, zj in enumerate(z, start=1):
+        total += zj
+        if zj - (total - 1) / j > 0:
+            tau = (total - 1) / j
+    return [max(t - tau, Fraction(0)) for t in v]
+
+
+# values just below max - 1 at which a threshold test over all entries
+# passes through rounding in its prefix sums; the exact projection gives
+# them no weight
 SPARSEMAX_ROUNDING_EDGE = np.concatenate([[0.0], np.full(40, -1.0 - 9 * 2.0**-52)])
 
 
@@ -458,9 +474,12 @@ class TestSupportFirst:
         counts = {int(np.count_nonzero(plsoftmax(v, 2.0))) for v in x}
         assert {1, 64} <= counts
 
-    def test_sparsemax_keeps_entries_passing_by_rounding(self):
+    def test_sparsemax_drops_entries_passing_by_rounding(self):
         x = SPARSEMAX_ROUNDING_EDGE
-        assert (x[1:] < x[0] - 1.0).all() and (sparsemax(x)[1:] > 0).all()
+        point_mass = [1.0] + [0.0] * (x.size - 1)
+        assert [float(t) for t in sparsemax_exact(x)] == point_mass
+        assert sparsemax(x).tolist() == point_mass
+        assert MechanismSpec("sparsemax").rows(np.vstack([x, x])).tolist() == [point_mass, point_mass]
         assert sparsemax(x).tobytes() == sparsemax_full_sort(x).tobytes()
 
     def test_sparsemax_ignores_far_entries_whose_sums_overflow(self):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from softmech import seeding
-from softmech.distances import lp_distance, metric_from_id, renyi_divergence
+from softmech.distances import lp_distance, metric_from_id, pq_bound_factor, renyi_divergence
 from softmech.mechanisms import MECHANISM_KINDS, MechanismSpec, exp_mechanism, plsoftmax, sparsemax
 from softmech.seeding import spawn_rng
 from softmech.smoothness import (
@@ -265,7 +265,28 @@ class TestRowBlocksMatchPerPairLoop:
         assert est.skipped > est.trials > 0
 
 
+def former_theoretical_bound(mech, d, p, q):
+    """theoretical_bound as it was written before the mechanism table held
+    the constants: one branch per kind."""
+    if mech.kind == "exp":
+        return 2.0 * mech.param
+    if mech.kind == "plsoftmax":
+        return (2.0 / mech.param) * pq_bound_factor(p, q, float(np.log(d)))
+    return INF
+
+
 class TestTheoreticalBound:
+    @pytest.mark.parametrize("kind", sorted(MECHANISM_KINDS))
+    def test_table_equals_former_branches(self, kind):
+        params = [None] if MECHANISM_KINDS[kind].param is None else [1e-3, 0.3, 0.5, 1.0, 7.0, 1e3]
+        exps = (1.0, 2.0, 3.0, INF)
+        for param in params:
+            mech = MechanismSpec(kind, param)
+            for d in (2, 3, 7, 8, 1024):
+                for p in exps:
+                    for q in exps:
+                        assert theoretical_bound(mech, d, p, q) == former_theoretical_bound(mech, d, p, q)
+
     def test_exp_bound(self):
         mech = MechanismSpec("exp", 3.0)
         assert theoretical_bound(mech, 50, 2.0, INF) == 6.0

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from softmech import submodular
+from softmech.distances import renyi_divergence
 from softmech.mechanisms import MechanismSpec
 from softmech.seeding import spawn_rng
 from softmech.submodular import (
@@ -341,6 +342,17 @@ class TestSensitivityAndPrivacyLink:
         for lam in (0.5, 2.0):
             assert privacy_link_margin(a, b, MechanismSpec("pow", lam), contexts) <= 1e-9
             assert privacy_link_margin(a, b, MechanismSpec("exp", lam), contexts) <= 1e-9
+
+    def test_privacy_link_when_gains_move_both_ways(self):
+        # the gains after set 0 go from [1, 3, 3] to [3, 1, 1]: pow's divergence
+        # passes lambda times the log gap, and stays within twice it
+        a = make_instance(7, [[0, 1], [0, 1, 4], [2, 3, 5], [2, 3, 6]])
+        b = make_instance(7, [[2, 3], [0, 1, 4], [2, 3, 5], [2, 3, 6]])
+        for lam in (0.5, 1.0, 2.0):
+            for kind in ("pow", "exp"):
+                assert privacy_link_margin(a, b, MechanismSpec(kind, lam), [[0]]) <= 1e-9
+            pa, pb = MechanismSpec("pow", lam)(np.array([1.0, 3, 3])), MechanismSpec("pow", lam)(np.array([3.0, 1, 1]))
+            assert renyi_divergence(pb, pa, float("inf")) > lam * np.log(3.0)
 
     def test_insensitivity_t(self):
         a, b = self.make_neighbors()
