@@ -12,7 +12,9 @@ Four smooth selectors plus a sparse baseline:
 
 Approximation diagnostics (``additive_gap``, ``multiplicative_gap``,
 ``worst_case_support_ok``) quantify how much value each selector gives up.
-All functions are pure; randomness never enters this module.
+All functions are pure; randomness never enters this module.  The 1-D
+selectors call numpy's ufuncs directly: on small vectors wrappers such as
+v.max() cost as much as the work.
 """
 
 from __future__ import annotations
@@ -26,6 +28,32 @@ from .distances import pq_bound_factor
 from .simplex import SUPPORT_EPS, as_value_rows, as_values, finalize_distribution, finalize_rows
 
 
+_RANK_TABLE_START = 64
+_rank_tables_now = (np.ones(1), np.empty(0))
+
+
+def _rank_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ranks 1, 2, ..., m and the pair products (j + 1) j for
+    j = 1, ..., m - 1 (m >= 1), as float views of module tables that grow by
+    doubling: the divisors of the sorted-piece kernel and of sparsemax's
+    threshold.  Every entry is an integer below 2**53 for m up to about 9e7,
+    so a quotient by these views equals the quotient by the integer
+    np.arange they replace."""
+    global _rank_tables_now
+    ranks, pairs = _rank_tables_now
+    if m > ranks.size:
+        n = ranks.size
+        while n < m:
+            n *= 2
+        ranks = np.arange(1.0, n + 1.0)
+        pairs = ranks[1:] * ranks[:-1]
+        _rank_tables_now = ranks, pairs
+    return ranks[:m], pairs[: m - 1]
+
+
+_rank_tables(_RANK_TABLE_START)
+
+
 def _check_param(value: float, name: str) -> None:
     if not 0 < value < np.inf:
         raise ValueError(f"{name} must be positive and finite")
@@ -36,8 +64,8 @@ def exp_mechanism(x, lam: float) -> np.ndarray:
     by translation invariance and keeps the exponentials in range."""
     v = as_values(x)
     _check_param(lam, "lambda")
-    w = np.exp(lam * (v - v.max()))
-    return w / w.sum()
+    w = np.exp(lam * (v - np.maximum.reduce(v)))
+    return w / np.add.reduce(w)
 
 
 def _exp_rows(x, lam: float) -> np.ndarray:
@@ -55,15 +83,15 @@ def power_mechanism(x, lam: float) -> np.ndarray:
     """
     v = as_values(x)
     _check_param(lam, "lambda")
-    if (v < 0).any():
+    if np.minimum.reduce(v) < 0:
         raise ValueError("power mechanism needs nonnegative values")
     pos = v > 0
-    if not pos.any():
-        raise ValueError("power mechanism needs at least one positive value")
     logs = np.log(v[pos])
-    w = np.zeros_like(v)
-    w[pos] = np.exp(lam * (logs - logs.max()))
-    return w / w.sum()
+    if not logs.size:
+        raise ValueError("power mechanism needs at least one positive value")
+    w = np.zeros(v.size)
+    w[pos] = np.exp(lam * (logs - np.maximum.reduce(logs)))
+    return w / np.add.reduce(w)
 
 
 def _power_rows(x, lam: float) -> np.ndarray:
@@ -94,15 +122,16 @@ def _piece_apply(xs: np.ndarray, k) -> np.ndarray:
     gains only leading zeros and each row equals the 1-D result bit for bit.
     """
     if isinstance(k, np.ndarray):
-        m = int(k.max())
-        t = np.where(np.arange(m) < k, xs[:, :m] - xs[:, :1], 0.0)
+        m = int(np.maximum.reduce(k, None, initial=1))  # 1 for a block of no rows
+        ranks, pairs = _rank_tables(m)
+        t = np.where(ranks <= k, xs[:, :m] - xs[:, :1], 0.0)
     else:
         m = k
+        ranks, pairs = _rank_tables(m)
         t = xs[:m] - xs[0]
     y = np.zeros(xs.shape)
-    cols = np.arange(1, m)
-    y[..., :m] = t / np.arange(1, m + 1)
-    y[..., : m - 1] -= np.cumsum((t[..., 1:] / ((cols + 1) * cols))[..., ::-1], axis=-1)[..., ::-1]
+    y[..., :m] = t / ranks
+    y[..., : m - 1] -= np.add.accumulate((t[..., 1:] / pairs)[..., ::-1], -1)[..., ::-1]
     return y
 
 
@@ -114,9 +143,9 @@ def _piece_apply_transpose(rs: np.ndarray, k: int) -> np.ndarray:
     """
     y = np.zeros(rs.size)
     head = rs[:k]
-    cols = np.arange(1, k)
-    y[0] = head[0] - head.sum() / k
-    y[1:k] = (head[1:] - np.cumsum(head[:-1]) / cols) / (cols + 1)
+    ranks = _rank_tables(k)[0]
+    y[0] = head[0] - np.add.reduce(head) / k
+    y[1:k] = (head[1:] - np.add.accumulate(head[:-1]) / ranks[:-1]) / ranks[1:]
     return y
 
 
@@ -131,15 +160,19 @@ def plsoftmax(x, delta: float) -> np.ndarray:
     stable sort of all of x.  Everything works on x - max(x), so the result
     for x and for x - max(x) is the same to the last bit.
     """
-    v = as_values(x)
+    return _plsoftmax(as_values(x), delta)
+
+
+def _plsoftmax(v: np.ndarray, delta: float) -> np.ndarray:
+    """plsoftmax on a value vector already checked by as_values."""
     _check_param(delta, "delta")
-    v = v - v.max()
-    active = np.flatnonzero(v >= -delta)
-    order = active[np.argsort(-v[active], kind="stable")]
+    v = v - np.maximum.reduce(v)
+    active = (v >= -delta).nonzero()[0]
+    order = active[(-v[active]).argsort(kind="stable")]
     k = order.size
     f_sorted = _piece_apply(v[order], k) / delta
     f_sorted += 1.0 / k
-    out = np.zeros_like(v)
+    out = np.zeros(v.size)
     out[order] = f_sorted
     return finalize_distribution(out)
 
@@ -152,7 +185,7 @@ def _plsoftmax_rows(x, delta: float) -> np.ndarray:
     xs = np.take_along_axis(v, order, axis=1)
     k = np.count_nonzero(xs[:, :1] - xs <= delta, axis=1, keepdims=True)
     f_sorted = _piece_apply(xs, k) / delta
-    np.add(f_sorted, 1.0 / k, out=f_sorted, where=np.arange(v.shape[1]) < k)
+    np.add(f_sorted, 1.0 / k, out=f_sorted, where=_rank_tables(v.shape[1])[0] <= k)
     out = np.empty_like(v)
     np.put_along_axis(out, order, f_sorted, axis=1)
     return finalize_rows(out)
@@ -164,8 +197,7 @@ def log_plsoftmax(x, delta: float) -> np.ndarray:
     Worst-case multiplicative slack is 1 - exp(-delta) <= delta; see
     :func:`multiplicative_guarantee`.
     """
-    v = as_values(x, positive=True)
-    return plsoftmax(np.log(v), delta)
+    return _plsoftmax(np.log(as_values(x, positive=True)), delta)
 
 
 def _log_plsoftmax_rows(x, delta: float) -> np.ndarray:
@@ -191,11 +223,12 @@ def sparsemax(x) -> np.ndarray:
     prefix sums from overflowing.
     """
     v = as_values(x)
-    v = v - v.max()
-    z = np.sort(v[v > -1.0])[::-1]
-    cssv = np.cumsum(z) - 1.0
-    ind = np.arange(1, z.size + 1)
-    rho = int(np.count_nonzero(z - cssv / ind > 0))
+    v = v - np.maximum.reduce(v)
+    z = v[v > -1.0]
+    z.sort()
+    z = z[::-1]
+    cssv = np.add.accumulate(z) - 1.0
+    rho = int(np.count_nonzero(z - cssv / _rank_tables(z.size)[0] > 0))
     tau = cssv[rho - 1] / rho
     return finalize_distribution(np.maximum(v - tau, 0.0))
 
@@ -203,11 +236,11 @@ def sparsemax(x) -> np.ndarray:
 def _sparsemax_rows(x) -> np.ndarray:
     v = as_value_rows(x)
     v = v - v.max(axis=1, keepdims=True)
-    z = np.sort(v, axis=1)[:, ::-1]
-    cssv = np.cumsum(z, axis=1) - 1.0
-    ind = np.arange(1, v.shape[1] + 1)
-    # only entries above max - 1 count, as in sparsemax, where far entries' sums may overflow
-    rho = np.count_nonzero((z - cssv / ind > 0) & (z > -1.0), axis=1, keepdims=True)
+    # entries at or below max - 1 are never in the support; clamped to -1 they
+    # leave every prefix sum the threshold reads unchanged and cannot overflow
+    z = np.maximum(np.sort(v, axis=1)[:, ::-1], -1.0)
+    cssv = np.add.accumulate(z, 1) - 1.0
+    rho = np.count_nonzero((z - cssv / _rank_tables(v.shape[1])[0] > 0) & (z > -1.0), axis=1, keepdims=True)
     tau = np.take_along_axis(cssv, rho - 1, axis=1) / rho
     return finalize_rows(np.maximum(v - tau, 0.0))
 

@@ -33,11 +33,13 @@ def as_value_rows(x, *, positive: bool = False) -> np.ndarray:
 
 
 def _checked_values(v: np.ndarray, positive: bool) -> np.ndarray:
+    # the ufunc reductions are called directly: on small vectors the method
+    # and function wrappers around them cost about as much as the reduction
     if v.shape[-1] < 1:
         raise ValueError("value vector must be non-empty")
-    if not np.isfinite(v).all():
+    if not np.logical_and.reduce(np.isfinite(v), None):
         raise ValueError("value vector must be finite")
-    if positive and not (v > 0).all():
+    if positive and not np.logical_and.reduce(v > 0, None):
         raise ValueError("value vector must be strictly positive")
     return v
 
@@ -49,12 +51,12 @@ def finalize_distribution(raw: np.ndarray) -> np.ndarray:
     entry at or below -1e-12 indicates a real bug and raises AssertionError.
     """
     p = np.asarray(raw, dtype=float)
-    low = p.min(initial=0.0)
+    low = np.minimum.reduce(p, None) if p.size else 0.0  # an empty p fails the sum check
     if low <= -NEGATIVE_CLAMP:
         raise AssertionError(f"distribution entry {low} below clamping range")
     if low < 0.0:
         p = np.where(p < 0.0, 0.0, p)
-    total = p.sum()
+    total = np.add.reduce(p, None)
     if not 0.0 < total < np.inf:
         raise AssertionError(f"distribution sums to {total}")
     return p / total

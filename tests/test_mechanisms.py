@@ -1,5 +1,6 @@
 """Mechanism examples and invariants, cross-checked against direct matrix evaluation."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -364,6 +365,12 @@ class TestRowForms:
 
     @pytest.mark.parametrize("kind", sorted(PARAMS))
     @pytest.mark.parametrize("d", [1, 4, 64])
+    def test_rows_of_no_rows(self, kind, d):
+        out = MechanismSpec(kind, PARAMS[kind]).rows(np.empty((0, d)))
+        assert out.shape == (0, d)
+
+    @pytest.mark.parametrize("kind", sorted(PARAMS))
+    @pytest.mark.parametrize("d", [1, 4, 64])
     def test_rows_raise_like_vector_calls(self, kind, d):
         entry, param = MECHANISM_KINDS[kind], PARAMS[kind]
         x = parity_rows(kind, d, np.random.default_rng(d))
@@ -484,9 +491,13 @@ class TestSupportFirst:
 
     def test_sparsemax_ignores_far_entries_whose_sums_overflow(self):
         x = np.array([0.0, -1e308, -1e308, -1e308])
-        with np.errstate(over="ignore"):
+        y = np.array([0.0, 1e308, -5.0, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert sparsemax(x).tolist() == [1.0, 0.0, 0.0, 0.0]
             assert MechanismSpec("sparsemax").rows(np.vstack([x, x[::-1]])).tolist() == [[1.0, 0, 0, 0], [0, 0, 0, 1.0]]
+            assert sparsemax(y).tolist() == [0.0, 1.0, 0.0, 0.0]
+            assert MechanismSpec("sparsemax").rows(np.vstack([y, x])).tolist() == [[0, 1.0, 0, 0], [1.0, 0, 0, 0]]
 
     @pytest.mark.parametrize("kind", ["plsoftmax", "logplsoftmax", "sparsemax"])
     def test_rows_equal_vector_calls_at_1024(self, kind):
