@@ -196,14 +196,14 @@ def sensitivity_l1_revenue(grid: PriceGrid) -> float:
 def ic_epsilon_for(mech: MechanismSpec, grid: PriceGrid, H: float) -> float:
     """Incentive-compatibility slack L * S1(revenue) in H-normalized utility.
 
-    L is the selector's dimension-free (l1, l1)-Lipschitz constant from the
-    mechanism table: 4/eta for the piecewise-linear selector (p=1 bound),
-    2*lambda for the exponential one.  A unilateral misreport moves the
+    L is the selector's dimension-free (l1, l1)-Lipschitz constant on plain
+    values, from the mechanism table: 4/eta for the piecewise-linear selector
+    (p=1 bound), 2*lambda for the exponential one.  A unilateral misreport moves the
     revenue vector by at most S1, hence the selection distribution by L*S1
     in l1, hence any bidder's expected utility (scaled to [0,1] by H) by at
     most L*S1.
     """
-    lipschitz = mech.lipschitz_bound(1.0, 1.0, float("inf"))
+    lipschitz = mech.lipschitz_bound(("lp", 1.0), ("lp", 1.0), float("inf"))
     if lipschitz == float("inf"):
         raise ValueError(f"no proven (l1, l1) Lipschitz constant for {mech.kind}, so no IC bound")
     if H <= 0:
@@ -276,13 +276,14 @@ def worst_case_revenue_check(inst: AuctionInstance, grid: PriceGrid, mech: Mecha
     (1 - delta_price) * best-grid-revenue - eta.
 
     The discretization forfeits a (1 - delta_price) factor and the soft
-    selection forfeits eta; the piecewise-linear selector meets this on every
-    realizable outcome, while a full-support selector generally does not.
-    eta defaults to the plsoftmax parameter.
+    selection forfeits eta; a selector with the worst-case claim on plain
+    values (plsoftmax) meets this on every realizable outcome, while a
+    full-support selector generally does not.  eta defaults to that
+    selector's parameter.
     """
     if eta is None:
-        if mech.kind != "plsoftmax":
-            raise ValueError("eta must be given explicitly for non-plsoftmax selectors")
+        if not mech.worst_case or mech.positive_domain:
+            raise ValueError("eta must be given explicitly for selectors without a worst-case claim on plain values")
         eta = mech.param
     x = revenue_vector(inst, grid)
     dist = mech(x)

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import auctions, classification, distances, smmatrix, smoothness, submodular
 from .mechanisms import (
-    MECHANISM_KINDS,
     MechanismSpec,
     additive_gap,
     multiplicative_gap,
@@ -116,9 +115,8 @@ def cmd_eval(args) -> int:
     add_gap = additive_gap(x, probs)
     mult_gap = multiplicative_gap(x, probs) if x.max() > 0 else float("nan")
     support = int(np.count_nonzero(probs > SUPPORT_EPS))
-    kind = MECHANISM_KINDS[mech.kind]
-    if kind.param == "delta":
-        base = np.log(x) if kind.positive_domain else x
+    if mech.worst_case:
+        base = np.log(x) if mech.positive_domain else x
         checks.add("worst_case_support", worst_case_support_ok(base, probs, mech.param))
     if args.format == "json":
         payload = {
@@ -140,8 +138,8 @@ def cmd_eval(args) -> int:
 def cmd_lipschitz(args) -> int:
     checks = Checks()
     mech = MechanismSpec.parse(args.mech)
-    p = distances.metric_exponent(args.domain)
-    q = distances.metric_exponent(args.range)
+    p = distances.parse_metric_id(args.domain)[1]
+    q = distances.parse_metric_id(args.range)[1]
     bound = smoothness.bound_for_metrics(mech, args.d, args.domain, args.range)
     rows = ["mechanism,domain_metric,range_metric,seed,trials,estimate,bound,witness_x,witness_y\n"]
     json_rows = []
@@ -215,10 +213,10 @@ def cmd_auction(args) -> int:
         "chosen_price": float(f"{grid.prices[outcome.chosen_price_index]:.12g}"),
         "revenue": float(f"{outcome.revenue:.12g}"),
     }
-    if MECHANISM_KINDS[mech.kind].lipschitz is not None:
+    if np.isfinite(mech.lipschitz_bound(("lp", 1.0), ("lp", 1.0), np.inf)):
         epsilon = auctions.ic_epsilon_for(mech, grid, inst.H)
         payload["epsilon_ic"] = float(f"{epsilon:.12g}")
-    if mech.kind == "plsoftmax":
+    if mech.worst_case and not mech.positive_domain:
         ok = auctions.worst_case_revenue_check(inst, grid, mech)
         payload["worst_case_revenue_ok"] = ok
         checks.add("worst_case_revenue", ok)
@@ -338,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lipschitz", help="empirical Lipschitz estimates vs proven bounds")
     p.add_argument("--mech", required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--domain", default="linf", help="domain metric id (l1, l2, linf, lp:P, log-l2, ...)")
+    p.add_argument("--domain", default="linf", help="domain metric id (l1, l2, linf, lp:P, log-l2, ...); "
+                   "the log metrics carry the claims of the positive-value kinds, pow and logplsoftmax")
     p.add_argument("--range", default="l1", help="range metric id (adds kl, dinf, renyi:A)")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seeds", default="0")

@@ -278,8 +278,3 @@ def metric_from_id(metric_id: str):
     if family == "log-lp":
         return lambda a, b: log_lp_distance(a, b, e)
     return lambda a, b: lp_distance(a, b, e)
-
-
-def metric_exponent(metric_id: str) -> float:
-    """The p (or alpha) carried by a metric id, for use in theoretical bounds."""
-    return parse_metric_id(metric_id)[1]

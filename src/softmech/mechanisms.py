@@ -281,26 +281,42 @@ class MechanismKind(NamedTuple):
     function of (X, param) mapping (n, d) value rows to (n, d) distribution
     rows, each equal bit for bit to the function on that row and raising the
     same exception types; the name of its positive parameter (None if it
-    takes none); whether it needs positive values, which for these kinds is
-    the same as being scale invariant; and its proven (p, q) Lipschitz
-    constant as a function of (param, p, q, cap), where cap bounds the
-    dimension-dependent term (log d, or inf for a dimension-free constant),
-    or None if no constant is proven."""
+    takes none); and whether it needs positive values, which for these kinds
+    is the same as being scale invariant.
+
+    The rest are the kind's claims, each on the kind's own domain: values
+    measured in log-lp when positive_domain is true, in lp otherwise.
+    lipschitz is the proven Lipschitz constant into an l_q range as a
+    function of (param, p, q_or_alpha, cap), where cap bounds the
+    dimension-dependent term (or is inf for a dimension-free constant), or
+    None if no constant is proven; renyi is true when that constant also
+    holds into every Renyi range order; worst_case is true when every option
+    with weight is within param of the maximum value."""
 
     function: Callable[[np.ndarray, float | None], np.ndarray]
     rows: Callable[[np.ndarray, float | None], np.ndarray]
     param: str | None
     positive_domain: bool
     lipschitz: Callable[[float, float, float, float], float] | None = None
+    renyi: bool = False
+    worst_case: bool = False
 
 
+def _exp_lipschitz(lam: float, p: float, q: float, cap: float) -> float:
+    return 2.0 * lam
+
+
+def _pl_lipschitz(delta: float, p: float, q: float, cap: float) -> float:
+    return (2.0 / delta) * pq_bound_factor(p, q, cap)
+
+
+# pow is exp on log values and logplsoftmax is plsoftmax on log values, so
+# each carries its linear twin's claims on the log domain
 MECHANISM_KINDS = {
-    # 2*lambda holds against every Renyi order, hence also against l1
-    "exp": MechanismKind(exp_mechanism, _exp_rows, "lambda", False, lambda lam, p, q, cap: 2.0 * lam),
-    "pow": MechanismKind(power_mechanism, _power_rows, "lambda", True),
-    "plsoftmax": MechanismKind(plsoftmax, _plsoftmax_rows, "delta", False,
-                               lambda delta, p, q, cap: (2.0 / delta) * pq_bound_factor(p, q, cap)),
-    "logplsoftmax": MechanismKind(log_plsoftmax, _log_plsoftmax_rows, "delta", True),
+    "exp": MechanismKind(exp_mechanism, _exp_rows, "lambda", False, _exp_lipschitz, renyi=True),
+    "pow": MechanismKind(power_mechanism, _power_rows, "lambda", True, _exp_lipschitz, renyi=True),
+    "plsoftmax": MechanismKind(plsoftmax, _plsoftmax_rows, "delta", False, _pl_lipschitz, worst_case=True),
+    "logplsoftmax": MechanismKind(log_plsoftmax, _log_plsoftmax_rows, "delta", True, _pl_lipschitz, worst_case=True),
     "sparsemax": MechanismKind(lambda x, _: sparsemax(x), lambda x, _: _sparsemax_rows(x), None, False),
 }
 
@@ -351,11 +367,26 @@ class MechanismSpec:
     def positive_domain(self) -> bool:
         return MECHANISM_KINDS[self.kind].positive_domain
 
-    def lipschitz_bound(self, p: float, q: float, cap: float) -> float:
-        """The kind's proven (p, q) Lipschitz constant with its dimension term
-        capped at cap; +inf where none is proven."""
-        bound = MECHANISM_KINDS[self.kind].lipschitz
-        return float("inf") if bound is None else bound(self.param, p, q, cap)
+    @property
+    def worst_case(self) -> bool:
+        return MECHANISM_KINDS[self.kind].worst_case
+
+    def lipschitz_bound(self, domain: tuple[str, float], range_: tuple[str, float], cap: float) -> float:
+        """The kind's proven Lipschitz constant from the domain metric to the
+        range metric, each a (family, exponent) pair as parse_metric_id gives
+        it, with the dimension term capped at cap.
+
+        +inf (no claim) when the domain family is not the kind's own (log-lp
+        for the positive kinds, lp for the others), when the range is log-lp,
+        when the range is Renyi and the kind's constant does not cover Renyi
+        orders, or when the kind has no constant.
+        """
+        kind = MECHANISM_KINDS[self.kind]
+        (domain_family, p), (range_family, q) = domain, range_
+        if (kind.lipschitz is None or domain_family != ("log-lp" if kind.positive_domain else "lp")
+                or range_family == "log-lp" or (range_family == "renyi" and not kind.renyi)):
+            return float("inf")
+        return kind.lipschitz(self.param, p, q, cap)
 
     def __call__(self, x) -> np.ndarray:
         return MECHANISM_KINDS[self.kind].function(x, self.param)

@@ -21,7 +21,7 @@ from itertools import chain
 
 import numpy as np
 
-from .distances import lp_distance, metric_exponent, metric_from_id, parse_metric_id
+from .distances import lp_distance, metric_from_id, parse_metric_id
 from .mechanisms import MECHANISM_KINDS, MechanismSpec
 from .seeding import spawn_rngs
 
@@ -68,18 +68,17 @@ def _pair_rows(mech: MechanismSpec, d: int, rng_seed: int, start: int, n: int) -
     Trial i draws from the generator of spawn_rng(rng_seed, i), here from
     spawn_rngs, and cycles three families, three scales and three steps:
     an independent random pair; a single-coordinate perturbation; and a pair
-    with gap 1e-6 in the sup norm straddling a selector seam.  For
-    delta-parameterized mechanisms the straddle crosses the active-count
+    with gap 1e-6 in the sup norm straddling a selector seam.  For the
+    worst-case kinds of the table the straddle crosses the active-count
     boundary (the coordinate of a drawn rank placed just inside/outside
     max - delta); otherwise it crosses an order-change boundary (two drawn
     coordinates swapping rank).  Each trial makes its generator calls in
     turn; the steps and seams are placed, and positive-domain rows
     exponentiated, for the whole block at once.
     """
-    kind = MECHANISM_KINDS.get(mech.kind)
-    name = kind.param if kind else None
-    delta = mech.param if name == "delta" else None  # plsoftmax kinds: seam at max - delta
-    base_scale = delta if delta is not None else 1.0 / mech.param if name == "lambda" else 1.0
+    kind = MECHANISM_KINDS.get(mech.kind)  # None for a mechanism outside the table
+    delta = mech.param if kind and kind.worst_case else None  # seam at max - delta
+    base_scale = delta if delta is not None else 1.0 / mech.param if kind and kind.param else 1.0
     x, y = np.empty((n, d)), np.empty((n, d))
     picks = np.zeros((n, 2), dtype=np.intp)  # the coordinates (or rank) each trial draws
     trial = np.arange(start, start + n)
@@ -186,29 +185,35 @@ def empirical_lipschitz(
 
 
 def theoretical_bound(mech: MechanismSpec, d: int, p: float, q_or_alpha: float) -> float:
-    """Proven Lipschitz upper bound in dimension d: the kind's table constant
-    with its dimension term capped at log d, or +inf (no claim).
+    """Proven (l_p, l_q) Lipschitz upper bound in dimension d for plain
+    values: the kind's table constant with its dimension term capped at
+    log d, or +inf (no claim, which includes the kinds whose claims hold
+    only on log values).
 
-    exp: 2*lambda against any Renyi order (hence also against l1).
-    plsoftmax: (2/delta) * min(p+1, q/(q-1), log d) against l_q.
+    exp: 2*lambda.  plsoftmax: (2/delta) * min(p+1, q/(q-1), log d).
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    return mech.lipschitz_bound(p, q_or_alpha, float(np.log(d)))
+    return _capped_bound(mech, d, ("lp", p), ("lp", q_or_alpha))
 
 
 def bound_for_metrics(mech: MechanismSpec, d: int, domain_metric: str, range_metric: str) -> float:
-    """theoretical_bound dispatched on metric ids.
+    """The proven Lipschitz bound between two metric ids in dimension d, read
+    from the mechanism table by MechanismSpec.lipschitz_bound with the
+    dimension term capped as in theoretical_bound.
 
-    The exponential bound 2*lambda covers every Renyi range order and, by the
-    two-sided divergence domination of l1, every l_q range as well.  A bound
-    for a kind with a delta parameter applies only to plain l_q ranges;
-    pairing it with a divergence yields no claim (+inf), as no
-    worst-case-approximate selector is divergence-Lipschitz.
+    A kind's claims hold on its own domain: log-lp metrics for pow and
+    logplsoftmax, plain lp for the others; any other domain, and any log-lp
+    range, gives +inf (no claim).  exp's and pow's 2*lambda covers every
+    Renyi range order as well as every l_q range; the worst-case kinds have
+    no Renyi claim, as no worst-case-approximate selector is
+    divergence-Lipschitz.
     """
-    if MECHANISM_KINDS[mech.kind].param == "delta" and parse_metric_id(range_metric)[0] == "renyi":
-        return float("inf")
-    return theoretical_bound(mech, d, metric_exponent(domain_metric), metric_exponent(range_metric))
+    return _capped_bound(mech, d, parse_metric_id(domain_metric), parse_metric_id(range_metric))
+
+
+def _capped_bound(mech: MechanismSpec, d: int, domain: tuple[str, float], range_: tuple[str, float]) -> float:
+    if d < 2:
+        raise ValueError("d must be >= 2")
+    return mech.lipschitz_bound(domain, range_, float(np.log(d)))
 
 
 def kl_lb_witness(d: int, delta: float) -> tuple[np.ndarray, np.ndarray, float]:

@@ -196,12 +196,13 @@ def greedy(inst: CoverageInstance, k: int) -> SelectionTrace:
 def private_greedy(inst: CoverageInstance, k: int, mech: MechanismSpec, rng_seed: int) -> SelectionTrace:
     """Greedy loop with the argmax replaced by a soft-max draw over gains.
 
-    Accepts the exponential and power mechanisms.  Each step applies the
-    mechanism to the gain vector restricted to the remaining items, records
-    the exact distribution, and samples one item; deterministic per seed.
+    Accepts the mechanisms with a proven max-divergence constant (exp, and
+    pow on log gains).  Each step applies the mechanism to the gain vector
+    restricted to the remaining items, records the exact distribution, and
+    samples one item; deterministic per seed.
     """
-    if mech.kind not in ("exp", "pow"):
-        raise ValueError("private greedy expects an exp or pow mechanism")
+    if np.isinf(_divergence_constant(mech)):
+        raise ValueError("private greedy expects a mechanism with a proven max-divergence constant (exp or pow)")
     if not 1 <= k <= inst.num_sets:
         raise ValueError("need 1 <= k <= number of sets")
     rng = spawn_rng(rng_seed, 1)
@@ -354,17 +355,27 @@ def _log_linf_gap(a: np.ndarray, b: np.ndarray) -> float:
     return gap
 
 
+def _divergence_constant(mech: MechanismSpec) -> float:
+    """The kind's proven Lipschitz constant from the sup distance on its own
+    domain (log values for the positive kinds) to the max-divergence; +inf
+    where none is proven."""
+    domain = ("log-lp" if mech.positive_domain else "lp", float("inf"))
+    return mech.lipschitz_bound(domain, ("renyi", float("inf")), float("inf"))
+
+
 def privacy_link_margin(inst_a: CoverageInstance, inst_b: CoverageInstance, mech: MechanismSpec, contexts=None) -> float:
     """Max over contexts of (selection-distribution max-divergence minus bound).
 
-    The bound links smoothness to privacy: the exponential mechanism's
-    divergence between neighbor selection distributions is at most 2 lambda
-    times the sup distance of the gain vectors.  The power mechanism is the
-    exponential one on log values, so its bound is the same on log gains.
-    Nonpositive margins mean the link holds.
+    The bound links smoothness to privacy: the divergence between neighbor
+    selection distributions is at most the kind's max-divergence constant
+    (2 lambda for the exponential mechanism) times the sup distance of the
+    gain vectors.  The power mechanism is the exponential one on log values,
+    so its constant is the same on log gains.  Nonpositive margins mean the
+    link holds.
     """
-    if mech.kind not in ("exp", "pow"):
-        raise ValueError("privacy link applies to exp or pow mechanisms")
+    lipschitz = _divergence_constant(mech)
+    if np.isinf(lipschitz):
+        raise ValueError("privacy link needs a mechanism with a proven max-divergence constant (exp or pow)")
     _check_neighbors(inst_a, inst_b)
     if contexts is None:
         contexts = [[]]
@@ -378,7 +389,7 @@ def privacy_link_margin(inst_a: CoverageInstance, inst_b: CoverageInstance, mech
         pb = _mechanism_distribution(mech, gb)
         div = max(renyi_divergence(pa, pb, float("inf")), renyi_divergence(pb, pa, float("inf")))
         gap = _log_linf_gap(ga, gb) if mech.positive_domain else float(np.abs(ga - gb).max())
-        bound = 2.0 * mech.param * gap
+        bound = lipschitz * gap
         margin = float("-inf") if np.isinf(bound) else div - bound
         worst = max(worst, margin)
     return worst

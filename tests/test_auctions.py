@@ -257,9 +257,11 @@ class TestICEpsilon:
     @pytest.mark.parametrize("mech", [MechanismSpec("pow", 1.0), MechanismSpec("logplsoftmax", 1.0),
                                       MechanismSpec("sparsemax")], ids=lambda m: m.kind)
     def test_kinds_without_a_constant(self, mech):
+        # none of these has a constant on plain values: pow's and logplsoftmax's
+        # hold on log values only, so the auction's revenue vector gets no IC bound
         inf = float("inf")
         for p, q, cap in ((1.0, 1.0, inf), (2.0, 2.0, 3.0), (inf, 1.0, 1.0)):
-            assert mech.lipschitz_bound(p, q, cap) == inf
+            assert mech.lipschitz_bound(("lp", p), ("lp", q), cap) == inf
         with pytest.raises(ValueError, match="no proven"):
             ic_epsilon_for(mech, reserve_grid(1.0, 0.5, 0.1), 1.0)
 

@@ -6,8 +6,8 @@ import pytest
 from softmech.distances import (
     log_lp_distance,
     lp_distance,
-    metric_exponent,
     metric_from_id,
+    parse_metric_id,
     renyi_divergence,
     sm_norm_bound,
     subordinate_norm_exact,
@@ -237,12 +237,12 @@ class TestMetricIds:
                 metric_from_id(bad)
 
     def test_exponents(self):
-        assert metric_exponent("l2") == 2.0
-        assert metric_exponent("linf") == INF
-        assert metric_exponent("log-lp:4") == 4.0
-        assert metric_exponent("kl") == 1.0
-        assert metric_exponent("dinf") == INF
-        assert metric_exponent("renyi:2") == 2.0
+        assert parse_metric_id("l2") == ("lp", 2.0)
+        assert parse_metric_id("linf") == ("lp", INF)
+        assert parse_metric_id("log-lp:4") == ("log-lp", 4.0)
+        assert parse_metric_id("kl") == ("renyi", 1.0)
+        assert parse_metric_id("dinf") == ("renyi", INF)
+        assert parse_metric_id("renyi:2") == ("renyi", 2.0)
         for bad in ["x2", "l0.5", "renyi:0.5"]:
             with pytest.raises(ValueError):
-                metric_exponent(bad)
+                parse_metric_id(bad)

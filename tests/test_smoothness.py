@@ -6,8 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from softmech import seeding
-from softmech.distances import lp_distance, metric_from_id, pq_bound_factor, renyi_divergence
+from softmech import seeding, submodular
+from softmech.distances import lp_distance, metric_from_id, parse_metric_id, pq_bound_factor, renyi_divergence
 from softmech.mechanisms import MECHANISM_KINDS, MechanismSpec, exp_mechanism, plsoftmax, sparsemax
 from softmech.seeding import spawn_rng
 from softmech.smoothness import (
@@ -275,17 +275,84 @@ def former_theoretical_bound(mech, d, p, q):
     return INF
 
 
+def former_bound_for_metrics(mech, d, domain_metric, range_metric):
+    """bound_for_metrics as it was written before the table held the claims:
+    the delta kinds had no Renyi claim, and every other pair of ids read only
+    the two exponents, whatever the families."""
+    if MECHANISM_KINDS[mech.kind].param == "delta" and parse_metric_id(range_metric)[0] == "renyi":
+        return INF
+    return former_theoretical_bound(mech, d, parse_metric_id(domain_metric)[1], parse_metric_id(range_metric)[1])
+
+
+def former_privacy_link_margin(inst_a, inst_b, mech, contexts):
+    """privacy_link_margin as it was written before the table held the
+    claims, with its own 2 lambda."""
+    worst = -INF
+    for selected in contexts:
+        _, ga = submodular.marginal_gains(inst_a, selected)
+        _, gb = submodular.marginal_gains(inst_b, selected)
+        if ga.size == 0:
+            continue
+        pa = submodular._mechanism_distribution(mech, ga)
+        pb = submodular._mechanism_distribution(mech, gb)
+        div = max(renyi_divergence(pa, pb, INF), renyi_divergence(pb, pa, INF))
+        gap = submodular._log_linf_gap(ga, gb) if mech.positive_domain else float(np.abs(ga - gb).max())
+        bound = 2.0 * mech.param * gap
+        worst = max(worst, -INF if np.isinf(bound) else div - bound)
+    return worst
+
+
+# every (family, exponent) pair a metric id can name
+METRIC_IDS = [f"{family}{e}" for family in ("l", "log-l", "renyi:") for e in ("1", "1.5", "2", "3", "inf")]
+LOG_TWIN = {"pow": "exp", "logplsoftmax": "plsoftmax"}  # the kind each is on log values
+
+
+def privacy_neighbors():
+    """Neighbor coverage instances, one set edited in each; some leave a
+    gain at zero on one side only, where pow's log gap is infinite."""
+    pairs = []
+    for seed in range(6):
+        a = submodular.synthetic_coverage_instance(8, 30, seed)
+        sets = [list(s) for s in a.sets]
+        sets[seed] = sets[seed][: len(sets[seed]) // 2] if seed % 3 else []
+        pairs.append((a, submodular.make_instance(30, sets)))
+    return pairs
+
+
 class TestTheoreticalBound:
     @pytest.mark.parametrize("kind", sorted(MECHANISM_KINDS))
     def test_table_equals_former_branches(self, kind):
         params = [None] if MECHANISM_KINDS[kind].param is None else [1e-3, 0.3, 0.5, 1.0, 7.0, 1e3]
         exps = (1.0, 2.0, 3.0, INF)
+        ids = [(m, parse_metric_id(m)[0]) for m in METRIC_IDS]
         for param in params:
             mech = MechanismSpec(kind, param)
+            twin = MechanismSpec(LOG_TWIN.get(kind, kind), param)
             for d in (2, 3, 7, 8, 1024):
                 for p in exps:
                     for q in exps:
                         assert theoretical_bound(mech, d, p, q) == former_theoretical_bound(mech, d, p, q)
+                # plain domains keep every former bound; a log kind on log values
+                # has its twin's former bound on plain values; the rest is no claim
+                for dom, dom_family in ids:
+                    for rng, rng_family in ids:
+                        if rng_family == "log-lp" or dom_family == "renyi":
+                            expected = INF
+                        elif dom_family == "lp":
+                            expected = former_bound_for_metrics(mech, d, dom, rng)
+                        elif kind in LOG_TWIN:
+                            expected = former_bound_for_metrics(twin, d, dom.removeprefix("log-"), rng)
+                        else:
+                            expected = INF
+                        assert bound_for_metrics(mech, d, dom, rng) == expected, (param, d, dom, rng)
+            contexts = [[], [0], [1, 2]]
+            for a, b in privacy_neighbors():
+                if kind in ("exp", "pow"):
+                    assert submodular.privacy_link_margin(a, b, mech, contexts) == former_privacy_link_margin(
+                        a, b, mech, contexts)
+                else:
+                    with pytest.raises(ValueError, match="max-divergence"):
+                        submodular.privacy_link_margin(a, b, mech, contexts)
 
     def test_exp_bound(self):
         mech = MechanismSpec("exp", 3.0)
