@@ -24,6 +24,7 @@ import numpy as np
 from .distances import lp_distance, metric_from_id, parse_metric_id
 from .mechanisms import MECHANISM_KINDS, MechanismSpec
 from .seeding import spawn_rngs
+from .smmatrix import harmonic
 
 _PERTURB_STEPS = (1e-2, 1e-4, 1e-6)
 _BOUNDARY_STEP = 1e-6
@@ -186,11 +187,14 @@ def empirical_lipschitz(
 
 def theoretical_bound(mech: MechanismSpec, d: int, p: float, q_or_alpha: float) -> float:
     """Proven (l_p, l_q) Lipschitz upper bound in dimension d for plain
-    values: the kind's table constant with its dimension term capped at
-    log d, or +inf (no claim, which includes the kinds whose claims hold
-    only on log values).
+    values: the kind's table constant with its dimension term capped at the
+    harmonic number H_d, or +inf (no claim, which includes the kinds whose
+    claims hold only on log values).
 
-    exp: 2*lambda.  plsoftmax: (2/delta) * min(p+1, q/(q-1), log d).
+    exp: 2*lambda.  plsoftmax: (2/delta) * min(p+1, q/(q-1), H_d), since its
+    pieces are the k-active matrices over delta with k <= d, each within
+    sm_norm_bound's 2*min(p+1, q/(q-1), H_k).  The cap is not log d: at
+    d = 2 the exact (inf, 1) constant is 2/delta, above (2/delta) log 2.
     """
     return _capped_bound(mech, d, ("lp", p), ("lp", q_or_alpha))
 
@@ -213,7 +217,7 @@ def bound_for_metrics(mech: MechanismSpec, d: int, domain_metric: str, range_met
 def _capped_bound(mech: MechanismSpec, d: int, domain: tuple[str, float], range_: tuple[str, float]) -> float:
     if d < 2:
         raise ValueError("d must be >= 2")
-    return mech.lipschitz_bound(domain, range_, float(np.log(d)))
+    return mech.lipschitz_bound(domain, range_, harmonic(d))
 
 
 def kl_lb_witness(d: int, delta: float) -> tuple[np.ndarray, np.ndarray, float]:

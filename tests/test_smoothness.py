@@ -7,9 +7,17 @@ import numpy as np
 import pytest
 
 from softmech import seeding, submodular
-from softmech.distances import lp_distance, metric_from_id, parse_metric_id, pq_bound_factor, renyi_divergence
+from softmech.distances import (
+    lp_distance,
+    metric_from_id,
+    parse_metric_id,
+    pq_bound_factor,
+    renyi_divergence,
+    subordinate_norm_exact,
+)
 from softmech.mechanisms import MECHANISM_KINDS, MechanismSpec, exp_mechanism, plsoftmax, sparsemax
 from softmech.seeding import spawn_rng
+from softmech.smmatrix import build_softmax_matrix, harmonic
 from softmech.smoothness import (
     _BOUNDARY_STEP,
     _PERTURB_STEPS,
@@ -267,11 +275,11 @@ class TestRowBlocksMatchPerPairLoop:
 
 def former_theoretical_bound(mech, d, p, q):
     """theoretical_bound as it was written before the mechanism table held
-    the constants: one branch per kind."""
+    the constants: one branch per kind (with the dimension cap H_d)."""
     if mech.kind == "exp":
         return 2.0 * mech.param
     if mech.kind == "plsoftmax":
-        return (2.0 / mech.param) * pq_bound_factor(p, q, float(np.log(d)))
+        return (2.0 / mech.param) * pq_bound_factor(p, q, harmonic(d))
     return INF
 
 
@@ -362,8 +370,24 @@ class TestTheoreticalBound:
     def test_plsoftmax_bound(self):
         mech = MechanismSpec("plsoftmax", 0.5)
         assert np.isclose(theoretical_bound(mech, 10, 2.0, 2.0), 4.0 * min(3.0, 2.0, np.log(10)))
-        assert np.isclose(theoretical_bound(mech, 32, INF, 1.0), 4.0 * np.log(32))
-        assert np.isclose(theoretical_bound(mech, 3, INF, 1.0), 4.0 * np.log(3))
+        assert np.isclose(theoretical_bound(mech, 32, INF, 1.0), 4.0 * harmonic(32))
+        assert np.isclose(theoretical_bound(mech, 3, INF, 1.0), 4.0 * (1 + 1 / 2 + 1 / 3))
+
+    def test_plsoftmax_bound_covers_the_exact_constant(self):
+        # plsoftmax's (p, q) constant is max_k ||A_k||_{p->q} / delta over the
+        # k-active matrices; at small d it passes (2/delta) log d
+        for d in range(2, 9):
+            mats = [build_softmax_matrix(k, d).to_float() for k in range(1, d + 1)]
+            exact = {
+                (INF, 1.0): max(subordinate_norm_exact(A, INF) for A in mats),
+                (2.0, 1.0): max(subordinate_norm_exact(A, 2.0) for A in mats),
+                (1.0, 1.0): max(np.abs(A).sum(axis=0).max() for A in mats),
+                (2.0, 2.0): max(np.linalg.norm(A, 2) for A in mats),
+            }
+            for delta in (0.5, 1.0, 3.0):
+                mech = MechanismSpec("plsoftmax", delta)
+                for (p, q), norm in exact.items():
+                    assert norm / delta <= theoretical_bound(mech, d, p, q) * (1 + 1e-12), (d, p, q, delta)
 
     def test_unclaimed_mechanisms(self):
         assert theoretical_bound(MechanismSpec("pow", 1.0), 8, 2.0, 2.0) == INF
