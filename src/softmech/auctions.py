@@ -198,10 +198,10 @@ def ic_epsilon_for(mech: MechanismSpec, grid: PriceGrid, H: float) -> float:
 
     L is the selector's dimension-free (l1, l1)-Lipschitz constant on plain
     values, from the mechanism table: 4/eta for the piecewise-linear selector
-    (p=1 bound), 2*lambda for the exponential one.  A unilateral misreport moves the
-    revenue vector by at most S1, hence the selection distribution by L*S1
-    in l1, hence any bidder's expected utility (scaled to [0,1] by H) by at
-    most L*S1.
+    (p=1 bound), 2*lambda for the exponential one.  A unilateral misreport
+    moves the revenue vector by at most S1, hence the selection distribution
+    by L*S1 in l1, hence any bidder's expected utility (scaled to [0,1] by H)
+    by at most L*S1.
     """
     lipschitz = mech.lipschitz_bound(("lp", 1.0), ("lp", 1.0), float("inf"))
     if lipschitz == float("inf"):

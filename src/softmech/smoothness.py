@@ -193,8 +193,9 @@ def theoretical_bound(mech: MechanismSpec, d: int, p: float, q_or_alpha: float) 
 
     exp: 2*lambda.  plsoftmax: (2/delta) * min(p+1, q/(q-1), H_d), since its
     pieces are the k-active matrices over delta with k <= d, each within
-    sm_norm_bound's 2*min(p+1, q/(q-1), H_k).  The cap is not log d: at
-    d = 2 the exact (inf, 1) constant is 2/delta, above (2/delta) log 2.
+    sm_norm_bound's 2*min(p+1, q/(q-1), H_k).  A log d cap would be false
+    at small d: at d = 2 the exact (inf, 1) constant is 2/delta, above
+    (2/delta) log 2.
     """
     return _capped_bound(mech, d, ("lp", p), ("lp", q_or_alpha))
 

@@ -115,6 +115,25 @@ class TestLipschitz:
         assert code == 0
         assert ",inf," in out.read_text(encoding="utf-8")
 
+    def test_log_metrics_carry_the_positive_kinds_claims(self, tmp_path, capsys):
+        # exp's 2 lambda holds on plain values only; on log values its estimate
+        # passes 2, so the log metric gives no claim and no check
+        out = tmp_path / "lip.csv"
+        code = main(["lipschitz", "--mech", "exp:lambda=1", "--d", "4", "--domain", "log-linf", "--range", "l1",
+                     "--trials", "300", "--seeds", "0-1", "--out", str(out)])
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+        assert [row[6] for row in rows] == ["inf", "inf"]
+        assert max(float(row[5]) for row in rows) > 2.0
+        assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["checks"] == 0
+        # pow is exp on log values: the same 2 lambda, checked
+        code = main(["lipschitz", "--mech", "pow:lambda=1", "--d", "4", "--domain", "log-linf", "--range", "dinf",
+                     "--trials", "300", "--seeds", "0-1", "--out", str(out)])
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+        assert [row[6] for row in rows] == ["2", "2"]
+        assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["checks"] == 2
+
     def test_no_usable_pair_exits_2(self, capsys):
         # log-l1 needs positive inputs, which exp's pairs are not; l0.5 is no metric
         for domain in ("log-l1", "l0.5"):

@@ -399,6 +399,43 @@ class TestTheoreticalBound:
         assert np.isclose(bound_for_metrics(MechanismSpec("plsoftmax", 1.0), 8, "l2", "l2"), 4.0)
 
 
+class TestLogDomainClaims:
+    """pow and logplsoftmax are exp and plsoftmax on log values, so the table
+    gives them their twins' constants on log metrics: the lab stays below
+    them, and exp's witness moved to log values attains the same ratio."""
+
+    @pytest.mark.parametrize("kind, params, ranges", [
+        ("pow", (0.5, 1.0, 3.0), ("l1", "l2", "kl", "dinf", "renyi:2")),
+        ("logplsoftmax", (0.25, 1.0, 2.0), ("l1", "l2", "linf")),
+    ])
+    def test_lab_estimates_below_the_log_bounds(self, kind, params, ranges):
+        for param in params:
+            mech = MechanismSpec(kind, param)
+            for d in (2, 3, 4, 8, 16):
+                for domain in ("log-l1", "log-l2", "log-linf"):
+                    for range_metric in ranges:
+                        bound = bound_for_metrics(mech, d, domain, range_metric)
+                        assert np.isfinite(bound)
+                        for seed in (0, 1):
+                            est = empirical_lipschitz(mech, d, domain, range_metric, 150, seed)
+                            assert est.skipped == 0
+                            assert est.max_ratio <= bound + 1e-9, (param, d, domain, range_metric, seed)
+
+    def test_exp_witness_on_log_values(self):
+        for d in (2, 4, 16, 100):
+            for lam in (0.5, 1.0, 3.0):
+                x, y = exp_l1_lb_witness(d, lam)
+                pw = MechanismSpec("pow", lam)
+                for p, domain in ((2.0, "log-l2"), (INF, "log-linf")):
+                    exp_ratio = measured_ratio(MechanismSpec("exp", lam), x, y, p)
+                    pow_ratio = lp_distance(pw(np.exp(x)), pw(np.exp(y)), 1.0) / metric_from_id(domain)(
+                        np.exp(x), np.exp(y))
+                    assert abs(pow_ratio - exp_ratio) <= 1e-9
+                    # the witness's derivative 2 lambda d(d-1)/(2d-1)^2, within the step's error
+                    assert 0.999 * 2 * lam * d * (d - 1) / (2 * d - 1) ** 2 <= pow_ratio
+                    assert pow_ratio <= bound_for_metrics(pw, d, domain, "l1")
+
+
 class TestKlWitness:
     def test_construction(self):
         x, y, floor = kl_lb_witness(4, 1.0)
