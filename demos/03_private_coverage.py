@@ -10,7 +10,7 @@ from softmech.submodular import (
     brute_force_opt,
     compose_privacy,
     greedy,
-    manipulation_test,
+    manipulation_records,
     private_greedy,
     synthetic_coverage_instance,
 )
@@ -39,6 +39,9 @@ print(f"or {budget.eps_total_advanced:.3f} (advanced form), delta_total {budget.
 print("Manipulation test: drop each universe element with probability 5% and")
 print("measure how far the first-pick distribution moves (l1) vs the realized")
 print("objective; at matched movement the power mechanism keeps more value:\n")
-for mech in [MechanismSpec("exp", 0.1), MechanismSpec("pow", 4.0)]:
-    ratio, l1, linf = manipulation_test(inst, k, mech, drop_prob=0.05, seeds=range(40))
+mechs = [MechanismSpec("exp", 0.1), MechanismSpec("pow", 4.0)]
+records = manipulation_records(inst, k, mechs, drop_prob=0.05, seeds=range(40))
+for mech in mechs:
+    recs = [r for r in records if r["mechanism"] == mech.kind]
+    ratio, l1, linf = (np.mean([r[key] for r in recs]) for key in ("obj_ratio", "l1_dist", "linf_dist"))
     print(f"  {mech.label():16s} obj ratio {ratio:.3f}   l1 move {l1:.4f}   sup move {linf:.4f}")

@@ -23,10 +23,8 @@ from .mechanisms import (
 from .smmatrix import (
     SoftMaxMatrix,
     build_softmax_matrix,
-    column_sums_are_zero,
     harmonic,
     recursion_identity_exact,
-    uniform_prefix,
 )
 from .distances import (
     lp_distance,
@@ -56,7 +54,6 @@ __all__ = [
     "LipschitzEstimate",
     "additive_gap",
     "build_softmax_matrix",
-    "column_sums_are_zero",
     "empirical_lipschitz",
     "exp_l1_lb_witness",
     "exp_mechanism",
@@ -80,6 +77,5 @@ __all__ = [
     "subordinate_norm_row_bound",
     "subordinate_norm_sampled",
     "theoretical_bound",
-    "uniform_prefix",
     "worst_case_support_ok",
 ]

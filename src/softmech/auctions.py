@@ -32,6 +32,11 @@ _AUDIT_MAX_GRID = 12
 # Deviation rows per ic_audit block; bounds its (rows, grid, bidders) arrays
 # whatever the resolution.
 _AUDIT_BLOCK = 1024
+# Most prices reserve_grid builds.  A step too small to move the price in
+# floats (1 - 1e-300 == 1) would otherwise never reach the floor.
+_GRID_CAP = 10**6
+# Rounding allowed below worst_case_revenue_check's threshold
+_REVENUE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -59,10 +64,6 @@ class AuctionInstance:
     @property
     def n(self) -> int:
         return int(self.bids.size)
-
-    @property
-    def unlimited(self) -> bool:
-        return self.supply_k >= self.n
 
 
 def load_auction_json(path) -> AuctionInstance:
@@ -98,7 +99,8 @@ def reserve_grid(H: float, delta_price: float, floor_alpha: float) -> PriceGrid:
     """Grid p_i = H(1-delta)^i, stopping at the first price <= floor_alpha.
 
     Needs a finite H > 0, 0 < delta_price <= 1/2 and 0 < floor_alpha < H;
-    the resulting size is at most 2 log(H/alpha)/delta_price.
+    the resulting size is at most 2 log(H/alpha)/delta_price.  A grid of
+    more than _GRID_CAP prices raises ValueError.
     """
     if not 0 < H < np.inf:
         raise ValueError("H must be positive and finite")
@@ -113,6 +115,9 @@ def reserve_grid(H: float, delta_price: float, floor_alpha: float) -> PriceGrid:
         prices.append(p)
         if p <= floor_alpha:
             break
+        if len(prices) == _GRID_CAP:
+            raise ValueError(f"a grid from {H:.12g} down to {floor_alpha:.12g} in steps of "
+                             f"{delta_price:.12g} exceeds {_GRID_CAP} prices")
     return PriceGrid(np.array(prices), delta_price, float(prices[-1]), H)
 
 
@@ -271,7 +276,7 @@ def ic_audit(inst: AuctionInstance, grid: PriceGrid, mech: MechanismSpec,
 
 
 def worst_case_revenue_check(inst: AuctionInstance, grid: PriceGrid, mech: MechanismSpec,
-                             eta: float | None = None, tol: float = 1e-9) -> bool:
+                             eta: float | None = None) -> bool:
     """True iff every price in the selector's support earns at least
     (1 - delta_price) * best-grid-revenue - eta.
 
@@ -288,7 +293,7 @@ def worst_case_revenue_check(inst: AuctionInstance, grid: PriceGrid, mech: Mecha
     x = revenue_vector(inst, grid)
     dist = mech(x)
     support = dist > SUPPORT_EPS
-    threshold = (1.0 - grid.delta_price) * float(x.max()) - eta - tol
+    threshold = (1.0 - grid.delta_price) * float(x.max()) - eta - _REVENUE_TOL
     return bool(np.all(x[support] >= threshold))
 
 

@@ -20,11 +20,8 @@ from .simplex import as_value_rows, as_values, check_distribution
 # Trials of the convexity probe evaluated per row-form loss call (three
 # points each); bounds the probe's memory at any trial count.
 _PROBE_BLOCK = 512
-
-
-def target_sort_permutation(q) -> np.ndarray:
-    """Non-increasing sort order of the target, ties by ascending index."""
-    return _target_piece(check_distribution(q))[0]
+_PROBE_SCALE = 2.0  # the probe's normal draws have sd _PROBE_SCALE * max(delta, 1)
+_FD_STEP = 1e-5  # central-difference step of subgradient_check
 
 
 def _target_piece(q: np.ndarray) -> tuple[np.ndarray, int, int]:
@@ -177,24 +174,24 @@ def _is_smooth_point(
     return not np.any(np.abs(args) <= tol)
 
 
-def subgradient_check(x, q, delta: float, fd_step: float = 1e-5) -> float | None:
+def subgradient_check(x, q, delta: float) -> float | None:
     """Max relative error of the analytic gradient against central differences.
 
     Returns None (skip signal) when some hinge argument sits within
-    2 * fd_step of its corner: there the central difference straddles a
+    2 * _FD_STEP of its corner: there the central difference straddles a
     point where the loss is not differentiable.
     """
     xx, qq = _validated(x, q, delta)
     piece = _target_piece(qq)
-    if not _is_smooth_point(xx, qq, delta, 2.0 * fd_step, piece):
+    if not _is_smooth_point(xx, qq, delta, 2.0 * _FD_STEP, piece):
         return None
     grad = _piece_grad(xx, qq, delta, piece)
     d, idx = xx.size, np.arange(xx.size)
     steps = np.tile(xx, (2 * d, 1))  # rows i and d + i step coordinate i up and down
-    steps[idx, idx] += fd_step
-    steps[d + idx, idx] -= fd_step
+    steps[idx, idx] += _FD_STEP
+    steps[d + idx, idx] -= _FD_STEP
     losses = _piece_loss_rows(as_value_rows(steps), qq, delta, piece)
-    fds = (losses[:d] - losses[d:]) / (2.0 * fd_step)
+    fds = (losses[:d] - losses[d:]) / (2.0 * _FD_STEP)
     worst = 0.0
     for g, fd in zip(grad.tolist(), fds.tolist()):
         scale = max(abs(fd), abs(g), 1.0)
@@ -202,7 +199,7 @@ def subgradient_check(x, q, delta: float, fd_step: float = 1e-5) -> float | None
     return worst
 
 
-def convexity_probe(q, delta: float, trials: int, rng_seed: int, loss=None, scale: float = 2.0) -> float:
+def convexity_probe(q, delta: float, trials: int, rng_seed: int, loss=None) -> float:
     """Max observed convexity violation of the loss in x for fixed q.
 
     Draws random (x1, x2, t) triples and measures
@@ -218,7 +215,7 @@ def convexity_probe(q, delta: float, trials: int, rng_seed: int, loss=None, scal
     _check_param(delta, "delta")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    d, sd = qq.size, scale * max(delta, 1.0)
+    d, sd = qq.size, _PROBE_SCALE * max(delta, 1.0)
     worst = -np.inf
     for start in range(0, trials, _PROBE_BLOCK):
         n = min(_PROBE_BLOCK, trials - start)

@@ -41,18 +41,29 @@ def _vec(values) -> str:
     return ";".join(_fmt(v) for v in values)
 
 
+# Most seeds one list may name; each seed runs a whole experiment.
+_SEED_CAP = 10**5
+
+
 def parse_seeds(text: str) -> list[int]:
-    """Comma list with ranges: "0,5,10-12" -> [0, 5, 10, 11, 12]."""
-    seeds: list[int] = []
+    """Comma list with ranges: "0,5,10-12" -> [0, 5, 10, 11, 12].
+
+    A list of more than _SEED_CAP seeds raises ValueError before any range
+    is expanded.
+    """
+    bounds: list[tuple[int, int]] = []
     for tok in text.split(","):
         tok = tok.strip()
         if not tok:
             continue
         if "-" in tok[1:]:
             lo, _, hi = tok.partition("-")
-            seeds.extend(range(int(lo), int(hi) + 1))
+            bounds.append((int(lo), int(hi)))
         else:
-            seeds.append(int(tok))
+            bounds.append((int(tok), int(tok)))
+    if sum(max(0, hi - lo + 1) for lo, hi in bounds) > _SEED_CAP:
+        raise ValueError(f"seed list names more than {_SEED_CAP} seeds")
+    seeds = [seed for lo, hi in bounds for seed in range(lo, hi + 1)]
     if not seeds:
         raise ValueError("seed list is empty")
     return seeds

@@ -141,7 +141,7 @@ def _vector_norm(v: np.ndarray, p: float, axis=None) -> np.ndarray:
     return (np.abs(v) ** p).sum(axis=axis) ** (1.0 / p)
 
 
-def subordinate_norm_exact(A, p: float, target_q: float = 1.0) -> float:
+def subordinate_norm_exact(A, p: float) -> float:
     """Exact ||A||_{p,1} for even p or p=inf, by sign enumeration.
 
     The maximizing input can be assumed to make every row product nonzero,
@@ -150,8 +150,6 @@ def subordinate_norm_exact(A, p: float, target_q: float = 1.0) -> float:
     p=inf).  The s -> -s symmetry halves the enumeration; more than 24 rows
     raises a capacity error pointing at subordinate_norm_sampled.
     """
-    if target_q != 1:
-        raise ValueError("exact computation only supports target norm q=1")
     if not (np.isinf(p) or (float(p).is_integer() and p >= 2 and int(p) % 2 == 0)):
         raise ValueError("p must be an even integer >= 2 or inf")
     M = np.asarray(A, dtype=float)

@@ -266,14 +266,17 @@ def multiplicative_gap(x, p) -> float:
     return float(1.0 - (v @ q) / mx)
 
 
-def worst_case_support_ok(x, p, delta: float, *, slack: float = 1e-9) -> bool:
+_SUPPORT_SLACK = 1e-9  # rounding allowed below max - delta
+
+
+def worst_case_support_ok(x, p, delta: float) -> bool:
     """True iff every coordinate carrying probability is within delta of the max."""
     v = as_values(x)
     q = np.asarray(p, dtype=float)
     if q.shape != v.shape:
         raise ValueError("dimension mismatch")
     support = q > SUPPORT_EPS
-    return bool((v[support] >= v.max() - delta - slack).all())
+    return bool((v[support] >= v.max() - delta - _SUPPORT_SLACK).all())
 
 
 class MechanismKind(NamedTuple):

@@ -82,23 +82,24 @@ def finalize_rows(raw: np.ndarray) -> np.ndarray:
 
 
 def distribution_rows_ok(p) -> np.ndarray:
-    """Per row of an (n, d) array, whether :func:`check_distribution` with
-    its default tolerances would accept that row."""
+    """Per row of an (n, d) array, whether :func:`check_distribution` would
+    accept that row."""
     q = np.asarray(p, dtype=float)
     finite = np.isfinite(q).all(axis=1)
     with np.errstate(invalid="ignore"):
         return finite & (q.min(axis=1) >= -NEGATIVE_CLAMP) & (np.abs(q.sum(axis=1) - 1.0) <= SUM_TOLERANCE)
 
 
-def check_distribution(p, *, neg_tol: float = NEGATIVE_CLAMP, sum_tol: float = SUM_TOLERANCE) -> np.ndarray:
-    """Validate a simplex point: entries >= -neg_tol and total within sum_tol of 1."""
+def check_distribution(p) -> np.ndarray:
+    """Validate a simplex point: entries >= -NEGATIVE_CLAMP and total within
+    SUM_TOLERANCE of 1."""
     q = np.asarray(p, dtype=float)
     if q.ndim != 1 or q.size < 1:
         raise ValueError("distribution must be a non-empty 1-D vector")
     if not np.isfinite(q).all():
         raise ValueError("distribution must be finite")
-    if q.min() < -neg_tol:
+    if q.min() < -NEGATIVE_CLAMP:
         raise ValueError(f"distribution entry {q.min()} is negative beyond tolerance")
-    if abs(q.sum() - 1.0) > sum_tol:
+    if abs(q.sum() - 1.0) > SUM_TOLERANCE:
         raise ValueError(f"distribution sums to {q.sum()}, not 1")
     return q

@@ -75,15 +75,6 @@ def build_softmax_matrix(k: int, d: int) -> SoftMaxMatrix:
     return SoftMaxMatrix(k=int(k), d=int(d), num=num, den=den)
 
 
-def uniform_prefix(k: int, d: int) -> np.ndarray:
-    """Vector with 1/k on the first k coordinates and 0 elsewhere."""
-    if d < 1 or k < 1 or k > d:
-        raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
-    u = np.zeros(d)
-    u[:k] = 1.0 / k
-    return u
-
-
 def _rat_add(n1, d1, n2, d2):
     """Reduced sum of two rational arrays (elementwise)."""
     n = n1 * d2 + n2 * d1
@@ -91,17 +82,6 @@ def _rat_add(n1, d1, n2, d2):
     g = np.gcd(np.abs(n), dd)
     g = np.where(g == 0, 1, g)
     return n // g, dd // g
-
-
-def column_sums_are_zero(sm: SoftMaxMatrix) -> bool:
-    """Exact check that every column sums to zero.
-
-    Uses a per-column common denominator; the lcm of the small denominators
-    involved always fits in int64.
-    """
-    lcms = np.lcm.reduce(sm.den, axis=0)
-    scaled = sm.num * (lcms // sm.den)
-    return bool(np.all(scaled.sum(axis=0) == 0))
 
 
 def recursion_identity_exact(k: int, d: int) -> bool:

@@ -15,7 +15,6 @@ of the relevant class must exhibit a known minimum of output movement.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import chain
 
@@ -49,18 +48,6 @@ class LipschitzEstimate:
     max_ratio: float
     witness_x: np.ndarray
     witness_y: np.ndarray
-
-    def to_json(self) -> str:
-        payload = {
-            "mechanism": self.mechanism,
-            "domain_metric": self.domain_metric,
-            "range_metric": self.range_metric,
-            "trials": self.trials,
-            "max_ratio": "inf" if np.isinf(self.max_ratio) else self.max_ratio,
-            "witness_x": [float(v) for v in self.witness_x],
-            "witness_y": [float(v) for v in self.witness_y],
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 def _pair_rows(mech: MechanismSpec, d: int, rng_seed: int, start: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -149,6 +136,9 @@ def empirical_lipschitz(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if parse_metric_id(domain_metric)[0] == "renyi":
+        raise ValueError(f"{domain_metric} is a divergence between distributions; "
+                         "value vectors are not simplex points, so it cannot be a domain metric")
     dom = metric_from_id(domain_metric)
     rng_m = metric_from_id(range_metric)
     best = -1.0
@@ -276,27 +266,22 @@ def sparsegen_lb_witness(d: int, q: float) -> tuple[np.ndarray, np.ndarray, floa
     return x, y, float(floor)
 
 
-def measured_ratio(f, x, y, domain_p: float, range_q: float = 1.0) -> float:
-    """Output-to-input distance ratio of f at a concrete pair."""
-    return lp_distance(f(x), f(y), range_q) / lp_distance(x, y, domain_p)
+def measured_ratio(f, x, y, domain_p: float) -> float:
+    """Output l1 distance over input l_p distance of f at a concrete pair."""
+    return lp_distance(f(x), f(y), 1.0) / lp_distance(x, y, domain_p)
 
 
-def multiplicative_lb_probe(
-    mech: MechanismSpec, d: int, scales, mode: str = "scale"
-) -> list[tuple[float, float]]:
-    """(l_inf, l_1) distance ratios of mech at a fixed pair shrunk (or shifted).
+def multiplicative_lb_probe(mech: MechanismSpec, d: int, scales) -> list[tuple[float, float]]:
+    """(l_inf, l_1) distance ratios of mech at a fixed pair shrunk by each scale.
 
-    In scale mode the pair (c*x0, c*y0) with distinct argmaxes has constant
-    output distance for a scale-invariant mechanism while the input distance
+    The pair (c*x0, c*y0) with distinct argmaxes has constant output
+    distance for a scale-invariant mechanism while the input distance
     shrinks with c, so the ratio grows like 1/c: no plain-norm Lipschitz
-    constant can hold.  In shift mode (x0 + c, y0 + c) the ratio of a
-    translation-invariant mechanism stays flat.
+    constant can hold.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
-    if mode not in ("scale", "shift"):
-        raise ValueError("mode must be 'scale' or 'shift'")
-    if mode == "scale" and not mech.positive_domain:
+    if not mech.positive_domain:
         raise ValueError("scale probe expects a scale-invariant mechanism (pow or logplsoftmax)")
     x0 = np.ones(d)
     y0 = np.ones(d)
@@ -304,12 +289,9 @@ def multiplicative_lb_probe(
     y0[1] = 2.0
     out = []
     for c in scales:
-        if mode == "scale":
-            if c <= 0:
-                raise ValueError("scales must be positive")
-            a, b = c * x0, c * y0
-        else:
-            a, b = x0 + c, y0 + c
+        if c <= 0:
+            raise ValueError("scales must be positive")
+        a, b = c * x0, c * y0
         ratio = lp_distance(mech(a), mech(b), 1.0) / lp_distance(a, b, float("inf"))
         out.append((float(c), float(ratio)))
     return out

@@ -29,6 +29,7 @@ from .mechanisms import MechanismSpec
 from .seeding import spawn_rng
 
 _NODE_CAP = 10**5
+_SIZE_EXPONENT = 0.8
 UNIVERSE_CAP = 2**24
 
 
@@ -87,23 +88,21 @@ def make_instance(universe_size: int, sets) -> CoverageInstance:
     return CoverageInstance(universe_size, tuple(tuple(map(int, s)) for s in sets))
 
 
-def synthetic_coverage_instance(
-    num_sets: int, universe_size: int, rng_seed: int, size_exponent: float = 0.8
-) -> CoverageInstance:
+def synthetic_coverage_instance(num_sets: int, universe_size: int, rng_seed: int) -> CoverageInstance:
     """Random instance with power-law set sizes: the rank-i set has about
-    (universe/3) * (i+1)**-size_exponent elements drawn without replacement."""
+    (universe/3) * (i+1)**-_SIZE_EXPONENT elements drawn without replacement."""
     _check_universe(universe_size)
     rng = spawn_rng(rng_seed, 0)
     top = max(2, universe_size // 3)
     sets = []
     for i in range(num_sets):
-        size = max(1, int(round(top * (i + 1) ** (-size_exponent))))
+        size = max(1, int(round(top * (i + 1) ** (-_SIZE_EXPONENT))))
         sets.append(tuple(sorted(rng.choice(universe_size, size=size, replace=False).tolist())))
     return CoverageInstance(universe_size, tuple(sets))
 
 
-def load_set_family(path, universe_size: int | None = None) -> CoverageInstance:
-    """Read the one-line-per-set text format; universe defaults to max id + 1."""
+def load_set_family(path) -> CoverageInstance:
+    """Read the one-line-per-set text format; the universe is max id + 1."""
     sets = []
     with open(path, encoding="utf-8") as fh:
         for ln, line in enumerate(fh, start=1):
@@ -118,9 +117,7 @@ def load_set_family(path, universe_size: int | None = None) -> CoverageInstance:
             sets.append(ids)
     if not sets:
         raise ValueError(f"{path}: no sets found")
-    if universe_size is None:
-        universe_size = 1 + max((max(s) for s in sets if s), default=0)
-    return make_instance(universe_size, sets)
+    return make_instance(1 + max((max(s) for s in sets if s), default=0), sets)
 
 
 def save_set_family(inst: CoverageInstance, path) -> None:
@@ -140,11 +137,6 @@ def _union_words(inst: CoverageInstance, items) -> np.ndarray:
 def _uncovered_counts(words: np.ndarray, covered: np.ndarray) -> np.ndarray:
     """Per row of ``words``, the number of its bits outside ``covered``."""
     return np.bitwise_count(words & ~covered).sum(axis=1)
-
-
-def coverage_value(inst: CoverageInstance, items) -> int:
-    """Number of universe elements covered by the union of the chosen sets."""
-    return int(np.bitwise_count(_union_words(inst, items)).sum())
 
 
 def marginal_gains(inst: CoverageInstance, selected) -> tuple[list[int], np.ndarray]:
@@ -220,12 +212,6 @@ def private_greedy(inst: CoverageInstance, k: int, mech: MechanismSpec, rng_seed
     return trace
 
 
-def first_step_distribution(inst: CoverageInstance, mech: MechanismSpec) -> np.ndarray:
-    """Exact distribution of the first pick (all items still available)."""
-    _, gains = marginal_gains(inst, [])
-    return _mechanism_distribution(mech, gains)
-
-
 def _top_sum(values: np.ndarray, r: int) -> int:
     """Sum of the r largest entries (all of them when there are at most r)."""
     if r < values.size:
@@ -280,9 +266,7 @@ class PrivacyBudget:
     """Per-step and composed privacy parameters for a k-step loop.
 
     ``eps_total_advanced`` follows the stated composition expression
-    (1/2) k^2 eps'^2 + sqrt(2 log(1/eta)) eps' verbatim;
-    ``compose_privacy(..., standard_advanced=True)`` swaps in the textbook
-    k eps'^2 / 2 + sqrt(2 k log(1/eta)) eps' form instead.
+    (1/2) k^2 eps'^2 + sqrt(2 log(1/eta)) eps' verbatim.
     """
 
     eps_step: float
@@ -295,16 +279,11 @@ class PrivacyBudget:
     delta_total: float
 
 
-def compose_privacy(
-    eps_step: float, delta_step: float, steps: int, eta: float, standard_advanced: bool = False
-) -> PrivacyBudget:
+def compose_privacy(eps_step: float, delta_step: float, steps: int, eta: float) -> PrivacyBudget:
     """Basic and advanced composition over ``steps`` rounds."""
     if eps_step <= 0 or delta_step < 0 or steps < 1 or not 0 < eta < 1:
         raise ValueError("need eps_step > 0, delta_step >= 0, steps >= 1, eta in (0,1)")
-    if standard_advanced:
-        adv = 0.5 * steps * eps_step**2 + math.sqrt(2.0 * steps * math.log(1.0 / eta)) * eps_step
-    else:
-        adv = 0.5 * (steps * eps_step) ** 2 + math.sqrt(2.0 * math.log(1.0 / eta)) * eps_step
+    adv = 0.5 * (steps * eps_step) ** 2 + math.sqrt(2.0 * math.log(1.0 / eta)) * eps_step
     return PrivacyBudget(
         eps_step=eps_step,
         delta_step=delta_step,
@@ -501,12 +480,3 @@ def manipulation_records(inst: CoverageInstance, k: int, mechs, drop_prob: float
         work.update(greedy_runs=1 + len(records), thinned_instances=len(thinned), gain_evaluations=evaluations)
     return records
 
-
-def manipulation_test(inst: CoverageInstance, k: int, mech: MechanismSpec, drop_prob: float, seeds) -> tuple[float, float, float]:
-    """Seed-averaged (objective ratio, l1 distance, sup distance)."""
-    recs = manipulation_records(inst, k, [mech], drop_prob, seeds)
-    return (
-        float(np.mean([r["obj_ratio"] for r in recs])),
-        float(np.mean([r["l1_dist"] for r in recs])),
-        float(np.mean([r["linf_dist"] for r in recs])),
-    )

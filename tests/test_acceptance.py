@@ -101,8 +101,8 @@ def test_criterion_03_simplex_and_worst_case():
             X = flat[starts[rows, None] + np.arange(d)]
             P = MechanismSpec("plsoftmax", float(delta)).rows(X)
             evaluated += len(P)
-            # row by row: check_distribution(p, neg_tol=1e-9, sum_tol=1e-9),
-            # p.min() >= 0 and worst_case_support_ok(x, p, delta, slack=1e-9)
+            # row by row: finite, p.min() >= 0, a total within 1e-9 of 1, and
+            # every entry above SUPPORT_EPS within delta + 1e-9 of the max
             ok &= bool(np.isfinite(P).all() and (P >= 0).all())
             ok &= bool((np.abs(P.sum(axis=1) - 1.0) <= 1e-9).all())
             near_max = X >= X.max(axis=1, keepdims=True) - float(delta) - 1e-9

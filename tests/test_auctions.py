@@ -115,6 +115,27 @@ class TestGrid:
             with pytest.raises(ValueError):
                 reserve_grid(H, delta, alpha)
 
+    def test_size_capped(self):
+        # about 1.6e6 prices, past the cap of 10**6
+        with pytest.raises(ValueError, match="exceeds 1000000 prices"):
+            reserve_grid(1.0, 1e-6, 0.2)
+        # 1 - 1e-300 == 1 in floats: the price never falls to the floor
+        with pytest.raises(ValueError, match="exceeds 1000000 prices"):
+            reserve_grid(1.0, 1e-300, 0.5)
+
+    def test_accepted_grids_keep_their_prices(self):
+        def uncapped(H, delta, alpha):
+            prices, p = [], H
+            while True:
+                p *= 1.0 - delta
+                prices.append(p)
+                if p <= alpha:
+                    return prices
+
+        # the last grid has about 8e5 prices, close to the cap
+        for args in [(1.0, 0.5, 0.1), (10.0, 0.25, 0.5), (2.0, 0.05, 0.01), (1.0, 2e-6, 0.2)]:
+            assert reserve_grid(*args).prices.tolist() == uncapped(*args)
+
 
 class TestGroundAuction:
     def test_unlimited_posted_price(self):
@@ -324,8 +345,7 @@ class TestIO:
         path = tmp_path / "auction.json"
         path.write_text(json.dumps({"H": 1.0, "k": 2, "bids": [0.9, 0.4]}), encoding="utf-8")
         inst = load_auction_json(path)
-        assert inst.H == 1.0 and inst.supply_k == 2
-        assert inst.unlimited
+        assert inst.H == 1.0 and inst.supply_k == 2 and inst.n == 2
         path.write_text(json.dumps({"H": 1.0, "bids": [0.5]}), encoding="utf-8")
         with pytest.raises(ValueError):
             load_auction_json(path)

@@ -15,24 +15,23 @@ from softmech.classification import (
     loss_supp,
     loss_total,
     subgradient_check,
-    target_sort_permutation,
     zero_iff_residual,
 )
 from softmech.mechanisms import plsoftmax
 from softmech.seeding import spawn_rng
-from softmech.smmatrix import build_softmax_matrix, uniform_prefix
+from softmech.smmatrix import build_softmax_matrix
 
 
 def dense_piece_map(q, delta):
     """Affine map (M, b) of the selector piece indexed by q's order and support,
     built densely from the exact matrix: M = P^T A_k P / delta, b = P^T 1_k/k."""
     d = q.size
-    order = target_sort_permutation(q)
+    order = np.argsort(-q, kind="stable")  # non-increasing, ties by ascending index
     k = int(np.count_nonzero(q > 0))
     P = np.zeros((d, d))
     P[np.arange(d), order] = 1.0  # row r picks the rank-r coordinate
     M = P.T @ build_softmax_matrix(k, d).to_float() @ P / delta
-    return M, P.T @ uniform_prefix(k, d)
+    return M, P.T @ np.where(np.arange(d) < k, 1.0 / k, 0.0)
 
 
 def per_point_subgradient_check(x, q, delta, fd_step=1e-5):
@@ -110,7 +109,7 @@ class TestOrder:
 
     def test_tie_break_ascending_index(self):
         q = np.array([0.5, 0.0, 0.5, 0.0])
-        assert target_sort_permutation(q).tolist() == [0, 2, 1, 3]
+        assert _target_piece(q)[0].tolist() == [0, 2, 1, 3]
 
 
 class TestSupport:
@@ -219,7 +218,7 @@ class TestGradient:
 
     def test_skip_within_difference_step_of_a_corner(self):
         # a support hinge sits 6.5e-6 from its corner: inside the central
-        # difference's reach (fd_step = 1e-5), so the point must be skipped
+        # difference's reach (a step of 1e-5), so the point must be skipped
         rng = np.random.default_rng([5, 892])
         x = rng.normal(0.0, 2.0, size=32)
         q = plsoftmax(rng.normal(0.0, 2.0, size=32), 1.0)

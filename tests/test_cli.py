@@ -2,11 +2,15 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from softmech import cli
+from softmech import cli, smoothness
 from softmech.cli import main, parse_seeds, parse_vector, read_vector_file
 
 
@@ -16,6 +20,18 @@ class TestParsing:
         assert parse_seeds("3") == [3]
         with pytest.raises(ValueError):
             parse_seeds(" ,")
+
+    def test_seed_list_refused_past_the_cap(self, capsys):
+        assert len(parse_seeds("1-100000")) == 10**5
+        with pytest.raises(ValueError, match="more than 100000 seeds"):
+            parse_seeds("0-100000")
+        with pytest.raises(ValueError, match="more than 100000 seeds"):
+            parse_seeds("7,0-99999")
+        # refused before the range is built: 10**11 ints would not fit in memory
+        code = main(["lipschitz", "--mech", "exp:lambda=1", "--d", "4", "--seeds", "0-100000000000"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["command"] == "lipschitz" and "more than 100000 seeds" in err["error"]
 
     def test_vector(self):
         assert parse_vector("0.5,0").tolist() == [0.5, 0.0]
@@ -134,6 +150,18 @@ class TestLipschitz:
         assert [row[6] for row in rows] == ["2", "2"]
         assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["checks"] == 2
 
+    def test_renyi_domain_refused_before_any_draw(self, capsys, monkeypatch):
+        def no_draws(*args):
+            raise RuntimeError("a pair was drawn")
+
+        monkeypatch.setattr(smoothness, "_pair_rows", no_draws)
+        for domain in ("dinf", "kl", "renyi:2"):
+            code = main(["lipschitz", "--mech", "exp:lambda=1", "--d", "16", "--domain", domain,
+                         "--range", "l1", "--trials", "600"])
+            assert code == 2
+            err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+            assert err["command"] == "lipschitz" and "cannot be a domain metric" in err["error"]
+
     def test_no_usable_pair_exits_2(self, capsys):
         # log-l1 needs positive inputs, which exp's pairs are not; l0.5 is no metric
         for domain in ("log-l1", "l0.5"):
@@ -211,6 +239,25 @@ class TestAuction:
         assert lines[0] == "bidder,deviation_bid,utility_gain"
         gains = [float(l.split(",")[2]) for l in lines[1:]]
         assert max(gains) <= payload["epsilon_ic"] + 1e-9
+
+
+    def test_grid_step_below_float_resolution_exits_2(self, tmp_path):
+        # 1 - 1e-300 == 1 in floats, so the price never reaches the floor.  The
+        # run is a child process with 1 GB of address space, so a grid loop
+        # without a cap ends there with a MemoryError instead of filling memory.
+        resource = pytest.importorskip("resource")  # POSIX only
+        spec = tmp_path / "auction.json"
+        spec.write_text(json.dumps({"H": 1.0, "k": 2, "bids": [0.9, 0.4]}), encoding="utf-8")
+        argv = ["auction", "--instance-file", str(spec), "--grid-delta", "1e-300", "--mech", "plsoftmax:delta=1"]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import sys; from softmech.cli import main; sys.exit(main({argv!r}))"],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+        )
+        assert proc.returncode == 2, proc.stderr[-2000:]
+        err = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert err["command"] == "auction" and "exceeds 1000000 prices" in err["error"]
 
 
 class TestLossfn:

@@ -171,8 +171,6 @@ class TestExactNorm:
     def test_errors(self):
         with pytest.raises(ValueError):
             subordinate_norm_exact(np.eye(2), 3)
-        with pytest.raises(ValueError):
-            subordinate_norm_exact(np.eye(2), 2, target_q=2)
         with pytest.raises(ValueError) as err:
             subordinate_norm_exact(np.eye(30), 2)
         assert "sampled" in str(err.value)

@@ -22,7 +22,7 @@ from softmech.mechanisms import (
     worst_case_support_ok,
 )
 from softmech.simplex import as_values, check_distribution, finalize_distribution, finalize_rows
-from softmech.smmatrix import build_softmax_matrix, uniform_prefix
+from softmech.smmatrix import build_softmax_matrix
 
 
 def plsoftmax_reference(x, delta, order=None):
@@ -36,7 +36,8 @@ def plsoftmax_reference(x, delta, order=None):
     xs = P @ x
     k = int(np.count_nonzero(xs[0] - xs <= delta))
     smf = build_softmax_matrix(k, d).to_float()
-    return P.T @ (smf @ xs / delta + uniform_prefix(k, d))
+    uniform_prefix = np.where(np.arange(d) < k, 1.0 / k, 0.0)
+    return P.T @ (smf @ xs / delta + uniform_prefix)
 
 
 class TestExamples:

@@ -1,6 +1,5 @@
 """Smoothness lab: estimator behavior, bounds, and witness floors."""
 
-import json
 import tracemalloc
 
 import numpy as np
@@ -83,9 +82,10 @@ class TestEstimator:
         mech = MechanismSpec("pow", 2.0)
         a = empirical_lipschitz(mech, 6, "log-l2", "l1", 400, 9)
         b = empirical_lipschitz(mech, 6, "log-l2", "l1", 400, 9)
-        assert a.max_ratio == b.max_ratio
+        for field in ("mechanism", "domain_metric", "range_metric", "trials", "skipped", "max_ratio"):
+            assert getattr(a, field) == getattr(b, field)
         assert np.array_equal(a.witness_x, b.witness_x)
-        assert a.to_json() == b.to_json()
+        assert np.array_equal(a.witness_y, b.witness_y)
 
     def test_infinite_range_distance_recorded(self):
         mech = MechanismSpec("plsoftmax", 0.5)
@@ -94,12 +94,6 @@ class TestEstimator:
         p = mech(est.witness_x)
         q = mech(est.witness_y)
         assert renyi_divergence(p, q, 1.0) == INF
-
-    def test_json_serializable(self):
-        est = empirical_lipschitz(MechanismSpec("exp", 1.0), 4, "l2", "l1", 100, 0)
-        payload = json.loads(est.to_json())
-        assert payload["domain_metric"] == "l2"
-        assert len(payload["witness_x"]) == 4
 
 
 # The lab's pair families one trial at a time, as the lab drew them before
@@ -489,11 +483,6 @@ class TestMultiplicativeProbe:
     def test_logplsoftmax_same_growth(self):
         points = multiplicative_lb_probe(MechanismSpec("logplsoftmax", 1.0), 4, [1.0, 0.1])
         assert np.isclose(points[1][1] / points[0][1], 10.0, rtol=1e-9)
-
-    def test_shift_mode_constant_for_translation_invariant(self):
-        points = multiplicative_lb_probe(MechanismSpec("plsoftmax", 1.0), 4, [0.0, 5.0, 50.0], mode="shift")
-        ratios = [r for _, r in points]
-        assert np.allclose(ratios, ratios[0], rtol=1e-9)
 
     def test_scale_mode_rejects_translation_invariant(self):
         with pytest.raises(ValueError):

@@ -16,51 +16,28 @@ repository is written; a failing criterion stops the command.
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
 import tempfile
 import xml.etree.ElementTree as ET
-from importlib.metadata import version
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from ab_harness import ROOT, alternate, machine, resolve, trees, write_json
+
 SUITE = "tests/test_acceptance.py"
 PARTS = ("src", "tests")
 
 
-def git(*args: str, env=None, stdin: bytes | None = None) -> str:
-    proc = subprocess.run(["git", "-C", ROOT, *args], check=True, capture_output=True, env=env, input=stdin)
-    return proc.stdout.decode().strip()
-
-
-def tree_ids(rev: str | None) -> dict:
-    """Git tree ids of src/ and tests/ at rev, or in the working tree (rev
-    None), found through a temporary index so the real one is untouched."""
-    if rev is None:
-        with tempfile.TemporaryDirectory() as tmp:
-            env = {**os.environ, "GIT_INDEX_FILE": os.path.join(tmp, "index")}
-            git("read-tree", "HEAD", env=env)
-            git("add", "-A", "--", *PARTS, env=env)
-            rev = git("write-tree", env=env)
-    return {f"{part}_tree": git("rev-parse", f"{rev}:{part}") for part in PARTS}
-
-
-def export(rev: str, dest: str) -> None:
-    archive = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", rev],
-                             check=True, capture_output=True).stdout
-    subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
-
-
-def run_suite(tree: str, report: str) -> dict[str, float]:
+def run_suite(tree: str) -> dict[str, float]:
     env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src")}
-    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", SUITE, f"--junitxml={report}"]
-    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise SystemExit(f"acceptance suite failed in {tree}:\n{proc.stdout[-4000:]}{proc.stderr[-2000:]}")
-    return {case.get("name"): float(case.get("time")) for case in ET.parse(report).getroot().iter("testcase")}
+    with tempfile.TemporaryDirectory() as tmp:
+        report = os.path.join(tmp, "report.xml")
+        cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", SUITE, f"--junitxml={report}"]
+        proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise SystemExit(f"acceptance suite failed in {tree}:\n{proc.stdout[-4000:]}{proc.stderr[-2000:]}")
+        return {case.get("name"): float(case.get("time")) for case in ET.parse(report).getroot().iter("testcase")}
 
 
 def summary(values: list[float]) -> dict:
@@ -76,16 +53,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
-    before = git("rev-parse", "--verify", f"{args.before}^{{commit}}")
-    times = {"before": [], "after": []}
-    with tempfile.TemporaryDirectory() as tmp:
-        trees = {"before": os.path.join(tmp, "before"), "after": ROOT}
-        os.mkdir(trees["before"])
-        export(before, trees["before"])
-        for i in range(args.repeats):
-            for side in ("before", "after") if i % 2 == 0 else ("after", "before"):
-                times[side].append(run_suite(trees[side], os.path.join(tmp, "report.xml")))
-                print(f"run {i + 1}/{args.repeats} {side}: {sum(times[side][-1].values()):.1f} s", flush=True)
+    before = resolve(args.before)
+    times = alternate(before, args.repeats, run_suite, lambda run: f"{sum(run.values()):.1f} s")
     criteria = {}
     for name in sorted(times["after"][0]):
         row = {side: summary([run[name] for run in times[side]]) for side in times if name in times[side][0]}
@@ -97,15 +66,11 @@ def main(argv=None) -> int:
         "what": "wall time of each acceptance criterion (pytest call time from its JUnit XML report), "
                 f"{args.repeats} alternating runs of {SUITE} per tree, one process at a time",
         "command": f"python tools/acceptance_times.py --before {before} --repeats {args.repeats}",
-        "before": {"commit": before, **tree_ids(before)},
-        "after": {"working_tree_on": git("rev-parse", "HEAD"), **tree_ids(None)},
-        "machine": {"cpu_count": os.cpu_count(), "platform": platform.platform(),
-                    "python": platform.python_version(), "numpy": version("numpy"), "pytest": version("pytest")},
+        **trees(before, PARTS),
+        "machine": machine("numpy", "pytest"),
         "criteria": criteria,
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    write_json(args.out, payload)
     return 0
 
 

@@ -25,44 +25,19 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
-import tempfile
 import time
-from importlib.metadata import version
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from ab_harness import ROOT, alternate, machine, resolve, trees, write_json
+
 KINDS = (("exp", 1.0), ("pow", 2.0), ("plsoftmax", 1.0), ("logplsoftmax", 0.5), ("sparsemax", None))
 DIMS = (4, 16, 64, 1024)
 POOL = 32  # input rows per d and domain, drawn from a fixed seed
 BATCH = 256  # rows per block in the rows-per-second figure
 ROUNDS = 25  # timed rounds per figure in one run; the best one counts
 ROUND_S = 0.004  # least time one round runs for
-
-
-def git(*args: str, env=None) -> str:
-    proc = subprocess.run(["git", "-C", ROOT, *args], check=True, capture_output=True, env=env)
-    return proc.stdout.decode().strip()
-
-
-def src_tree(rev: str | None) -> str:
-    """Git tree id of src/ at rev, or in the working tree (rev None), found
-    through a temporary index so the real one is untouched."""
-    if rev is None:
-        with tempfile.TemporaryDirectory() as tmp:
-            env = {**os.environ, "GIT_INDEX_FILE": os.path.join(tmp, "index")}
-            git("read-tree", "HEAD", env=env)
-            git("add", "-A", "--", "src", env=env)
-            rev = git("write-tree", env=env)
-    return git("rev-parse", f"{rev}:src")
-
-
-def export(rev: str, dest: str) -> None:
-    archive = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", rev, "src"],
-                             check=True, capture_output=True).stdout
-    subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
 
 
 def seconds_per_call(fn, items) -> float:
@@ -137,16 +112,9 @@ def main(argv=None) -> int:
         parser.error("--before is required")
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
-    before = git("rev-parse", "--verify", f"{args.before}^{{commit}}")
-    runs = {"before": [], "after": []}
-    with tempfile.TemporaryDirectory() as tmp:
-        trees = {"before": tmp, "after": ROOT}
-        export(before, tmp)
-        for i in range(args.repeats):
-            for side in ("before", "after") if i % 2 == 0 else ("after", "before"):
-                runs[side].append(run_child(trees[side]))
-                print(f"run {i + 1}/{args.repeats} {side}: plsoftmax at d = 4 "
-                      f"{runs[side][-1]['plsoftmax.d4.call_us']:.1f} us per call", flush=True)
+    before = resolve(args.before)
+    runs = alternate(before, args.repeats, run_child,
+                     lambda run: f"plsoftmax at d = 4 {run['plsoftmax.d4.call_us']:.1f} us per call", ("src",))
     figures = {}
     for name in runs["after"][0]:
         row = {side: summary([run[name] for run in runs[side]], name.endswith("rows_per_s")) for side in runs}
@@ -159,15 +127,11 @@ def main(argv=None) -> int:
                 f"over {args.repeats} alternating runs per tree, one process at a time; after_over_before "
                 "compares the best runs",
         "command": f"python tools/selector_times.py --before {before} --repeats {args.repeats}",
-        "before": {"commit": before, "src_tree": src_tree(before)},
-        "after": {"working_tree_on": git("rev-parse", "HEAD"), "src_tree": src_tree(None)},
-        "machine": {"cpu_count": os.cpu_count(), "platform": platform.platform(),
-                    "python": platform.python_version(), "numpy": version("numpy")},
+        **trees(before, ("src",)),
+        "machine": machine("numpy"),
         "figures": figures,
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    write_json(args.out, payload)
     return 0
 
 
