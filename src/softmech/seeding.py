@@ -17,6 +17,19 @@ through a minimal ``ISeedSequence``, so the generators' states and draws are
 numpy's.  Seeds and keys outside the port (not a non-negative integer, or a
 key of 2**32 or more) take numpy's own path, and so get numpy's values or
 numpy's error.
+
+``sorted_choices`` is the second port: it replays numpy's
+``Generator.choice(P, s, replace=False)`` on a PCG64 generator from raw
+words.  For P <= 10**4 numpy draws each set with Floyd's algorithm, one
+Lemire-bounded 32-bit draw in [0, j] for j = P - s, ..., P - 1 (a step whose
+draw is already taken takes j instead), then shuffles it with s - 1 more
+draws of bounds s, s - 1, ..., 2.  A 32-bit draw is the low half of a PCG64
+word, then its high half; a bound of 1 takes no half, and a rejected half
+(Lemire's ``(u * n) mod 2**32 < (2**32 - n) mod n``) passes the draw on to
+the next one.  The port makes these draws from ``random_raw`` blocks and
+resolves the Floyd steps of many sets with one sort, so the sets, and
+the generator state it leaves, are numpy's; instances built from it depend
+only on PCG64's raw stream, not on how numpy implements ``choice``.
 """
 
 from __future__ import annotations
@@ -30,6 +43,8 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # mix_entropy's hash constants
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state's hash constants
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _KEY_BLOCK = 1024  # spawn keys hashed together: vector speed, bounded memory at any n
+_FLOYD_POPULATION = 10**4  # numpy's choice without replacement runs Floyd's algorithm for any size up to here
+_DRAW_BLOCK = 2**13  # bounded draws replayed together (plus one set's): vector speed, bounded memory
 
 
 def spawn_rng(master_seed: int, *counters: int) -> np.random.Generator:
@@ -136,3 +151,105 @@ def _pcg64_seed_words(pool: list[np.ndarray]) -> np.ndarray:
         state.append(word ^ word >> 16)
     # numpy reads the uint32 words in little-endian pairs
     return np.stack(state, axis=1).astype("<u4").view("<u8").astype(np.uint64)
+
+
+def sorted_choices(rng: np.random.Generator, population: int, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """Flat ids and lengths of ``sorted(rng.choice(population, s, replace=False))`` for s in ``sizes``.
+
+    The sets are drawn in turn from one PCG64 generator, as that loop draws
+    them, and the generator is left where the loop leaves it.  Up to
+    _FLOYD_POPULATION the draws are replayed from raw words, about
+    _DRAW_BLOCK draws at a time with any unused 32-bit half carried over;
+    above it the loop itself runs.
+    """
+    sizes = np.array(sizes, dtype=np.intp)
+    if sizes.size and not (1 <= sizes.min() and sizes.max() <= population):
+        raise ValueError(f"set sizes must lie in [1, {population}]")
+    if population > _FLOYD_POPULATION:
+        sets = [np.sort(rng.choice(population, size=s, replace=False)) for s in sizes.tolist()]
+        return np.concatenate(sets or [np.empty(0, np.intp)]).astype(np.intp, copy=False), sizes
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    half = state["uinteger"] if state["has_uint32"] else None
+    draws = 2 * sizes - 1  # s Floyd steps, s - 1 shuffle swaps
+    block = (np.cumsum(draws) - draws) // _DRAW_BLOCK  # the block a set starts in
+    cuts = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), sizes.size]
+    ids = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        group, count = sizes[lo:hi], draws[lo:hi]
+        s = np.repeat(group, count)
+        k = np.arange(s.size) - np.repeat(np.cumsum(count) - count, count)  # draw k of its set
+        floyd = k < s  # bounds P - s + 1, ..., P, then the shuffle's s, s - 1, ..., 2
+        values, half = _bounded_draws(bitgen, np.where(floyd, population - s + 1 + k, 2 * s - k), half)
+        ids.append(_floyd_sets(population, group, values[floyd]))
+    state = bitgen.state
+    state["has_uint32"], state["uinteger"] = (0, 0) if half is None else (1, half)
+    bitgen.state = state
+    return np.concatenate(ids or [np.empty(0, np.intp)]), sizes
+
+
+def _bounded_draws(bitgen, bounds: np.ndarray, half):
+    """Lemire-bounded draws in [0, n) for n in ``bounds`` (each below 2**32), in turn.
+
+    numpy's ``random_bounded_uint64(0, n - 1)`` on PCG64's 32-bit stream:
+    ``half`` is a 32-bit value left over from an earlier word, or None.  A
+    bound of 1 gives 0 and takes no half.  Returns the draws and the half
+    left over.
+    """
+    bounds = np.asarray(bounds, dtype=np.uint64)
+    live = np.flatnonzero(bounds > 1)
+    n = bounds[live]
+    halves = np.array([] if half is None else [half], dtype=np.uint64)
+    products = np.empty(n.size, dtype=np.uint64)
+    done, rejected = 0, 0  # draws settled; halves rejected so far
+    while done < n.size:
+        short = n.size + rejected - halves.size
+        if short > 0:
+            words = bitgen.random_raw(-(-short // 2)).astype("<u8")
+            halves = np.concatenate((halves, words.view("<u4").astype(np.uint64)))
+        m = halves[done + rejected:n.size + rejected] * n[done:]
+        low = m & np.uint64(_MASK32)
+        near = np.flatnonzero(low < n[done:])  # the rejection threshold (2**32 - n) % n is below n
+        bound = n[done:][near]
+        rejects = near[low[near] < (np.uint64(2**32) - bound) % bound]
+        if not rejects.size:
+            products[done:] = m
+            break
+        first = int(rejects[0])
+        products[done:done + first] = m[:first]
+        done += first  # draw `done` passes its rejected half on to the next one
+        rejected += 1
+    values = np.zeros(bounds.size, dtype=np.intp)
+    values[live] = products >> np.uint64(32)
+    left = n.size + rejected
+    return values, int(halves[left]) if left < halves.size else None
+
+
+def _floyd_sets(population: int, sizes: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """The sorted sets Floyd's algorithm makes from each set's step draws, flat.
+
+    Step t of a set of size s has j = population - s + t and draw v in
+    [0, j].  It collides when v equals an earlier draw of its set (found by
+    one sort of (set, v, step) keys) or the j of an earlier colliding step,
+    and then takes j instead of v; the second rule is applied until no
+    collision changes.
+    """
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    t = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    low = population - sizes[owner]  # j - t
+    shift = owner.size.bit_length()
+    ranked = np.sort((owner * population + draws) << shift | np.arange(owner.size))  # stable: ties by step
+    collided = np.empty(owner.size, dtype=bool)
+    collided[ranked & ((1 << shift) - 1)] = np.concatenate(([False], ranked[1:] >> shift == ranked[:-1] >> shift))
+    earlier = draws - low  # the step whose j equals the draw
+    steps = np.flatnonzero((earlier >= 0) & (earlier < t))
+    targets = steps - t[steps] + earlier[steps]
+    repeated = collided[steps]
+    while True:
+        now = repeated | collided[targets]
+        if np.array_equal(now, collided[steps]):
+            break
+        collided[steps] = now
+    key = owner * population + np.where(collided, low + t, draws)
+    key.sort()
+    return key - owner * population

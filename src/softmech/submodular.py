@@ -26,11 +26,12 @@ import numpy as np
 
 from .distances import renyi_divergence
 from .mechanisms import MechanismSpec
-from .seeding import spawn_rng
+from .seeding import sorted_choices, spawn_rng
 
 _NODE_CAP = 10**5
 _SIZE_EXPONENT = 0.8
 UNIVERSE_CAP = 2**24
+SET_CAP = 10**5  # sets in a synthetic instance
 
 
 def _check_universe(universe_size: int) -> None:
@@ -65,10 +66,21 @@ class CoverageInstance:
             e = next(e for e in flat if not 0 <= e < self.universe_size)
             raise ValueError(f"element id {e} outside universe [0, {self.universe_size})")
         ids = np.fromiter(map(operator.index, flat), dtype=np.intp, count=len(flat))
-        lengths = np.fromiter(map(len, self.sets), dtype=np.intp, count=len(self.sets))
+        self._build(ids, np.fromiter(map(len, self.sets), dtype=np.intp, count=len(self.sets)))
+
+    @classmethod
+    def _from_arrays(cls, universe_size: int, ids: np.ndarray, lengths: np.ndarray) -> CoverageInstance:
+        """The instance of the sets ``ids`` holds back to back, for ids known to be valid."""
+        inst = object.__new__(cls)
+        inst._assign(universe_size=universe_size, sets=_split(ids, lengths))
+        inst._build(ids, lengths)
+        return inst
+
+    def _build(self, ids: np.ndarray, lengths: np.ndarray) -> None:
+        """Set the arrays of the family whose sets ``ids`` holds back to back."""
         elements, cols = np.unique(ids, return_inverse=True)
-        words = np.zeros((len(self.sets), -(-elements.size // 64)), dtype=np.uint64)
-        rows = np.repeat(np.arange(len(self.sets)), lengths)
+        words = np.zeros((lengths.size, -(-elements.size // 64)), dtype=np.uint64)
+        rows = np.repeat(np.arange(lengths.size), lengths)
         np.bitwise_or.at(words, (rows, cols >> 6), np.left_shift(np.uint64(1), (cols & 63).astype(np.uint64)))
         self._assign(elements=elements, words=words, _ids=ids, _lengths=lengths)
 
@@ -84,21 +96,34 @@ class CoverageInstance:
         return len(self.sets)
 
 
+def _split(ids: np.ndarray, lengths: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The sets that ``ids`` holds back to back, ``lengths`` ids each."""
+    flat = ids.tolist()
+    ends = np.cumsum(lengths).tolist()
+    return tuple([tuple(flat[a:b]) for a, b in zip([0, *ends], ends)])
+
+
 def make_instance(universe_size: int, sets) -> CoverageInstance:
     return CoverageInstance(universe_size, tuple(tuple(map(int, s)) for s in sets))
 
 
 def synthetic_coverage_instance(num_sets: int, universe_size: int, rng_seed: int) -> CoverageInstance:
     """Random instance with power-law set sizes: the rank-i set has about
-    (universe/3) * (i+1)**-_SIZE_EXPONENT elements drawn without replacement."""
-    _check_universe(universe_size)
-    rng = spawn_rng(rng_seed, 0)
+    (universe/3) * (i+1)**-_SIZE_EXPONENT elements drawn without replacement.
+
+    Set i is ``sorted(rng.choice(universe_size, size_i, replace=False))``,
+    the sets drawn in turn from ``spawn_rng(rng_seed, 0)``; ``sorted_choices``
+    replays those draws from the generator's raw words.  Needs 2 <= num_sets
+    <= SET_CAP and 2 <= universe_size <= UNIVERSE_CAP, checked before any draw.
+    """
+    if not 2 <= num_sets <= SET_CAP:
+        raise ValueError(f"num_sets {num_sets} outside [2, {SET_CAP}]")
+    if not 2 <= universe_size <= UNIVERSE_CAP:
+        raise ValueError(f"universe_size {universe_size} outside [2, {UNIVERSE_CAP}]")
     top = max(2, universe_size // 3)
-    sets = []
-    for i in range(num_sets):
-        size = max(1, int(round(top * (i + 1) ** (-_SIZE_EXPONENT))))
-        sets.append(tuple(sorted(rng.choice(universe_size, size=size, replace=False).tolist())))
-    return CoverageInstance(universe_size, tuple(sets))
+    sizes = [max(1, int(round(top * (i + 1) ** (-_SIZE_EXPONENT)))) for i in range(num_sets)]
+    ids, lengths = sorted_choices(spawn_rng(rng_seed, 0), universe_size, sizes)
+    return CoverageInstance._from_arrays(universe_size, ids, lengths)
 
 
 def load_set_family(path) -> CoverageInstance:
@@ -429,13 +454,11 @@ def drop_elements(inst: CoverageInstance, drop_prob: float, rng: np.random.Gener
     ids = inst._ids[kept]
     ends = np.concatenate(([0], np.cumsum(kept)))[np.cumsum(inst._lengths)]
     lengths = np.diff(ends, prepend=0)
-    flat = ids.tolist()
-    sets = tuple([tuple(flat[a:b]) for a, b in zip((ends - lengths).tolist(), ends.tolist())])
     keep_bits = np.zeros(inst.words.shape[1] * 64, dtype=bool)
     keep_bits[:inst.elements.size] = keep[inst.elements]
     keep_words = np.packbits(keep_bits, bitorder="little").view("<u8").astype(np.uint64, copy=False)
     thinned = object.__new__(CoverageInstance)  # already valid: skip the build
-    thinned._assign(universe_size=inst.universe_size, sets=sets, elements=inst.elements,
+    thinned._assign(universe_size=inst.universe_size, sets=_split(ids, lengths), elements=inst.elements,
                     words=inst.words & keep_words, _ids=ids, _lengths=lengths)
     return thinned
 

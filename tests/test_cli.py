@@ -219,6 +219,19 @@ class TestSubmodular:
         err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert err["command"] == "submodular" and f"universe_size {big + 1}" in err["error"]
 
+    @pytest.mark.parametrize("option, value, needle", [
+        ("--num-sets", "1000000000", "num_sets 1000000000 outside [2, 100000]"),
+        ("--universe", "1", "universe_size 1 outside [2, "),
+    ])
+    def test_synthetic_instance_out_of_range_exits_2(self, tmp_path, capsys, option, value, needle):
+        out = tmp_path / "frontier.csv"
+        code = main(["submodular", option, value, "--mechs", "exp:lambda=1", "--seeds", "0", "--out", str(out)])
+        assert code == 2 and not out.exists()
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["command"] == "submodular" and needle in err["error"]
+
 
 class TestAuction:
     def test_audit_and_checks(self, tmp_path):

@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from softmech import submodular
+from softmech import seeding, submodular
 from softmech.distances import renyi_divergence
 from softmech.mechanisms import MechanismSpec
 from softmech.seeding import spawn_rng
@@ -186,6 +186,78 @@ class TestUniverseCap:
         fam.write_text(f"0 1\n{10**30}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=f"universe_size {10**30 + 1} outside"):
             load_set_family(str(fam))
+
+
+def per_set_choice_instance(num_sets, universe_size, rng_seed):
+    """The former loop, one numpy ``choice`` per set: the oracle of the raw-word replay."""
+    rng = spawn_rng(rng_seed, 0)
+    top = max(2, universe_size // 3)
+    sets = []
+    for i in range(num_sets):
+        size = max(1, int(round(top * (i + 1) ** (-submodular._SIZE_EXPONENT))))
+        sets.append(tuple(sorted(rng.choice(universe_size, size=size, replace=False).tolist())))
+    return CoverageInstance(universe_size, tuple(sets))
+
+
+def assert_same_instance(got, ref, note=""):
+    assert got.universe_size == ref.universe_size and got.sets == ref.sets, note
+    for name in ("words", "elements", "_ids", "_lengths"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), (name, note)
+        assert not a.flags.writeable, (name, note)
+
+
+class TestSyntheticMatchesPerSetChoice:
+    def test_benchmark_shape(self):
+        # seeds 82, 429, 453 and 504 each hit one Lemire rejection at this shape
+        for seed in [*range(200), 429, 453, 504]:
+            assert_same_instance(synthetic_coverage_instance(300, 2000, seed),
+                                 per_set_choice_instance(300, 2000, seed), seed)
+
+    @pytest.mark.parametrize("universe", [2, 3, 7, 50])
+    def test_small_universes(self, universe):
+        for num_sets in (2, 5, 40):
+            for seed in range(5):
+                assert_same_instance(synthetic_coverage_instance(num_sets, universe, seed),
+                                     per_set_choice_instance(num_sets, universe, seed), (num_sets, seed))
+
+    @pytest.mark.parametrize("universe", [10**4, 10**4 + 1])
+    def test_either_side_of_numpys_floyd_limit(self, universe):
+        for seed in range(2):
+            assert_same_instance(synthetic_coverage_instance(12, universe, seed),
+                                 per_set_choice_instance(12, universe, seed), seed)
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 1000])
+    def test_runs_longer_than_one_block(self, monkeypatch, block):
+        monkeypatch.setattr(seeding, "_DRAW_BLOCK", block)
+        for seed in (0, 82):
+            assert_same_instance(synthetic_coverage_instance(60, 300, seed),
+                                 per_set_choice_instance(60, 300, seed), seed)
+
+    def test_benchmark_shape_spans_blocks(self):
+        top = 2000 // 3
+        draws = sum(2 * max(1, int(round(top * (i + 1) ** -submodular._SIZE_EXPONENT))) - 1 for i in range(300))
+        assert draws > 1.5 * seeding._DRAW_BLOCK
+
+    @pytest.mark.parametrize("num_sets, universe, needle", [
+        (1, 50, "num_sets 1 outside [2, 100000]"),
+        (submodular.SET_CAP + 1, 50, f"num_sets {submodular.SET_CAP + 1} outside"),
+        (10**9, 50, f"num_sets {10**9} outside"),
+        (5, 1, "universe_size 1 outside [2, "),
+        (5, 0, "universe_size 0 outside"),
+    ])
+    def test_refused_before_any_draw(self, monkeypatch, num_sets, universe, needle):
+        def no_draws(*args):
+            raise AssertionError("drew before checking the arguments")
+
+        monkeypatch.setattr(submodular, "spawn_rng", no_draws)
+        with pytest.raises(ValueError) as exc:
+            synthetic_coverage_instance(num_sets, universe, 0)
+        assert needle in str(exc.value)
+
+    def test_set_cap_is_inclusive(self):
+        inst = synthetic_coverage_instance(submodular.SET_CAP, 2, 0)
+        assert inst.num_sets == submodular.SET_CAP
 
 
 class TestGreedy:
