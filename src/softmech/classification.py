@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .mechanisms import _check_param, _piece_apply, _piece_apply_transpose, plsoftmax
-from .seeding import spawn_rngs
+from .seeding import trial_draws
 from .simplex import as_value_rows, as_values, check_distribution
 
 # Trials of the convexity probe evaluated per row-form loss call (three
@@ -204,12 +204,13 @@ def convexity_probe(q, delta: float, trials: int, rng_seed: int, loss=None) -> f
 
     Draws random (x1, x2, t) triples and measures
     loss(t x1 + (1-t) x2) - t loss(x1) - (1-t) loss(x2); for a convex loss
-    the max stays at numerical-noise level.  Trial i draws from the
-    generator of spawn_rng(rng_seed, i); the generators come from
-    spawn_rngs, and the triples are drawn into rows _PROBE_BLOCK trials at a
-    time.  The built-in loss is evaluated by the row form, one call per
-    block; a custom ``loss(x)`` callable is called point by point over the
-    block's rows, e.g. to confirm the probe flags a concave double.
+    the max stays at numerical-noise level.  Trial i draws x1 and x2 from
+    ``normal(0.0, sd, size=d)`` and then t from ``random()`` on the
+    generator of spawn_rng(rng_seed, i); ``seeding.trial_draws`` replays
+    these draws into rows _PROBE_BLOCK trials at a time.  The built-in loss
+    is evaluated by the row form, one call per block; a custom ``loss(x)``
+    callable is called point by point over the block's rows, e.g. to confirm
+    the probe flags a concave double.
     """
     qq = check_distribution(q)
     _check_param(delta, "delta")
@@ -219,11 +220,8 @@ def convexity_probe(q, delta: float, trials: int, rng_seed: int, loss=None) -> f
     worst = -np.inf
     for start in range(0, trials, _PROBE_BLOCK):
         n = min(_PROBE_BLOCK, trials - start)
-        x1, x2, t = np.empty((n, d)), np.empty((n, d)), np.empty(n)
-        for j, rng in enumerate(spawn_rngs(rng_seed, start, n)):
-            x1[j] = rng.normal(0.0, sd, size=d)
-            x2[j] = rng.normal(0.0, sd, size=d)
-            t[j] = rng.random()
+        z, _, t = trial_draws(rng_seed, start, np.full(n, sd), np.full(n, 2 * d), np.empty((n, 0)))
+        x1, x2 = z[:, :d], z[:, d:]
         mid = t[:, None] * x1 + (1 - t[:, None]) * x2
         if loss is None:
             l_mid, l1, l2 = np.split(_loss_rows(np.concatenate([mid, x1, x2]), qq, delta), 3)

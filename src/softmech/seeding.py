@@ -30,6 +30,20 @@ the next one.  The port makes these draws from ``random_raw`` blocks and
 resolves the Floyd steps of many sets with one sort, so the sets, and
 the generator state it leaves, are numpy's; instances built from it depend
 only on PCG64's raw stream, not on how numpy implements ``choice``.
+
+``trial_draws`` is the third port: the draws of a run of seeded trials, each
+on its own ``spawn_rng(s, i)``, that take normals and then bounded integers
+or one uniform.  The normals are still numpy's: its ziggurat tables ship only
+inside the compiled library, so each trial fills its row with one
+``standard_normal`` call, and the block is scaled once
+(``normal(0.0, s)`` is ``0.0 + s * z`` in numpy, which turns -0.0 into
++0.0).  The rest is replayed from one ``random_raw`` call per trial.  A
+fresh generator holds no 32-bit half, and the normals take whole words, so
+the integer draws read the next words' halves, low half first, with the same
+Lemire rule as above, for the whole block at once; ``random()`` is the next
+word's top 53 bits times 2**-53.  Each trial fetches a spare half at least,
+so only a trial with two rejections (under 1e-14 per trial for bounds up
+to 200) can run out; it makes numpy's own calls instead.
 """
 
 from __future__ import annotations
@@ -45,6 +59,7 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _KEY_BLOCK = 1024  # spawn keys hashed together: vector speed, bounded memory at any n
 _FLOYD_POPULATION = 10**4  # numpy's choice without replacement runs Floyd's algorithm for any size up to here
 _DRAW_BLOCK = 2**13  # bounded draws replayed together (plus one set's): vector speed, bounded memory
+_DOUBLE_UNIT = 2.0**-53  # random() is the top 53 bits of a raw word times this
 
 
 def spawn_rng(master_seed: int, *counters: int) -> np.random.Generator:
@@ -253,3 +268,60 @@ def _floyd_sets(population: int, sizes: np.ndarray, draws: np.ndarray) -> np.nda
     key = owner * population + np.where(collided, low + t, draws)
     key.sort()
     return key - owner * population
+
+
+def trial_draws(master_seed: int, start: int, scales, widths, bounds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The draws of trials start .. start + n - 1, trial i on ``spawn_rng(master_seed, i)``.
+
+    Trial j draws ``normal(0.0, scales[j], size=widths[j])``, then
+    ``integers(b)`` for each b in row j of the (n, m) ``bounds``, in turn (a
+    bound of 1 gives 0 and draws nothing).  Returns the normals as
+    (n, max width) rows, zero past each trial's width; the integers as
+    (n, m); and the ``random()`` each trial would draw after its normals in
+    place of the integers.
+    """
+    scales, widths = np.asarray(scales, dtype=float), np.asarray(widths, dtype=np.intp)
+    bounds = np.asarray(bounds, dtype=np.int64)
+    if bounds.size and not (1 <= bounds.min() and bounds.max() <= 2**32):
+        raise ValueError(f"integer bounds must lie in [1, 2**32], got {bounds.min()} to {bounds.max()}")
+    n = widths.size
+    z = np.zeros((n, int(widths.max(initial=0))))
+    words = np.empty((n, bounds.shape[1] // 2 + 1), dtype=np.uint64)  # halves for every draw plus one rejection
+    for j, (width, rng) in enumerate(zip(widths.tolist(), spawn_rngs(master_seed, start, n))):
+        rng.standard_normal(out=z[j, :width])
+        words[j] = rng.bit_generator.random_raw(words.shape[1])
+    # the padding is left alone: 0 * inf would warn
+    np.multiply(z, scales[:, None], out=z, where=np.arange(z.shape[1]) < widths[:, None])
+    z += 0.0
+    picks, short = _row_draws(words, bounds)
+    for j in np.flatnonzero(short).tolist():
+        rng = spawn_rng(master_seed, start + j)
+        rng.standard_normal(widths[j])
+        picks[j] = [rng.integers(b) for b in bounds[j].tolist()]
+    return z, picks, (words[:, 0] >> np.uint64(11)) * _DOUBLE_UNIT
+
+
+def _row_draws(words: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lemire-bounded draws in [0, b) for each b in a row of ``bounds``, from that row's raw words.
+
+    Row j's 32-bit stream is the halves of ``words[j]``, low half first; a
+    bound of 1 gives 0 and takes no half, and a rejected half passes the
+    draw on to the next one, as in ``_bounded_draws``.  Returns the draws
+    and the rows that ran out of halves, whose draws are not set.
+    """
+    halves = words.astype("<u8").view("<u4").astype(np.uint64)
+    values = np.zeros(bounds.shape, dtype=np.intp)
+    at = np.zeros(len(bounds), dtype=np.intp)  # each row's next unused half
+    short = np.zeros(len(bounds), dtype=bool)
+    for c in range(bounds.shape[1]):
+        rows = np.flatnonzero(bounds[:, c] > 1)
+        while rows.size:
+            out = at[rows] == halves.shape[1]
+            short[rows[out]] = True
+            rows = rows[~out]
+            n = bounds[rows, c].astype(np.uint64)
+            m = halves[rows, at[rows]] * n
+            at[rows] += 1
+            values[rows, c] = m >> np.uint64(32)
+            rows = rows[m & np.uint64(_MASK32) < (np.uint64(2**32) - n) % n]
+    return values, short

@@ -22,7 +22,7 @@ import numpy as np
 
 from .distances import lp_distance, metric_from_id, parse_metric_id
 from .mechanisms import MECHANISM_KINDS, MechanismSpec
-from .seeding import spawn_rngs
+from .seeding import trial_draws
 from .smmatrix import harmonic
 
 _PERTURB_STEPS = (1e-2, 1e-4, 1e-6)
@@ -53,48 +53,51 @@ class LipschitzEstimate:
 def _pair_rows(mech: MechanismSpec, d: int, rng_seed: int, start: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Trials start .. start + n - 1 as (n, d) rows x and y.
 
-    Trial i draws from the generator of spawn_rng(rng_seed, i), here from
-    spawn_rngs, and cycles three families, three scales and three steps:
-    an independent random pair; a single-coordinate perturbation; and a pair
-    with gap 1e-6 in the sup norm straddling a selector seam.  For the
-    worst-case kinds of the table the straddle crosses the active-count
-    boundary (the coordinate of a drawn rank placed just inside/outside
-    max - delta); otherwise it crosses an order-change boundary (two drawn
-    coordinates swapping rank).  Each trial makes its generator calls in
-    turn; the steps and seams are placed, and positive-domain rows
-    exponentiated, for the whole block at once.
+    Trial i draws from the generator of spawn_rng(rng_seed, i) and cycles
+    three families, three scales and three steps: an independent random
+    pair; a single-coordinate perturbation; and a pair with gap 1e-6 in the
+    sup norm straddling a selector seam.  For the worst-case kinds of the
+    table the straddle crosses the active-count boundary (the coordinate of a
+    drawn rank placed just inside/outside max - delta); otherwise it crosses
+    an order-change boundary (two drawn coordinates swapping rank).  A trial
+    draws ``normal(0.0, scale, size=d)`` (twice for a random pair), then
+    ``integers(d)``, ``integers(1, d)`` or ``choice(d, 2, replace=False)``;
+    ``seeding.trial_draws`` replays these draws for the whole block, and the
+    steps and seams are placed, and positive-domain rows exponentiated, for
+    the whole block at once.
     """
     kind = MECHANISM_KINDS.get(mech.kind)  # None for a mechanism outside the table
     delta = mech.param if kind and kind.worst_case else None  # seam at max - delta
     base_scale = delta if delta is not None else 1.0 / mech.param if kind and kind.param else 1.0
-    x, y = np.empty((n, d)), np.empty((n, d))
-    picks = np.zeros((n, 2), dtype=np.intp)  # the coordinates (or rank) each trial draws
+    rank = delta is not None and d >= 2  # the seam pair draws a rank, else two coordinates
     trial = np.arange(start, start + n)
-    for j, (i, rng) in enumerate(zip(trial.tolist(), spawn_rngs(rng_seed, start, n))):
-        scale = base_scale * (0.5, 1.0, 2.0)[(i // 3) % 3]
-        x[j] = rng.normal(0.0, scale, size=d)
-        if i % 3 == 0:
-            y[j] = rng.normal(0.0, scale, size=d)
-        elif i % 3 == 1:
-            picks[j, 0] = rng.integers(d)
-        elif delta is not None and d >= 2:
-            picks[j, 0] = rng.integers(1, d)
-        else:
-            picks[j] = rng.choice(d, size=2, replace=False)
-    y[trial % 3 != 0] = x[trial % 3 != 0]
+    family = trial % 3
+    bounds = np.ones((n, 3), dtype=np.int64)
+    bounds[family == 1, 0] = d
+    # integers(1, d) is 1 plus a draw below d - 1; choice(d, 2, replace=False)
+    # is a Floyd step (a below d - 1, then b below d, b == a taking d - 1) and
+    # a swap draw below 2.  At d = 1 its bound d - 1 = 0 raises ValueError.
+    bounds[family == 2] = (d - 1, 1, 1) if rank else (d - 1, d, 2)
+    scale = base_scale * np.array((0.5, 1.0, 2.0))[(trial // 3) % 3]
+    pair = family == 0
+    z, picks, _ = trial_draws(rng_seed, start, scale, np.where(pair, 2 * d, d), bounds)
+    x = z[:, :d].copy()
+    y = np.where(pair[:, None], z[:, z.shape[1] - d:], x)  # a random pair's y is its second d normals
 
-    rows = np.flatnonzero(trial % 3 == 1)
+    rows = np.flatnonzero(family == 1)
     y[rows, picks[rows, 0]] += np.array(_PERTURB_STEPS)[(trial[rows] // 3) % len(_PERTURB_STEPS)]
 
-    rows, h = np.flatnonzero(trial % 3 == 2), _BOUNDARY_STEP
-    if delta is not None and d >= 2:
+    rows, h = np.flatnonzero(family == 2), _BOUNDARY_STEP
+    if rank:
         order = np.argsort(-x[rows], axis=1, kind="stable")
-        col = order[np.arange(rows.size), picks[rows, 0]]
+        col = order[np.arange(rows.size), 1 + picks[rows, 0]]
         edge = x[rows, order[:, 0]] - delta
         x[rows, col] = edge + h / 2
         y[rows, col] = edge - h / 2
     else:
-        p, q = picks[rows].T
+        a, b, swap = picks[rows].T
+        b = np.where(b == a, d - 1, b)
+        p, q = np.where(swap == 0, b, a), np.where(swap == 0, a, b)
         mid = (x[rows, p] + x[rows, q]) / 2
         x[rows, p], x[rows, q] = mid + h / 2, mid - h / 2
         y[rows, p], y[rows, q] = mid - h / 2, mid + h / 2

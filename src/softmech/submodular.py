@@ -32,6 +32,7 @@ _NODE_CAP = 10**5
 _SIZE_EXPONENT = 0.8
 UNIVERSE_CAP = 2**24
 SET_CAP = 10**5  # sets in a synthetic instance
+ID_CAP = 10**7  # ids in a synthetic instance, summed over its sets
 
 
 def _check_universe(universe_size: int) -> None:
@@ -114,7 +115,8 @@ def synthetic_coverage_instance(num_sets: int, universe_size: int, rng_seed: int
     Set i is ``sorted(rng.choice(universe_size, size_i, replace=False))``,
     the sets drawn in turn from ``spawn_rng(rng_seed, 0)``; ``sorted_choices``
     replays those draws from the generator's raw words.  Needs 2 <= num_sets
-    <= SET_CAP and 2 <= universe_size <= UNIVERSE_CAP, checked before any draw.
+    <= SET_CAP, 2 <= universe_size <= UNIVERSE_CAP and at most ID_CAP ids in
+    all, checked before any draw.
     """
     if not 2 <= num_sets <= SET_CAP:
         raise ValueError(f"num_sets {num_sets} outside [2, {SET_CAP}]")
@@ -122,6 +124,9 @@ def synthetic_coverage_instance(num_sets: int, universe_size: int, rng_seed: int
         raise ValueError(f"universe_size {universe_size} outside [2, {UNIVERSE_CAP}]")
     top = max(2, universe_size // 3)
     sizes = [max(1, int(round(top * (i + 1) ** (-_SIZE_EXPONENT)))) for i in range(num_sets)]
+    if sum(sizes) > ID_CAP:
+        raise ValueError(f"num_sets {num_sets} and universe_size {universe_size} give {sum(sizes)} ids, "
+                         f"above {ID_CAP}")
     ids, lengths = sorted_choices(spawn_rng(rng_seed, 0), universe_size, sizes)
     return CoverageInstance._from_arrays(universe_size, ids, lengths)
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from softmech import cli, smoothness
+from softmech import cli, smoothness, submodular
 from softmech.cli import main, parse_seeds, parse_vector, read_vector_file
 
 
@@ -231,6 +231,23 @@ class TestSubmodular:
         assert len(lines) == 1
         err = json.loads(lines[0])
         assert err["command"] == "submodular" and needle in err["error"]
+
+    @pytest.mark.parametrize("num_sets", ["100000", "4"])
+    def test_synthetic_instance_past_the_id_cap_exits_2(self, tmp_path, capsys, monkeypatch, num_sets):
+        # 254,803,981 ids at the two caps, 12,971,415 at 4 sets: refused from the size formula alone
+        def no_draws(*args):
+            raise AssertionError("drew an instance past the id cap")
+
+        monkeypatch.setattr(submodular, "spawn_rng", no_draws)
+        out = tmp_path / "frontier.csv"
+        code = main(["submodular", "--num-sets", num_sets, "--universe", str(2**24), "--mechs", "exp:lambda=1",
+                     "--seeds", "0", "--out", str(out)])
+        assert code == 2 and not out.exists()
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["command"] == "submodular"
+        assert f"num_sets {num_sets} and universe_size {2**24} give" in err["error"] and str(submodular.ID_CAP) in err["error"]
 
 
 class TestAuction:

@@ -1,8 +1,10 @@
-"""spawn_rngs against numpy's SeedSequence: states and draws, bit for bit.
+"""The seeding ports against numpy, bit for bit: spawn_rngs against
+SeedSequence, sorted_choices against choice, and trial_draws against the
+per-trial normal, integers and random calls.
 
-The block port reimplements SeedSequence's hash, so these tests pin numpy's
-algorithm: a numpy release that changed it would fail here instead of
-changing seeded outputs silently.
+The ports reimplement numpy's algorithms, so these tests pin them: a numpy
+release that changed one would fail here instead of changing seeded outputs
+silently.
 """
 
 import numpy as np
@@ -10,6 +12,8 @@ import pytest
 
 from softmech import seeding
 from softmech.seeding import spawn_rng, spawn_rngs
+from softmech.smoothness import empirical_lipschitz
+from test_smoothness import ORACLE_MECHS, per_pair_lipschitz
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**199 + 12345, np.int64(7)]
 
@@ -138,3 +142,100 @@ class TestBoundedDraws:
             first, half = seeding._bounded_draws(bitgen, bounds[:101], None)
             second, half = seeding._bounded_draws(bitgen, bounds[101:], half)
             assert first.tolist() + second.tolist() == expected
+
+
+def numpy_trials(seed, start, scales, widths, bounds):
+    """The per-trial numpy calls that ``trial_draws`` replays, padded as it pads."""
+    n = len(widths)
+    normals = np.zeros((n, max(widths, default=0)))
+    picks = np.zeros((n, len(bounds[0]) if n else 0), dtype=np.intp)
+    uniforms = np.empty(n)
+    for j in range(n):
+        rng, alt = spawn_rng(seed, start + j), spawn_rng(seed, start + j)
+        normals[j, :widths[j]] = rng.normal(0.0, scales[j], size=widths[j])
+        picks[j] = [rng.integers(b) for b in bounds[j]]
+        alt.normal(0.0, scales[j], size=widths[j])
+        uniforms[j] = alt.random()
+    return normals, picks, uniforms
+
+
+def assert_same_trials(seed, start, scales, widths, bounds):
+    got = seeding.trial_draws(seed, start, scales, widths, np.array(bounds, dtype=np.int64))
+    ref = numpy_trials(seed, start, scales, widths, bounds)
+    assert got[0].tobytes() == ref[0].tobytes()  # the sign of zero included
+    assert got[1].tolist() == ref[1].tolist()
+    assert got[2].tobytes() == ref[2].tobytes()
+
+
+class TestTrialDraws:
+    @pytest.mark.parametrize("n", [2, 3, 5, 3 * 2**30, 2**31 + 1, 2**32])
+    def test_integers_match_numpy(self, n):
+        # at 3 * 2**30 a quarter of the halves are rejected, at 2**31 + 1 nearly half,
+        # so many trials run out of the halves fetched and take numpy's calls
+        for seed, start in ((0, 0), (5, 7), (2**40 + 3, 256)):
+            rng = np.random.default_rng(seed)
+            widths = rng.integers(0, 9, size=40).tolist()
+            bounds = [[n, 1, n], [1, 1, 1], [n, n, 2]] * 13 + [[1, n, 1]]
+            assert_same_trials(seed, start, rng.uniform(0.5, 2.0, size=40).tolist(), widths, bounds)
+
+    def test_mixed_widths_and_bounds(self):
+        rng = np.random.default_rng(11)
+        for seed in range(6):
+            n = int(rng.integers(1, 60))
+            widths = rng.choice([0, 1, 2, 16, 32, 200], size=n).tolist()
+            bounds = rng.integers(1, [2**32, 4, 2, 2**31 + 2], size=(n, 4)).tolist()
+            assert_same_trials(seed, int(rng.integers(1000)), [0.5] * n, widths, bounds)
+
+    def test_no_integers_and_no_trials(self):
+        assert_same_trials(3, 9, [2.0, 0.25, 1.0], [4, 0, 7], [[], [], []])
+        normals, picks, uniforms = seeding.trial_draws(3, 9, [], [], np.empty((0, 2)))
+        assert normals.shape == (0, 0) and picks.shape == (0, 2) and uniforms.size == 0
+
+    def test_zero_scale_gives_positive_zeros(self):
+        # numpy's normal is 0.0 + scale * z, so -0.0 from 0 * z comes out +0.0
+        assert_same_trials(1, 0, [0.0, 0.0], [6, 6], [[2], [3]])
+
+    @pytest.mark.parametrize("bound", [0, -3, 2**32 + 1])
+    def test_bounds_outside_the_port_refused(self, bound):
+        with pytest.raises(ValueError, match="bounds"):
+            seeding.trial_draws(1, 0, [1.0, 1.0], [2, 2], [[2], [bound]])
+
+    def test_seeds_outside_the_port_get_numpy_error(self):
+        for seed in (-1, 1.5):
+            with pytest.raises(Exception) as numpy_error:
+                spawn_rng(seed, 0)
+            with pytest.raises(type(numpy_error.value)):
+                seeding.trial_draws(seed, 0, [1.0], [3], [[3]])
+
+
+class TestRowDraws:
+    def test_zero_low_half_is_rejected(self):
+        # low32(0 * 3) = 0 is below (2**32 - 3) % 3 = 1: the draw takes the high half
+        values, short = seeding._row_draws(np.array([[2**31 << 32]], dtype=np.uint64), np.array([[1, 3]]))
+        assert values.tolist() == [[0, 1]] and not short.any()  # (2**31 * 3) >> 32
+
+    def test_rows_run_out_of_halves(self):
+        words = np.array([[0], [2**31 << 32], [0]], dtype=np.uint64)
+        _, short = seeding._row_draws(words, np.array([[3], [3], [1]]))
+        assert short.tolist() == [True, False, False]
+        # the rejection passes the draw on to the next half, leaving none for a second draw
+        _, short = seeding._row_draws(words[1:2], np.array([[3, 2]]))
+        assert short.tolist() == [True]
+
+    def test_lab_falls_back_to_numpy_calls(self, monkeypatch):
+        row_draws = seeding._row_draws
+
+        def every_fifth_row_short(words, bounds):
+            values, short = row_draws(words, bounds)
+            short[::5] = True
+            values[::5] = -1  # numpy's calls must overwrite these
+            return values, short
+
+        monkeypatch.setattr(seeding, "_row_draws", every_fifth_row_short)
+        for mech in ORACLE_MECHS:
+            for d in (2, 5):
+                ref = per_pair_lipschitz(mech, d, "l2", "l1", 300, 17)
+                est = empirical_lipschitz(mech, d, "l2", "l1", 300, 17)
+                assert np.float64(est.max_ratio).tobytes() == np.float64(ref[0]).tobytes()
+                assert est.witness_x.tobytes() == ref[1].tobytes() and est.witness_y.tobytes() == ref[2].tobytes()
+                assert (est.trials, est.skipped) == ref[3:]
