@@ -7,6 +7,10 @@ forcing exactly the delta-close scores to carry probability), and a square
 part (squared distance between q and the linear selector piece indexed by
 q's own order and support).  The total is zero exactly when the selector
 applied to x returns q, and it is convex in x for fixed q.
+
+The parts have one body, ``_parts``, for one score vector and for (n, d)
+rows against one target: the 1-D losses validate once and read it, and the
+row form that the gradient and convexity probes use reads it on rows.
 """
 
 from __future__ import annotations
@@ -33,14 +37,45 @@ def _target_piece(q: np.ndarray) -> tuple[np.ndarray, int, int]:
     return order, k, min(k, q.size - 1)
 
 
-def _validated(x, q, delta: float | None = None):
-    xx = as_values(x)
+def _validated(x, q, delta: float | None = None, rows: bool = False):
+    xx = as_value_rows(x) if rows else as_values(x)
     qq = check_distribution(q)
-    if xx.shape != qq.shape:
+    if xx.shape[-1:] != qq.shape:
         raise ValueError("scores and target must share a dimension")
     if delta is not None:
         _check_param(delta, "delta")
     return xx, qq
+
+
+def _parts(x: np.ndarray, q: np.ndarray, delta: float, piece: tuple[np.ndarray, int, int]):
+    """The order, support and square parts of the loss at validated scores x,
+    one vector or (n, d) rows, against one validated target q whose
+    _target_piece is piece.  Their sum is the total loss.
+
+    Each row's parts equal the parts of that row alone bit for bit: every
+    reduction runs on a C-contiguous row, as on one vector (a fancy-indexed
+    column selection is not C-contiguous, and numpy sums such rows in
+    another order), and the square part is a stack of r @ r row products,
+    which numpy computes with the 1-D dot product (einsum rounds
+    differently).
+    """
+    order, k, last = piece
+    xs = np.ascontiguousarray(x[..., order])
+    ord_part = np.maximum(xs[..., 1 : last + 1] - xs[..., :last], 0.0).sum(axis=-1)
+
+    top = x[..., int(np.argmax(q)), None]  # first max index, matching the tie rule
+    in_support = q > 0
+    inside = np.maximum(top - np.ascontiguousarray(x[..., in_support]) - delta, 0.0).sum(axis=-1)
+    outside = np.maximum(np.ascontiguousarray(x[..., ~in_support]) - top + delta, 0.0).sum(axis=-1)
+
+    r = _piece_residual(xs, q[order], delta, k)
+    return ord_part, inside + outside, (r[..., None, :] @ r[..., :, None])[..., 0, 0]
+
+
+def _validated_parts(x, q, delta: float, rows: bool = False):
+    """_parts of scores and a target validated here."""
+    xx, qq = _validated(x, q, delta, rows)
+    return _parts(xx, qq, delta, _target_piece(qq))
 
 
 def loss_ord(x, q) -> float:
@@ -52,11 +87,7 @@ def loss_ord(x, q) -> float:
     are not penalized; without this cut the loss could not vanish at the
     selector's own output.
     """
-    xx, qq = _validated(x, q)
-    order, _, last = _target_piece(qq)
-    xs = xx[order]
-    diffs = xs[1 : last + 1] - xs[:last]
-    return float(np.maximum(diffs, 0.0).sum())
+    return float(_validated_parts(x, q, 1.0)[0])  # the order part reads no delta
 
 
 def loss_supp(x, q, delta: float) -> float:
@@ -65,33 +96,25 @@ def loss_supp(x, q, delta: float) -> float:
     Coordinates carrying probability must score within delta of the top
     target coordinate's score; coordinates carrying none must not.
     """
-    xx, qq = _validated(x, q, delta)
-    top = xx[int(np.argmax(qq))]  # first max index, matching the tie rule
-    in_support = qq > 0
-    inside = np.maximum(top - xx[in_support] - delta, 0.0).sum()
-    outside = np.maximum(xx[~in_support] - top + delta, 0.0).sum()
-    return float(inside + outside)
+    return float(_validated_parts(x, q, delta)[1])
 
 
-def _piece_residual(x: np.ndarray, q: np.ndarray, delta: float, order: np.ndarray, k: int) -> np.ndarray:
-    """q minus the selector piece indexed by q's order and support, applied to x;
-    entries are in q's rank order."""
-    r = q[order] - _piece_apply(x[order], k) / delta
-    r[:k] -= 1.0 / k
+def _piece_residual(xs: np.ndarray, qs: np.ndarray, delta: float, k: int) -> np.ndarray:
+    """q minus its own selector piece (support size k) applied to x, with the
+    scores xs (one vector or (n, d) rows) and qs = q[order] in q's rank order."""
+    r = qs - _piece_apply(xs, k if xs.ndim == 1 else np.full((xs.shape[0], 1), k)) / delta
+    r[..., :k] -= 1.0 / k
     return r
 
 
 def loss_sqr(x, q, delta: float) -> float:
     """Squared distance between q and its own selector piece applied to x."""
-    xx, qq = _validated(x, q, delta)
-    order, k, _ = _target_piece(qq)
-    r = _piece_residual(xx, qq, delta, order, k)
-    return float(r @ r)
+    return float(_validated_parts(x, q, delta)[2])
 
 
 def loss_total(x, q, delta: float) -> float:
     """Sum of the order, support and square parts."""
-    return loss_ord(x, q) + loss_supp(x, q, delta) + loss_sqr(x, q, delta)
+    return float(sum(_validated_parts(x, q, delta)))
 
 
 def _loss_rows(X, q, delta: float) -> np.ndarray:
@@ -99,36 +122,9 @@ def _loss_rows(X, q, delta: float) -> np.ndarray:
 
     q is validated and sorted once.  Each entry equals loss_total(X[i], q,
     delta) bit for bit, and a row loss_total would reject (a non-finite
-    entry) raises the same ValueError.  Every reduction repeats its 1-D
-    counterpart on a C-contiguous row: the hinge sums on contiguous copies
-    (a fancy-indexed column selection is not C-contiguous, and numpy sums
-    such rows in another order), and the square part as a stack of r @ r
-    row products, which numpy computes with the 1-D dot product (einsum
-    rounds differently).
+    entry) raises the same ValueError.
     """
-    XX = as_value_rows(X)
-    qq = check_distribution(q)
-    if XX.shape[1] != qq.size:
-        raise ValueError("scores and target must share a dimension")
-    _check_param(delta, "delta")
-    return _piece_loss_rows(XX, qq, delta, _target_piece(qq))
-
-
-def _piece_loss_rows(XX: np.ndarray, qq: np.ndarray, delta: float, piece: tuple[np.ndarray, int, int]) -> np.ndarray:
-    """_loss_rows of validated rows and target, given q's _target_piece."""
-    order, k, last = piece
-    XS = np.ascontiguousarray(XX[:, order])
-    ord_part = np.maximum(XS[:, 1 : last + 1] - XS[:, :last], 0.0).sum(axis=1)
-
-    top = XX[:, int(np.argmax(qq)), None]
-    in_support = qq > 0
-    inside = np.maximum(top - np.ascontiguousarray(XX[:, in_support]) - delta, 0.0).sum(axis=1)
-    outside = np.maximum(np.ascontiguousarray(XX[:, ~in_support]) - top + delta, 0.0).sum(axis=1)
-
-    r = qq[order] - _piece_apply(XS, np.full((XX.shape[0], 1), k)) / delta
-    r[:, :k] -= 1.0 / k
-    sqr_part = (r[:, None, :] @ r[:, :, None])[:, 0, 0]
-    return ord_part + (inside + outside) + sqr_part
+    return sum(_validated_parts(X, q, delta, rows=True))
 
 
 def loss_grad(x, q, delta: float) -> np.ndarray:
@@ -154,7 +150,7 @@ def _piece_grad(xx: np.ndarray, qq: np.ndarray, delta: float, piece: tuple[np.nd
     g[too_high] += 1.0
     g[top] += np.count_nonzero(too_low) - np.count_nonzero(too_high)
 
-    r = _piece_residual(xx, qq, delta, order, k)
+    r = _piece_residual(xx[order], qq[order], delta, k)
     g[order] -= (2.0 / delta) * _piece_apply_transpose(r, k)
     return g
 
@@ -190,7 +186,7 @@ def subgradient_check(x, q, delta: float) -> float | None:
     steps = np.tile(xx, (2 * d, 1))  # rows i and d + i step coordinate i up and down
     steps[idx, idx] += _FD_STEP
     steps[d + idx, idx] -= _FD_STEP
-    losses = _piece_loss_rows(as_value_rows(steps), qq, delta, piece)
+    losses = sum(_parts(steps, qq, delta, piece))
     fds = (losses[:d] - losses[d:]) / (2.0 * _FD_STEP)
     worst = 0.0
     for g, fd in zip(grad.tolist(), fds.tolist()):

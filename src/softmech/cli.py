@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from collections import Counter
 
@@ -43,6 +44,17 @@ def _vec(values) -> str:
 
 # Most seeds one list may name; each seed runs a whole experiment.
 _SEED_CAP = 10**5
+# Most float64 entries in the largest array of a lipschitz or lossfn run
+# (32 MB).  Each command's --d cap follows from its largest array: a lab
+# block's (rows, 2d) normals, and the (2d, d) step matrix of
+# classification.subgradient_check.
+_ARRAY_ENTRIES = 2**22
+_LIPSCHITZ_D_CAP = _ARRAY_ENTRIES // (2 * smoothness._BLOCK_ROWS)  # 8192
+_LOSSFN_D_CAP = math.isqrt(_ARRAY_ENTRIES // 2)  # 1448
+# Most trials per seed.  Both commands draw and evaluate trials in blocks,
+# so memory does not grow with --trials; the cap bounds a seed's loops
+# (about 20 us per lab trial at d = 4 and 100 us per lossfn trial at d = 8).
+_TRIAL_CAP = 10**7
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -89,6 +101,14 @@ def read_vector_file(path: str) -> np.ndarray:
     if not values:
         raise ValueError(f"{path}: no values found")
     return np.array(values)
+
+
+def _check_sizes(args, d_cap: int) -> None:
+    """Refuse --d above d_cap and --trials above _TRIAL_CAP, before any allocation or draw."""
+    if args.d > d_cap:
+        raise ValueError(f"d {args.d} above the cap {d_cap}")
+    if args.trials > _TRIAL_CAP:
+        raise ValueError(f"trials {args.trials} above the cap {_TRIAL_CAP}")
 
 
 def _write(out: str | None, text: str) -> None:
@@ -147,6 +167,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_lipschitz(args) -> int:
+    _check_sizes(args, _LIPSCHITZ_D_CAP)
     checks = Checks()
     mech = MechanismSpec.parse(args.mech)
     p = distances.parse_metric_id(args.domain)[1]
@@ -250,6 +271,7 @@ _DRAWS_PER_GRADIENT_CHECK = 20
 def cmd_lossfn(args) -> int:
     if args.d < 1:
         raise ValueError("d must be >= 1")
+    _check_sizes(args, _LOSSFN_D_CAP)
     checks = Checks()
     rows = ["seed,convexity_violation,zero_iff_residual,subgradient_error\n"]
     points = {"checked": 0, "skipped_near_hinge": 0}

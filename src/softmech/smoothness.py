@@ -15,6 +15,7 @@ of the relevant class must exhibit a known minimum of output movement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 
@@ -68,7 +69,6 @@ def _pair_rows(mech: MechanismSpec, d: int, rng_seed: int, start: int, n: int) -
     """
     kind = MECHANISM_KINDS.get(mech.kind)  # None for a mechanism outside the table
     delta = mech.param if kind and kind.worst_case else None  # seam at max - delta
-    base_scale = delta if delta is not None else 1.0 / mech.param if kind and kind.param else 1.0
     rank = delta is not None and d >= 2  # the seam pair draws a rank, else two coordinates
     trial = np.arange(start, start + n)
     family = trial % 3
@@ -78,7 +78,7 @@ def _pair_rows(mech: MechanismSpec, d: int, rng_seed: int, start: int, n: int) -
     # is a Floyd step (a below d - 1, then b below d, b == a taking d - 1) and
     # a swap draw below 2.  At d = 1 its bound d - 1 = 0 raises ValueError.
     bounds[family == 2] = (d - 1, 1, 1) if rank else (d - 1, d, 2)
-    scale = base_scale * np.array((0.5, 1.0, 2.0))[(trial // 3) % 3]
+    scale = _draw_scale(mech) * np.array((0.5, 1.0, 2.0))[(trial // 3) % 3]
     pair = family == 0
     z, picks, _ = trial_draws(rng_seed, start, scale, np.where(pair, 2 * d, d), bounds)
     x = z[:, :d].copy()
@@ -104,6 +104,15 @@ def _pair_rows(mech: MechanismSpec, d: int, rng_seed: int, start: int, n: int) -
     if mech.positive_domain:
         return np.exp(x), np.exp(y)
     return x, y
+
+
+def _draw_scale(mech: MechanismSpec) -> float:
+    """The middle of the three trial scales: delta for the worst-case kinds
+    of the table, 1/lambda for its other kinds with a parameter, else 1."""
+    kind = MECHANISM_KINDS.get(mech.kind)  # None for a mechanism outside the table
+    if not (kind and kind.param):
+        return 1.0
+    return mech.param if kind.worst_case else 1.0 / mech.param
 
 
 def _designed_rows(mech: MechanismSpec, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -135,10 +144,14 @@ def empirical_lipschitz(
     ratio is the witness (first argmax in a block, strict > between blocks);
     a nan ratio never wins.  An infinite range distance is recorded as a
     +inf estimate with its witness; it signals a non-Lipschitz metric
-    pairing rather than an error.
+    pairing rather than an error.  A parameter whose largest trial scale
+    (twice the middle one) or designed witness is not a finite float is
+    refused before anything is drawn.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not math.isfinite(2.0 * _draw_scale(mech)):
+        raise ValueError(f"{mech.label()} gives a non-finite draw scale")
     if parse_metric_id(domain_metric)[0] == "renyi":
         raise ValueError(f"{domain_metric} is a divergence between distributions; "
                          "value vectors are not simplex points, so it cannot be a domain metric")
@@ -243,6 +256,8 @@ def exp_l1_lb_witness(d: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
+    if not math.isfinite(math.log(d) / lam):
+        raise ValueError(f"lambda {lam} puts the witness at log(d)/lambda, beyond the float range")
     z = np.log(d) / lam
     x = np.zeros(d)
     y = np.zeros(d)

@@ -7,6 +7,13 @@ marginal gains, recording the exact per-step selection distributions, and the
 manipulation test measures how much those distributions move when the ground
 set is randomly thinned.
 
+An instance is its arrays: every set's ids back to back, the set lengths,
+the distinct ids and the coverage matrix.  ``make_instance`` is the checked
+builder; the synthetic and thinned instances pass their arrays straight to
+the constructor, and ``sets`` is built from the arrays only when read.  The
+neighbour checks (sensitivity, privacy link, insensitivity) share
+``_neighbor_gains``, which checks the pair and yields each context's gains.
+
 Set-family file format: one line per set, whitespace-separated nonnegative
 integer element ids, blank lines ignored, UTF-8.  The universe is capped at
 ``UNIVERSE_CAP`` = 2**24 elements, so ids run below 2**24.  The coverage
@@ -18,7 +25,6 @@ float per universe element, 128 MB at the cap.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -40,72 +46,63 @@ def _check_universe(universe_size: int) -> None:
         raise ValueError(f"universe_size {universe_size} outside [1, {UNIVERSE_CAP}]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoverageInstance:
     """Family of element-id sets over the universe [0, universe_size).
 
-    ``words`` is the coverage matrix: row r holds set r as bits, one column
-    per id in ``elements``, column j in bit j % 64 of word j // 64.
-    ``elements`` holds the sorted distinct ids of the family, or, for an
-    instance made by ``drop_elements``, those of the family it was thinned
-    from.  Both arrays are read-only.
+    ``ids`` holds every set's ids back to back, ``lengths`` the number of
+    ids in each set.  ``words`` is the coverage matrix: row r holds set r as
+    bits, one column per id in ``elements``, column j in bit j % 64 of word
+    j // 64.  ``elements`` holds the sorted distinct ids of the family, or,
+    for an instance made by ``drop_elements``, those of the family it was
+    thinned from.  The arrays are trusted as given and made read-only;
+    ``make_instance`` is the checked builder.
     """
 
     universe_size: int
-    sets: tuple[tuple[int, ...], ...]
-    elements: np.ndarray = field(init=False, repr=False, compare=False)
-    words: np.ndarray = field(init=False, repr=False, compare=False)
-    _ids: np.ndarray = field(init=False, repr=False, compare=False)  # every set's ids, in order
-    _lengths: np.ndarray = field(init=False, repr=False, compare=False)
+    ids: np.ndarray = field(repr=False)
+    lengths: np.ndarray = field(repr=False)
+    elements: np.ndarray = field(repr=False)
+    words: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        _check_universe(self.universe_size)
-        if len(self.sets) < 2:
-            raise ValueError("need at least 2 sets")
-        flat = list(chain.from_iterable(self.sets))
-        if flat and not (0 <= min(flat) and max(flat) < self.universe_size):
-            e = next(e for e in flat if not 0 <= e < self.universe_size)
-            raise ValueError(f"element id {e} outside universe [0, {self.universe_size})")
-        ids = np.fromiter(map(operator.index, flat), dtype=np.intp, count=len(flat))
-        self._build(ids, np.fromiter(map(len, self.sets), dtype=np.intp, count=len(self.sets)))
+        for a in (self.ids, self.lengths, self.elements, self.words):
+            a.flags.writeable = False
 
-    @classmethod
-    def _from_arrays(cls, universe_size: int, ids: np.ndarray, lengths: np.ndarray) -> CoverageInstance:
-        """The instance of the sets ``ids`` holds back to back, for ids known to be valid."""
-        inst = object.__new__(cls)
-        inst._assign(universe_size=universe_size, sets=_split(ids, lengths))
-        inst._build(ids, lengths)
-        return inst
-
-    def _build(self, ids: np.ndarray, lengths: np.ndarray) -> None:
-        """Set the arrays of the family whose sets ``ids`` holds back to back."""
-        elements, cols = np.unique(ids, return_inverse=True)
-        words = np.zeros((lengths.size, -(-elements.size // 64)), dtype=np.uint64)
-        rows = np.repeat(np.arange(lengths.size), lengths)
-        np.bitwise_or.at(words, (rows, cols >> 6), np.left_shift(np.uint64(1), (cols & 63).astype(np.uint64)))
-        self._assign(elements=elements, words=words, _ids=ids, _lengths=lengths)
-
-    def _assign(self, **fields) -> None:
-        """Set fields of the frozen instance, making its arrays read-only."""
-        for name, value in fields.items():
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-            object.__setattr__(self, name, value)
+    @property
+    def sets(self) -> tuple[tuple[int, ...], ...]:
+        """The family as tuples of ids, built from ``ids`` when read."""
+        flat = self.ids.tolist()
+        ends = np.cumsum(self.lengths).tolist()
+        return tuple([tuple(flat[a:b]) for a, b in zip([0, *ends], ends)])
 
     @property
     def num_sets(self) -> int:
-        return len(self.sets)
+        return self.lengths.size
 
 
-def _split(ids: np.ndarray, lengths: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """The sets that ``ids`` holds back to back, ``lengths`` ids each."""
-    flat = ids.tolist()
-    ends = np.cumsum(lengths).tolist()
-    return tuple([tuple(flat[a:b]) for a, b in zip([0, *ends], ends)])
+def _from_ids(universe_size: int, ids: np.ndarray, lengths: np.ndarray) -> CoverageInstance:
+    """The instance of the sets ``ids`` holds back to back, for ids known to be valid."""
+    elements, cols = np.unique(ids, return_inverse=True)
+    words = np.zeros((lengths.size, -(-elements.size // 64)), dtype=np.uint64)
+    rows = np.repeat(np.arange(lengths.size), lengths)
+    np.bitwise_or.at(words, (rows, cols >> 6), np.left_shift(np.uint64(1), (cols & 63).astype(np.uint64)))
+    return CoverageInstance(universe_size, ids, lengths, elements, words)
 
 
 def make_instance(universe_size: int, sets) -> CoverageInstance:
-    return CoverageInstance(universe_size, tuple(tuple(map(int, s)) for s in sets))
+    """The instance of ``sets``, iterables of integer ids, checked: at least
+    2 sets, every id in [0, universe_size), universe_size in [1, UNIVERSE_CAP]."""
+    sets = [list(map(int, s)) for s in sets]
+    _check_universe(universe_size)
+    if len(sets) < 2:
+        raise ValueError("need at least 2 sets")
+    flat = list(chain.from_iterable(sets))
+    if flat and not (0 <= min(flat) and max(flat) < universe_size):
+        e = next(e for e in flat if not 0 <= e < universe_size)
+        raise ValueError(f"element id {e} outside universe [0, {universe_size})")
+    ids = np.fromiter(flat, dtype=np.intp, count=len(flat))
+    return _from_ids(universe_size, ids, np.fromiter(map(len, sets), dtype=np.intp, count=len(sets)))
 
 
 def synthetic_coverage_instance(num_sets: int, universe_size: int, rng_seed: int) -> CoverageInstance:
@@ -128,7 +125,7 @@ def synthetic_coverage_instance(num_sets: int, universe_size: int, rng_seed: int
         raise ValueError(f"num_sets {num_sets} and universe_size {universe_size} give {sum(sizes)} ids, "
                          f"above {ID_CAP}")
     ids, lengths = sorted_choices(spawn_rng(rng_seed, 0), universe_size, sizes)
-    return CoverageInstance._from_arrays(universe_size, ids, lengths)
+    return _from_ids(universe_size, ids, lengths)
 
 
 def load_set_family(path) -> CoverageInstance:
@@ -326,12 +323,17 @@ def compose_privacy(eps_step: float, delta_step: float, steps: int, eta: float) 
     )
 
 
-def _check_neighbors(inst_a: CoverageInstance, inst_b: CoverageInstance) -> None:
+def _neighbor_gains(inst_a: CoverageInstance, inst_b: CoverageInstance, contexts):
+    """The pair of marginal-gain vectors of two one-record neighbors at each
+    context (None stands for the empty selection alone).  The neighbors are
+    checked at once; the gains are computed as the pairs are read."""
     if inst_a.universe_size != inst_b.universe_size or inst_a.num_sets != inst_b.num_sets:
         raise ValueError("neighboring instances must share universe and set count")
     differing = sum(1 for a, b in zip(inst_a.sets, inst_b.sets) if set(a) != set(b))
     if differing > 1:
         raise ValueError(f"instances differ in {differing} sets; neighbors differ in at most one")
+    contexts = [[]] if contexts is None else contexts
+    return ((marginal_gains(inst_a, s)[1], marginal_gains(inst_b, s)[1]) for s in contexts)
 
 
 def sensitivity_linf(inst_a: CoverageInstance, inst_b: CoverageInstance, contexts) -> float:
@@ -341,11 +343,8 @@ def sensitivity_linf(inst_a: CoverageInstance, inst_b: CoverageInstance, context
     of them and all remaining items.  For coverage the change is bounded by
     the size of the symmetric difference of the edited set.
     """
-    _check_neighbors(inst_a, inst_b)
     worst = 0.0
-    for selected in contexts:
-        _, ga = marginal_gains(inst_a, selected)
-        _, gb = marginal_gains(inst_b, selected)
+    for ga, gb in _neighbor_gains(inst_a, inst_b, contexts):
         if ga.size:
             worst = max(worst, float(np.abs(ga - gb).max()))
     return worst
@@ -385,13 +384,8 @@ def privacy_link_margin(inst_a: CoverageInstance, inst_b: CoverageInstance, mech
     lipschitz = _divergence_constant(mech)
     if np.isinf(lipschitz):
         raise ValueError("privacy link needs a mechanism with a proven max-divergence constant (exp or pow)")
-    _check_neighbors(inst_a, inst_b)
-    if contexts is None:
-        contexts = [[]]
     worst = float("-inf")
-    for selected in contexts:
-        _, ga = marginal_gains(inst_a, selected)
-        _, gb = marginal_gains(inst_b, selected)
+    for ga, gb in _neighbor_gains(inst_a, inst_b, contexts):
         if ga.size == 0:
             continue
         pa = _mechanism_distribution(mech, ga)
@@ -410,15 +404,11 @@ def insensitivity_t(inst_a: CoverageInstance, inst_b: CoverageInstance, s_inf: f
 
     Larger t is a stronger property; +inf means no gain shrinks at all.
     """
-    _check_neighbors(inst_a, inst_b)
+    gain_pairs = _neighbor_gains(inst_a, inst_b, contexts)
     if s_inf <= 0 or opt <= 0:
         raise ValueError("s_inf and opt must be positive")
-    if contexts is None:
-        contexts = [[]]
     t_max = float("inf")
-    for selected in contexts:
-        _, ga = marginal_gains(inst_a, selected)
-        _, gb = marginal_gains(inst_b, selected)
+    for ga, gb in gain_pairs:
         for hi, lo in ((ga, gb), (gb, ga)):
             drop = hi > lo
             for h, l in zip(hi[drop], lo[drop]):
@@ -455,17 +445,13 @@ def drop_elements(inst: CoverageInstance, drop_prob: float, rng: np.random.Gener
     if not 0 <= drop_prob < 1:
         raise ValueError("drop_prob must be in [0, 1)")
     keep = rng.random(inst.universe_size) >= drop_prob
-    kept = keep[inst._ids]
-    ids = inst._ids[kept]
-    ends = np.concatenate(([0], np.cumsum(kept)))[np.cumsum(inst._lengths)]
-    lengths = np.diff(ends, prepend=0)
+    kept = keep[inst.ids]
+    ends = np.concatenate(([0], np.cumsum(kept)))[np.cumsum(inst.lengths)]
     keep_bits = np.zeros(inst.words.shape[1] * 64, dtype=bool)
     keep_bits[:inst.elements.size] = keep[inst.elements]
     keep_words = np.packbits(keep_bits, bitorder="little").view("<u8").astype(np.uint64, copy=False)
-    thinned = object.__new__(CoverageInstance)  # already valid: skip the build
-    thinned._assign(universe_size=inst.universe_size, sets=_split(ids, lengths), elements=inst.elements,
-                    words=inst.words & keep_words, _ids=ids, _lengths=lengths)
-    return thinned
+    return CoverageInstance(inst.universe_size, inst.ids[kept], np.diff(ends, prepend=0), inst.elements,
+                            inst.words & keep_words)
 
 
 def manipulation_records(inst: CoverageInstance, k: int, mechs, drop_prob: float, seeds, work=None) -> list[dict]:

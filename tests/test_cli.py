@@ -12,6 +12,7 @@ import pytest
 
 from softmech import cli, smoothness, submodular
 from softmech.cli import main, parse_seeds, parse_vector, read_vector_file
+from softmech.mechanisms import MechanismSpec
 
 
 class TestParsing:
@@ -161,6 +162,29 @@ class TestLipschitz:
             assert code == 2
             err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
             assert err["command"] == "lipschitz" and "cannot be a domain metric" in err["error"]
+
+    @pytest.mark.parametrize("mech, d, needle", [
+        ("exp:lambda=5e-324", 4, "non-finite draw scale"),  # 2/lambda overflows
+        ("pow:lambda=5e-324", 4, "non-finite draw scale"),
+        ("plsoftmax:delta=1e308", 4, "non-finite draw scale"),  # 2 delta overflows
+        ("exp:lambda=2e-308", 8192, "beyond the float range"),  # 2/lambda does not, log(d)/lambda does
+    ])
+    def test_non_finite_draw_scale_refused_before_any_draw(self, monkeypatch, mech, d, needle):
+        # under -W error the overflow used to end in a RuntimeWarning traceback
+        argv = ["lipschitz", "--mech", mech, "--d", str(d), "--trials", "30", "--seeds", "0"]
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "softmech.cli", *argv],
+                              env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2 and not proc.stderr, proc.stderr[-2000:]
+        err = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert err["command"] == "lipschitz" and needle in err["error"]
+
+        def no_draws(*args):
+            raise RuntimeError("a pair was drawn")
+
+        monkeypatch.setattr(smoothness, "_pair_rows", no_draws)
+        with pytest.raises(ValueError, match=needle):
+            smoothness.empirical_lipschitz(MechanismSpec.parse(mech), d, "linf", "l1", 30, 0)
 
     def test_no_usable_pair_exits_2(self, capsys):
         # log-l1 needs positive inputs, which exp's pairs are not; l0.5 is no metric
@@ -320,6 +344,51 @@ class TestLossfn:
         assert summary["failures"] == ["subgradient_seed0"]
         assert summary["subgradient_points"] == {"checked": 0, "skipped_near_hinge": 40}
         assert out.read_text(encoding="utf-8").splitlines()[1].endswith(",nan")
+
+
+class TestSizeCaps:
+    @pytest.mark.parametrize("argv, needle", [
+        (["lipschitz", "--mech", "plsoftmax:delta=1", "--d", "10000000000000", "--trials", "1"],
+         "d 10000000000000 above the cap 8192"),
+        (["lossfn", "--d", "10000000000000", "--trials", "1"], "d 10000000000000 above the cap 1448"),
+        (["lipschitz", "--mech", "exp:lambda=1", "--d", "4", "--trials", "10000000000000"],
+         "trials 10000000000000 above the cap 10000000"),
+        (["lossfn", "--d", "4", "--trials", "10000000000000"], "trials 10000000000000 above the cap 10000000"),
+    ])
+    def test_huge_sizes_exit_2(self, argv, needle):
+        # a child process with 1 GB of address space: without the caps these
+        # end in a MemoryError (--d) or run for days (--trials)
+        resource = pytest.importorskip("resource")  # POSIX only
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import sys; from softmech.cli import main; sys.exit(main({argv!r}))"],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+        )
+        assert proc.returncode == 2, proc.stderr[-2000:]
+        assert json.loads(proc.stdout.strip().splitlines()[-1]) == {"command": argv[0], "error": needle}
+
+    @pytest.mark.parametrize("command", ["lipschitz", "lossfn"])
+    @pytest.mark.parametrize("flag", ["--d", "--trials"])
+    def test_stand_in_caps_are_inclusive_and_checked_first(self, monkeypatch, capsys, command, flag):
+        monkeypatch.setattr(cli, "_LIPSCHITZ_D_CAP", 5)
+        monkeypatch.setattr(cli, "_LOSSFN_D_CAP", 5)
+        monkeypatch.setattr(cli, "_TRIAL_CAP", 12)
+        head = ["lipschitz", "--mech", "exp:lambda=1"] if command == "lipschitz" else ["lossfn"]
+        sizes = {"--d": 5, "--trials": 12}
+        assert main([*head, *(f"{k}={v}" for k, v in sizes.items())]) == 0
+        capsys.readouterr()
+
+        def no_work(*args, **kwargs):
+            raise RuntimeError("worked before checking the sizes")
+
+        for name in ("bound_for_metrics", "empirical_lipschitz"):
+            monkeypatch.setattr(smoothness, name, no_work)
+        monkeypatch.setattr(cli.classification, "convexity_probe", no_work)
+        sizes[flag] += 1
+        assert main([*head, *(f"{k}={v}" for k, v in sizes.items())]) == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err == {"command": command, "error": f"{flag[2:]} {sizes[flag]} above the cap {sizes[flag] - 1}"}
 
 
 class TestSelftest:

@@ -12,7 +12,6 @@ from softmech.distances import renyi_divergence
 from softmech.mechanisms import MechanismSpec
 from softmech.seeding import spawn_rng
 from softmech.submodular import (
-    CoverageInstance,
     brute_force_opt,
     compose_privacy,
     exp_error_bound,
@@ -196,12 +195,12 @@ def per_set_choice_instance(num_sets, universe_size, rng_seed):
     for i in range(num_sets):
         size = max(1, int(round(top * (i + 1) ** (-submodular._SIZE_EXPONENT))))
         sets.append(tuple(sorted(rng.choice(universe_size, size=size, replace=False).tolist())))
-    return CoverageInstance(universe_size, tuple(sets))
+    return make_instance(universe_size, sets)
 
 
 def assert_same_instance(got, ref, note=""):
     assert got.universe_size == ref.universe_size and got.sets == ref.sets, note
-    for name in ("words", "elements", "_ids", "_lengths"):
+    for name in ("words", "elements", "ids", "lengths"):
         a, b = getattr(got, name), getattr(ref, name)
         assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), (name, note)
         assert not a.flags.writeable, (name, note)
@@ -404,11 +403,39 @@ class TestSensitivityAndPrivacyLink:
         c = make_instance(6, [[0, 1, 2], [], [4, 5], [1, 5]])
         assert sensitivity_linf(a, c, [[]]) == 2.0  # whole set emptied
 
+    NEIGHBOR_CALLS = {
+        "sensitivity_linf": lambda a, b: sensitivity_linf(a, b, [[]]),
+        "privacy_link_margin": lambda a, b: privacy_link_margin(a, b, EXP1),
+        "insensitivity_t": lambda a, b: insensitivity_t(a, b, 2.0, 5.0),
+    }
+
     def test_neighbor_validation(self):
+        a, b = self.make_neighbors()
+        reordered = make_instance(6, [[2, 1, 0], [3, 2], [5, 4], [5, 1]])  # the same sets, ids in another order
+        shared = "^neighboring instances must share universe and set count$"
+        for call in self.NEIGHBOR_CALLS.values():
+            call(a, b)
+            call(a, reordered)
+            with pytest.raises(ValueError, match=shared):
+                call(a, make_instance(7, [[0, 1, 2], [2, 3], [4, 5], [1, 5]]))
+            with pytest.raises(ValueError, match=shared):
+                call(a, make_instance(6, [[0, 1, 2], [2, 3], [4, 5]]))
+            with pytest.raises(ValueError, match="^instances differ in 2 sets; neighbors differ in at most one$"):
+                call(a, make_instance(6, [[0, 1, 2], [2], [4], [1, 5]]))
+
+    def test_privacy_link_refuses_the_kind_before_the_instances(self):
         a, _ = self.make_neighbors()
         far = make_instance(6, [[0], [1], [2], [3]])
-        with pytest.raises(ValueError):
-            sensitivity_linf(a, far, [[]])
+        with pytest.raises(ValueError, match="proven max-divergence constant"):
+            privacy_link_margin(a, far, MechanismSpec("plsoftmax", 1.0))
+
+    def test_insensitivity_checks_the_neighbors_before_s_inf_and_opt(self):
+        a, b = self.make_neighbors()
+        far = make_instance(6, [[0], [1], [2], [3]])
+        with pytest.raises(ValueError, match="differ in 4 sets"):
+            insensitivity_t(a, far, -1.0, 0.0)
+        with pytest.raises(ValueError, match="s_inf and opt must be positive"):
+            insensitivity_t(a, b, -1.0, 0.0)
 
     def test_privacy_link_enumerated(self):
         a, b = self.make_neighbors()
