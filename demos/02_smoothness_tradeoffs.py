@@ -13,7 +13,6 @@ from softmech import (
     lp_distance,
     multiplicative_lb_probe,
     renyi_divergence,
-    theoretical_bound,
 )
 from softmech.smoothness import measured_ratio
 
@@ -23,13 +22,14 @@ ex = MechanismSpec("exp", 1.0)
 
 print("Empirical Lipschitz estimates (seeded max distance ratios) against the")
 print("proven bounds, for the piecewise-linear selector at delta=1, d=16:\n")
-for domain, rng, p, q in [("l1", "l1", 1.0, 1.0), ("l2", "l2", 2.0, 2.0), ("linf", "l1", np.inf, 1.0)]:
+for domain, rng in [("l1", "l1"), ("l2", "l2"), ("linf", "l1")]:
     est = empirical_lipschitz(pl, d, domain, rng, trials=2000, rng_seed=0)
-    bound = theoretical_bound(pl, d, p, q)
+    bound = pl.lipschitz_bound(domain, rng, d)
     print(f"  ({domain:4s} -> {rng:3s})  estimate {est.max_ratio:6.3f}   bound {bound:6.3f}")
 
 est = empirical_lipschitz(ex, d, "l2", "dinf", trials=2000, rng_seed=0)
-print(f"\nexp lambda=1 under (l2 -> max-divergence): estimate {est.max_ratio:.3f}, bound {2.0:.3f}")
+bound = ex.lipschitz_bound("l2", "dinf", d)
+print(f"\nexp lambda=1 under (l2 -> max-divergence): estimate {est.max_ratio:.3f}, bound {bound:.3f}")
 
 print("\nLower-bound witnesses pin the estimates from below.")
 x, y = exp_l1_lb_witness(100, 1.0)

@@ -43,7 +43,6 @@ from .smoothness import (
     kl_lb_witness,
     multiplicative_lb_probe,
     sparsegen_lb_witness,
-    theoretical_bound,
 )
 
 __version__ = "0.1.0"
@@ -76,6 +75,5 @@ __all__ = [
     "subordinate_norm_exact",
     "subordinate_norm_row_bound",
     "subordinate_norm_sampled",
-    "theoretical_bound",
     "worst_case_support_ok",
 ]

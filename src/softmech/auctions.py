@@ -208,7 +208,7 @@ def ic_epsilon_for(mech: MechanismSpec, grid: PriceGrid, H: float) -> float:
     by L*S1 in l1, hence any bidder's expected utility (scaled to [0,1] by H)
     by at most L*S1.
     """
-    lipschitz = mech.lipschitz_bound(("lp", 1.0), ("lp", 1.0), float("inf"))
+    lipschitz = mech.lipschitz_bound("l1", "l1")
     if lipschitz == float("inf"):
         raise ValueError(f"no proven (l1, l1) Lipschitz constant for {mech.kind}, so no IC bound")
     if H <= 0:

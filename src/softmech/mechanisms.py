@@ -24,8 +24,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .distances import pq_bound_factor
+from .distances import parse_metric_id, pq_bound_factor
 from .simplex import SUPPORT_EPS, as_value_rows, as_values, finalize_distribution, finalize_rows
+from .smmatrix import harmonic
 
 
 _RANK_TABLE_START = 64
@@ -374,22 +375,30 @@ class MechanismSpec:
     def worst_case(self) -> bool:
         return MECHANISM_KINDS[self.kind].worst_case
 
-    def lipschitz_bound(self, domain: tuple[str, float], range_: tuple[str, float], cap: float) -> float:
+    def lipschitz_bound(self, domain: str, range_: str, d: int | None = None) -> float:
         """The kind's proven Lipschitz constant from the domain metric to the
-        range metric, each a (family, exponent) pair as parse_metric_id gives
-        it, with the dimension term capped at cap.
+        range metric, two ids as parse_metric_id reads them, in dimension d:
+        the dimension term is capped at the harmonic number H_d, or left
+        uncapped (a dimension-free constant) when d is None.  d < 2 raises
+        ValueError.  plsoftmax's pieces are the k-active matrices over delta
+        with k <= d, each within sm_norm_bound's 2*min(p+1, q/(q-1), H_k); a
+        log d cap would be false at small d, where the exact (inf, 1)
+        constant 2/delta at d = 2 is above (2/delta) log 2.
 
         +inf (no claim) when the domain family is not the kind's own (log-lp
         for the positive kinds, lp for the others), when the range is log-lp,
         when the range is Renyi and the kind's constant does not cover Renyi
-        orders, or when the kind has no constant.
+        orders (the worst-case kinds: no worst-case-approximate selector is
+        divergence-Lipschitz), or when the kind has no constant.
         """
+        (domain_family, p), (range_family, q) = parse_metric_id(domain), parse_metric_id(range_)
+        if d is not None and d < 2:
+            raise ValueError("d must be >= 2")
         kind = MECHANISM_KINDS[self.kind]
-        (domain_family, p), (range_family, q) = domain, range_
         if (kind.lipschitz is None or domain_family != ("log-lp" if kind.positive_domain else "lp")
                 or range_family == "log-lp" or (range_family == "renyi" and not kind.renyi)):
             return float("inf")
-        return kind.lipschitz(self.param, p, q, cap)
+        return kind.lipschitz(self.param, p, q, float("inf") if d is None else harmonic(d))
 
     def __call__(self, x) -> np.ndarray:
         return MECHANISM_KINDS[self.kind].function(x, self.param)

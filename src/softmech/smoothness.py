@@ -6,8 +6,8 @@ families: independent random pairs, single-coordinate perturbations at three
 step sizes, and pairs straddling the sort-order / active-count seams of the
 piecewise-linear selector.  Trials are drawn straight into blocks of (n, d)
 rows, and each block is evaluated row-wise.  The estimate is a certified
-lower bound on the true Lipschitz constant; ``theoretical_bound`` gives the
-proven upper bounds it is checked against.
+lower bound on the true Lipschitz constant; ``MechanismSpec.lipschitz_bound``
+gives the proven upper bounds it is checked against.
 
 The witness constructors return concrete input pairs at which any mechanism
 of the relevant class must exhibit a known minimum of output movement.
@@ -22,9 +22,8 @@ from itertools import chain
 import numpy as np
 
 from .distances import lp_distance, metric_from_id, parse_metric_id
-from .mechanisms import MECHANISM_KINDS, MechanismSpec
+from .mechanisms import MechanismSpec, _check_param
 from .seeding import trial_draws
-from .smmatrix import harmonic
 
 _PERTURB_STEPS = (1e-2, 1e-4, 1e-6)
 _BOUNDARY_STEP = 1e-6
@@ -57,18 +56,17 @@ def _pair_rows(mech: MechanismSpec, d: int, rng_seed: int, start: int, n: int) -
     Trial i draws from the generator of spawn_rng(rng_seed, i) and cycles
     three families, three scales and three steps: an independent random
     pair; a single-coordinate perturbation; and a pair with gap 1e-6 in the
-    sup norm straddling a selector seam.  For the worst-case kinds of the
-    table the straddle crosses the active-count boundary (the coordinate of a
-    drawn rank placed just inside/outside max - delta); otherwise it crosses
-    an order-change boundary (two drawn coordinates swapping rank).  A trial
+    sup norm straddling a selector seam.  For the worst-case kinds the
+    straddle crosses the active-count boundary (the coordinate of a drawn
+    rank placed just inside/outside max - delta); otherwise it crosses an
+    order-change boundary (two drawn coordinates swapping rank).  A trial
     draws ``normal(0.0, scale, size=d)`` (twice for a random pair), then
     ``integers(d)``, ``integers(1, d)`` or ``choice(d, 2, replace=False)``;
     ``seeding.trial_draws`` replays these draws for the whole block, and the
     steps and seams are placed, and positive-domain rows exponentiated, for
     the whole block at once.
     """
-    kind = MECHANISM_KINDS.get(mech.kind)  # None for a mechanism outside the table
-    delta = mech.param if kind and kind.worst_case else None  # seam at max - delta
+    delta = mech.param if mech.worst_case else None  # seam at max - delta
     rank = delta is not None and d >= 2  # the seam pair draws a rank, else two coordinates
     trial = np.arange(start, start + n)
     family = trial % 3
@@ -107,12 +105,11 @@ def _pair_rows(mech: MechanismSpec, d: int, rng_seed: int, start: int, n: int) -
 
 
 def _draw_scale(mech: MechanismSpec) -> float:
-    """The middle of the three trial scales: delta for the worst-case kinds
-    of the table, 1/lambda for its other kinds with a parameter, else 1."""
-    kind = MECHANISM_KINDS.get(mech.kind)  # None for a mechanism outside the table
-    if not (kind and kind.param):
+    """The middle of the three trial scales: delta for the worst-case kinds,
+    1/lambda for the other kinds with a parameter, else 1."""
+    if mech.param is None:
         return 1.0
-    return mech.param if kind.worst_case else 1.0 / mech.param
+    return mech.param if mech.worst_case else 1.0 / mech.param
 
 
 def _designed_rows(mech: MechanismSpec, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -191,42 +188,6 @@ def empirical_lipschitz(
     )
 
 
-def theoretical_bound(mech: MechanismSpec, d: int, p: float, q_or_alpha: float) -> float:
-    """Proven (l_p, l_q) Lipschitz upper bound in dimension d for plain
-    values: the kind's table constant with its dimension term capped at the
-    harmonic number H_d, or +inf (no claim, which includes the kinds whose
-    claims hold only on log values).
-
-    exp: 2*lambda.  plsoftmax: (2/delta) * min(p+1, q/(q-1), H_d), since its
-    pieces are the k-active matrices over delta with k <= d, each within
-    sm_norm_bound's 2*min(p+1, q/(q-1), H_k).  A log d cap would be false
-    at small d: at d = 2 the exact (inf, 1) constant is 2/delta, above
-    (2/delta) log 2.
-    """
-    return _capped_bound(mech, d, ("lp", p), ("lp", q_or_alpha))
-
-
-def bound_for_metrics(mech: MechanismSpec, d: int, domain_metric: str, range_metric: str) -> float:
-    """The proven Lipschitz bound between two metric ids in dimension d, read
-    from the mechanism table by MechanismSpec.lipschitz_bound with the
-    dimension term capped as in theoretical_bound.
-
-    A kind's claims hold on its own domain: log-lp metrics for pow and
-    logplsoftmax, plain lp for the others; any other domain, and any log-lp
-    range, gives +inf (no claim).  exp's and pow's 2*lambda covers every
-    Renyi range order as well as every l_q range; the worst-case kinds have
-    no Renyi claim, as no worst-case-approximate selector is
-    divergence-Lipschitz.
-    """
-    return _capped_bound(mech, d, parse_metric_id(domain_metric), parse_metric_id(range_metric))
-
-
-def _capped_bound(mech: MechanismSpec, d: int, domain: tuple[str, float], range_: tuple[str, float]) -> float:
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    return mech.lipschitz_bound(domain, range_, harmonic(d))
-
-
 def kl_lb_witness(d: int, delta: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Pair forcing KL movement in any delta-approximate selector.
 
@@ -237,8 +198,7 @@ def kl_lb_witness(d: int, delta: float) -> tuple[np.ndarray, np.ndarray, float]:
     """
     if d < 4:
         raise ValueError("d must be >= 4")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    _check_param(delta, "delta")
     x = np.zeros(d)
     y = np.zeros(d)
     y[0] = 2.0 * delta
@@ -254,8 +214,7 @@ def exp_l1_lb_witness(d: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
     (z, 0, ..) vs (z+h, 0, ..) with h = 1e-4 measures it by finite
     differences.
     """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    _check_param(lam, "lambda")
     if not math.isfinite(math.log(d) / lam):
         raise ValueError(f"lambda {lam} puts the witness at log(d)/lambda, beyond the float range")
     z = np.log(d) / lam

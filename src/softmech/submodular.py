@@ -367,8 +367,7 @@ def _divergence_constant(mech: MechanismSpec) -> float:
     """The kind's proven Lipschitz constant from the sup distance on its own
     domain (log values for the positive kinds) to the max-divergence; +inf
     where none is proven."""
-    domain = ("log-lp" if mech.positive_domain else "lp", float("inf"))
-    return mech.lipschitz_bound(domain, ("renyi", float("inf")), float("inf"))
+    return mech.lipschitz_bound("log-linf" if mech.positive_domain else "linf", "dinf")
 
 
 def privacy_link_margin(inst_a: CoverageInstance, inst_b: CoverageInstance, mech: MechanismSpec, contexts=None) -> float:

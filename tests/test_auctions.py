@@ -280,9 +280,8 @@ class TestICEpsilon:
     def test_kinds_without_a_constant(self, mech):
         # none of these has a constant on plain values: pow's and logplsoftmax's
         # hold on log values only, so the auction's revenue vector gets no IC bound
-        inf = float("inf")
-        for p, q, cap in ((1.0, 1.0, inf), (2.0, 2.0, 3.0), (inf, 1.0, 1.0)):
-            assert mech.lipschitz_bound(("lp", p), ("lp", q), cap) == inf
+        for domain, range_, d in (("l1", "l1", None), ("l2", "l2", 3), ("linf", "l1", 2)):
+            assert mech.lipschitz_bound(domain, range_, d) == float("inf")
         with pytest.raises(ValueError, match="no proven"):
             ic_epsilon_for(mech, reserve_grid(1.0, 0.5, 0.1), 1.0)
 

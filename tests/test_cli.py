@@ -382,8 +382,8 @@ class TestSizeCaps:
         def no_work(*args, **kwargs):
             raise RuntimeError("worked before checking the sizes")
 
-        for name in ("bound_for_metrics", "empirical_lipschitz"):
-            monkeypatch.setattr(smoothness, name, no_work)
+        monkeypatch.setattr(cli.MechanismSpec, "lipschitz_bound", no_work)
+        monkeypatch.setattr(smoothness, "empirical_lipschitz", no_work)
         monkeypatch.setattr(cli.classification, "convexity_probe", no_work)
         sizes[flag] += 1
         assert main([*head, *(f"{k}={v}" for k, v in sizes.items())]) == 2

@@ -20,7 +20,6 @@ from softmech.smmatrix import build_softmax_matrix, harmonic
 from softmech.smoothness import (
     _BOUNDARY_STEP,
     _PERTURB_STEPS,
-    bound_for_metrics,
     empirical_lipschitz,
     exp_l1_lb_witness,
     forbidden_region_slope,
@@ -28,7 +27,6 @@ from softmech.smoothness import (
     measured_ratio,
     multiplicative_lb_probe,
     sparsegen_lb_witness,
-    theoretical_bound,
 )
 
 INF = float("inf")
@@ -40,6 +38,7 @@ class ConstantMechanism:
     kind = "constant"
     param = None
     positive_domain = False
+    worst_case = False
 
     def label(self):
         return "constant"
@@ -268,17 +267,18 @@ class TestRowBlocksMatchPerPairLoop:
 
 
 def former_theoretical_bound(mech, d, p, q):
-    """theoretical_bound as it was written before the mechanism table held
-    the constants: one branch per kind (with the dimension cap H_d)."""
+    """The (l_p, l_q) bound as it was written before the mechanism table held
+    the constants: one branch per kind, with the dimension cap H_d (none for
+    d = None, the dimension-free constant)."""
     if mech.kind == "exp":
         return 2.0 * mech.param
     if mech.kind == "plsoftmax":
-        return (2.0 / mech.param) * pq_bound_factor(p, q, harmonic(d))
+        return (2.0 / mech.param) * pq_bound_factor(p, q, INF if d is None else harmonic(d))
     return INF
 
 
 def former_bound_for_metrics(mech, d, domain_metric, range_metric):
-    """bound_for_metrics as it was written before the table held the claims:
+    """The metric-id bound as it was written before the table held the claims:
     the delta kinds had no Renyi claim, and every other pair of ids read only
     the two exponents, whatever the families."""
     if MECHANISM_KINDS[mech.kind].param == "delta" and parse_metric_id(range_metric)[0] == "renyi":
@@ -325,15 +325,11 @@ class TestTheoreticalBound:
     @pytest.mark.parametrize("kind", sorted(MECHANISM_KINDS))
     def test_table_equals_former_branches(self, kind):
         params = [None] if MECHANISM_KINDS[kind].param is None else [1e-3, 0.3, 0.5, 1.0, 7.0, 1e3]
-        exps = (1.0, 2.0, 3.0, INF)
         ids = [(m, parse_metric_id(m)[0]) for m in METRIC_IDS]
         for param in params:
             mech = MechanismSpec(kind, param)
             twin = MechanismSpec(LOG_TWIN.get(kind, kind), param)
-            for d in (2, 3, 7, 8, 1024):
-                for p in exps:
-                    for q in exps:
-                        assert theoretical_bound(mech, d, p, q) == former_theoretical_bound(mech, d, p, q)
+            for d in (2, 3, 7, 8, 1024, None):
                 # plain domains keep every former bound; a log kind on log values
                 # has its twin's former bound on plain values; the rest is no claim
                 for dom, dom_family in ids:
@@ -346,7 +342,7 @@ class TestTheoreticalBound:
                             expected = former_bound_for_metrics(twin, d, dom.removeprefix("log-"), rng)
                         else:
                             expected = INF
-                        assert bound_for_metrics(mech, d, dom, rng) == expected, (param, d, dom, rng)
+                        assert mech.lipschitz_bound(dom, rng, d) == expected, (param, d, dom, rng)
             contexts = [[], [0], [1, 2]]
             for a, b in privacy_neighbors():
                 if kind in ("exp", "pow"):
@@ -358,14 +354,14 @@ class TestTheoreticalBound:
 
     def test_exp_bound(self):
         mech = MechanismSpec("exp", 3.0)
-        assert theoretical_bound(mech, 50, 2.0, INF) == 6.0
-        assert theoretical_bound(mech, 4, 1.0, 1.0) == 6.0
+        assert mech.lipschitz_bound("l2", "linf", 50) == 6.0
+        assert mech.lipschitz_bound("l1", "l1", 4) == 6.0
 
     def test_plsoftmax_bound(self):
         mech = MechanismSpec("plsoftmax", 0.5)
-        assert np.isclose(theoretical_bound(mech, 10, 2.0, 2.0), 4.0 * min(3.0, 2.0, np.log(10)))
-        assert np.isclose(theoretical_bound(mech, 32, INF, 1.0), 4.0 * harmonic(32))
-        assert np.isclose(theoretical_bound(mech, 3, INF, 1.0), 4.0 * (1 + 1 / 2 + 1 / 3))
+        assert np.isclose(mech.lipschitz_bound("l2", "l2", 10), 4.0 * min(3.0, 2.0, np.log(10)))
+        assert np.isclose(mech.lipschitz_bound("linf", "l1", 32), 4.0 * harmonic(32))
+        assert np.isclose(mech.lipschitz_bound("linf", "l1", 3), 4.0 * (1 + 1 / 2 + 1 / 3))
 
     def test_plsoftmax_bound_covers_the_exact_constant(self):
         # plsoftmax's (p, q) constant is max_k ||A_k||_{p->q} / delta over the
@@ -373,24 +369,36 @@ class TestTheoreticalBound:
         for d in range(2, 9):
             mats = [build_softmax_matrix(k, d).to_float() for k in range(1, d + 1)]
             exact = {
-                (INF, 1.0): max(subordinate_norm_exact(A, INF) for A in mats),
-                (2.0, 1.0): max(subordinate_norm_exact(A, 2.0) for A in mats),
-                (1.0, 1.0): max(np.abs(A).sum(axis=0).max() for A in mats),
-                (2.0, 2.0): max(np.linalg.norm(A, 2) for A in mats),
+                ("linf", "l1"): max(subordinate_norm_exact(A, INF) for A in mats),
+                ("l2", "l1"): max(subordinate_norm_exact(A, 2.0) for A in mats),
+                ("l1", "l1"): max(np.abs(A).sum(axis=0).max() for A in mats),
+                ("l2", "l2"): max(np.linalg.norm(A, 2) for A in mats),
             }
             for delta in (0.5, 1.0, 3.0):
                 mech = MechanismSpec("plsoftmax", delta)
-                for (p, q), norm in exact.items():
-                    assert norm / delta <= theoretical_bound(mech, d, p, q) * (1 + 1e-12), (d, p, q, delta)
+                for (dom, rng), norm in exact.items():
+                    assert norm / delta <= mech.lipschitz_bound(dom, rng, d) * (1 + 1e-12), (d, dom, rng, delta)
 
     def test_unclaimed_mechanisms(self):
-        assert theoretical_bound(MechanismSpec("pow", 1.0), 8, 2.0, 2.0) == INF
-        assert theoretical_bound(MechanismSpec("sparsemax"), 8, 2.0, 2.0) == INF
+        assert MechanismSpec("pow", 1.0).lipschitz_bound("l2", "l2", 8) == INF
+        assert MechanismSpec("sparsemax").lipschitz_bound("l2", "l2", 8) == INF
 
     def test_bound_for_metrics(self):
-        assert bound_for_metrics(MechanismSpec("plsoftmax", 1.0), 8, "linf", "kl") == INF
-        assert bound_for_metrics(MechanismSpec("exp", 2.0), 8, "l2", "dinf") == 4.0
-        assert np.isclose(bound_for_metrics(MechanismSpec("plsoftmax", 1.0), 8, "l2", "l2"), 4.0)
+        assert MechanismSpec("plsoftmax", 1.0).lipschitz_bound("linf", "kl", 8) == INF
+        assert MechanismSpec("exp", 2.0).lipschitz_bound("l2", "dinf", 8) == 4.0
+        assert np.isclose(MechanismSpec("plsoftmax", 1.0).lipschitz_bound("l2", "l2", 8), 4.0)
+
+    @pytest.mark.parametrize("domain, range_", [("l0.5", "l1"), ("l1", "tv"), ("log-kl", "l1"), ("l2", "renyi:")])
+    def test_unknown_metric_id_rejected(self, domain, range_):
+        with pytest.raises(ValueError, match="metric id"):
+            MechanismSpec("exp", 1.0).lipschitz_bound(domain, range_, 8)
+
+    @pytest.mark.parametrize("mech", [MechanismSpec("exp", 1.0), MechanismSpec("sparsemax")], ids=lambda m: m.kind)
+    def test_d_below_two_rejected(self, mech):
+        # the dimension is checked even for a kind with no claim
+        for d in (1, 0, -3):
+            with pytest.raises(ValueError, match="d must be >= 2"):
+                mech.lipschitz_bound("l1", "l1", d)
 
 
 class TestLogDomainClaims:
@@ -408,7 +416,7 @@ class TestLogDomainClaims:
             for d in (2, 3, 4, 8, 16):
                 for domain in ("log-l1", "log-l2", "log-linf"):
                     for range_metric in ranges:
-                        bound = bound_for_metrics(mech, d, domain, range_metric)
+                        bound = mech.lipschitz_bound(domain, range_metric, d)
                         assert np.isfinite(bound)
                         for seed in (0, 1):
                             est = empirical_lipschitz(mech, d, domain, range_metric, 150, seed)
@@ -427,7 +435,7 @@ class TestLogDomainClaims:
                     assert abs(pow_ratio - exp_ratio) <= 1e-9
                     # the witness's derivative 2 lambda d(d-1)/(2d-1)^2, within the step's error
                     assert 0.999 * 2 * lam * d * (d - 1) / (2 * d - 1) ** 2 <= pow_ratio
-                    assert pow_ratio <= bound_for_metrics(pw, d, domain, "l1")
+                    assert pow_ratio <= pw.lipschitz_bound(domain, "l1", d)
 
 
 class TestKlWitness:
@@ -438,6 +446,9 @@ class TestKlWitness:
         assert np.isclose(floor, (np.log(4) - 2.0) / 2.0)
         with pytest.raises(ValueError):
             kl_lb_witness(3, 1.0)
+        for delta in (0.0, -1.0, np.nan, INF):
+            with pytest.raises(ValueError, match="delta must be positive and finite"):
+                kl_lb_witness(8, delta)
 
     def test_exp_meets_floor_at_large_d(self):
         d, delta = 1024, 1.0
@@ -465,6 +476,11 @@ class TestExpWitness:
         base = measured_ratio(MechanismSpec("exp", 1.0), *exp_l1_lb_witness(100, 1.0), 2.0)
         doubled = measured_ratio(MechanismSpec("exp", 2.0), *exp_l1_lb_witness(100, 2.0), 2.0)
         assert np.isclose(doubled / base, 2.0, rtol=1e-3)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan, INF])
+    def test_rejects_a_bad_lambda(self, lam):
+        with pytest.raises(ValueError, match="lambda must be positive and finite"):
+            exp_l1_lb_witness(8, lam)
 
     def test_delta_parameterization(self):
         d, delta = 100, 0.5
