@@ -44,6 +44,13 @@ Lemire rule as above, for the whole block at once; ``random()`` is the next
 word's top 53 bits times 2**-53.  Each trial fetches a spare half at least,
 so only a trial with two rejections (under 1e-14 per trial for bounds up
 to 200) can run out; it makes numpy's own calls instead.
+
+``weighted_choices`` is the fourth port: ``Generator.choice(n, p=dist)`` for
+many rows at once.  numpy takes ``cdf = dist.cumsum(); cdf /= cdf[-1]`` and
+returns ``cdf.searchsorted(random(), side="right")``, the count of cdf
+entries at or below the uniform; ``random()`` is the top 53 bits of the
+generator's next raw word times 2**-53, so given that word the pick is the
+same arithmetic, row by row.
 """
 
 from __future__ import annotations
@@ -325,3 +332,12 @@ def _row_draws(words: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.nd
             values[rows, c] = m >> np.uint64(32)
             rows = rows[m & np.uint64(_MASK32) < (np.uint64(2**32) - n) % n]
     return values, short
+
+
+def weighted_choices(dists: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Per row of the (n, d) ``dists``, ``Generator.choice(d, p=row)`` on a
+    PCG64 generator whose next raw word is ``words[row]``."""
+    cdf = np.add.accumulate(dists, axis=1)
+    cdf /= cdf[:, -1:]
+    u = (words >> np.uint64(11)) * _DOUBLE_UNIT
+    return np.count_nonzero(cdf <= u[:, None], axis=1)

@@ -32,13 +32,14 @@ import numpy as np
 
 from .distances import renyi_divergence
 from .mechanisms import MechanismSpec
-from .seeding import sorted_choices, spawn_rng
+from .seeding import sorted_choices, spawn_rng, weighted_choices
 
 _NODE_CAP = 10**5
 _SIZE_EXPONENT = 0.8
 UNIVERSE_CAP = 2**24
 SET_CAP = 10**5  # sets in a synthetic instance
 ID_CAP = 10**7  # ids in a synthetic instance, summed over its sets
+_SWEEP_BYTES = 2**24  # a greedy sweep's row blocks keep their temporaries to half of this
 
 
 def _check_universe(universe_size: int) -> None:
@@ -186,30 +187,107 @@ class SelectionTrace:
 
 
 def _mechanism_distribution(mech: MechanismSpec, gains: np.ndarray) -> np.ndarray:
-    """Selection distribution over remaining items; uniform when the power
-    mechanism sees all-zero gains (no choice can improve the objective)."""
-    if mech.kind == "pow" and not np.any(gains > 0):
-        return np.full(gains.size, 1.0 / gains.size)
-    return mech(gains)
+    """Selection distributions over remaining items, for one gain vector or
+    (n, d) rows of them; uniform in a row where the power mechanism sees
+    all-zero gains (no choice can improve the objective)."""
+    rows = gains.reshape(-1, gains.shape[-1])
+    flat = ~(rows > 0).any(axis=1) if mech.kind == "pow" else np.zeros(len(rows), dtype=bool)
+    if not flat.any():
+        return mech.rows(rows).reshape(gains.shape)
+    out = np.full(rows.shape, 1.0 / rows.shape[1])
+    out[~flat] = mech.rows(rows[~flat])
+    return out.reshape(gains.shape)
+
+
+def _check_k(inst: CoverageInstance, k: int) -> None:
+    if not 1 <= k <= inst.num_sets:
+        raise ValueError("need 1 <= k <= number of sets")
+
+
+def _check_private(mech: MechanismSpec) -> None:
+    if np.isinf(_divergence_constant(mech)):
+        raise ValueError("private greedy expects a mechanism with a proven max-divergence constant (exp or pow)")
+
+
+def _greedy_rows(inst: CoverageInstance, k: int, first_gains: np.ndarray, mechs=(), seeds=(), record=False):
+    """The argmax greedy and each mechanism's private greedy from each seed,
+    stepped together as the rows of one k-step loop.
+
+    Row 0 is the argmax greedy, ties to the lowest item index; row 1 + m *
+    len(seeds) + j is mechanism m's private greedy from seeds[j].  Every row
+    starts from ``first_gains``, the gains at the empty selection.  At a
+    later step a row's gains are the uncovered bit counts of all sets, one
+    broadcast over the (rows, words, sets) block, compacted to its remaining
+    items.  Each mechanism's rows get their distributions from one
+    ``_mechanism_distribution`` call, and a private row draws with
+    ``weighted_choices`` from its next raw word of ``spawn_rng(seed, 1)``:
+    the pick ``Generator.choice`` makes there.  Rows run in blocks of seeds
+    whose (rows, sets, words) temporaries take at most half of
+    _SWEEP_BYTES.
+
+    Returns the chosen items and the gains of the picks as (rows, k)
+    arrays, and with ``record`` set each step's remaining items and
+    distributions as (rows, n - t) arrays.
+    """
+    n, words = inst.num_sets, inst.words
+    columns = np.ascontiguousarray(words.T)  # word-major: the counts sum over whole rows of sets
+    mechs, seeds = list(mechs), list(seeds)
+    total = 1 + len(mechs) * len(seeds)
+    chosen = np.empty((total, k), dtype=np.intp)
+    picked = np.empty((total, k), dtype=np.int64)
+    steps = [(np.empty((total, n - t), dtype=np.intp), np.empty((total, n - t))) for t in range(k)] if record else []
+    # 8 bytes per (set, word) for the masked words, 1 for their bit counts,
+    # 64 per set for the gains, items, mask, distribution and cdf
+    row_bytes = n * (9 * words.shape[1] + 64)
+    per_block = max(1, _SWEEP_BYTES // (2 * row_bytes * max(1, len(mechs))))
+    for lo in range(0, max(1, len(seeds)), per_block):
+        block = seeds[lo:lo + per_block]
+        raw = np.array([spawn_rng(seed, 1).bit_generator.random_raw(k) for seed in block],
+                       dtype=np.uint64).reshape(len(block), k)
+        first = 1 if lo == 0 else 0  # the argmax greedy runs in the first block
+        rows = np.concatenate((np.zeros(first, dtype=np.intp),
+                               (1 + lo + np.arange(len(mechs))[:, None] * len(seeds) + np.arange(len(block))).ravel()))
+        at = np.arange(rows.size)
+        covered = np.zeros((rows.size, words.shape[1]), dtype=np.uint64)
+        remaining = np.ones((rows.size, n), dtype=bool)
+        for t in range(k):
+            if t == 0:
+                gains = np.broadcast_to(first_gains, remaining.shape)
+                items = np.broadcast_to(np.arange(n), remaining.shape)
+            else:
+                counts = np.bitwise_count(columns & ~covered[:, :, None]).sum(axis=1)
+                gains = counts[remaining].reshape(rows.size, n - t).astype(float)
+                items = np.nonzero(remaining)[1].reshape(rows.size, n - t)
+            dists = np.zeros(gains.shape)
+            picks = np.empty(rows.size, dtype=np.intp)
+            if first:
+                picks[0] = np.argmax(gains[0])  # first occurrence wins ties
+                dists[0, picks[0]] = 1.0
+            for m, mech in enumerate(mechs):
+                part = slice(first + m * len(block), first + (m + 1) * len(block))
+                dists[part] = _mechanism_distribution(mech, gains[part])
+                picks[part] = weighted_choices(dists[part], raw[:, t])
+            item = items[at, picks]
+            chosen[rows, t] = item
+            picked[rows, t] = gains[at, picks]
+            covered |= words[item]
+            remaining[at, item] = False
+            if record:
+                steps[t][0][rows], steps[t][1][rows] = items, dists
+    return chosen, picked, steps
+
+
+def _trace(run, row: int) -> SelectionTrace:
+    """Row ``row`` of a recorded ``_greedy_rows`` run as a trace."""
+    chosen, picked, steps = run
+    return SelectionTrace(chosen[row].tolist(), [items[row].tolist() for items, _ in steps],
+                          [dists[row] for _, dists in steps], np.cumsum(picked[row]).tolist())
 
 
 def greedy(inst: CoverageInstance, k: int) -> SelectionTrace:
     """Deterministic argmax greedy, ties to the lowest item index."""
-    if not 1 <= k <= inst.num_sets:
-        raise ValueError("need 1 <= k <= number of sets")
-    trace = SelectionTrace([], [], [], [])
-    value = 0
-    for _ in range(k):
-        items, gains = marginal_gains(inst, trace.chosen)
-        best = int(np.argmax(gains))  # first occurrence wins ties
-        dist = np.zeros(len(items))
-        dist[best] = 1.0
-        value += int(gains[best])
-        trace.step_items.append(items)
-        trace.step_distributions.append(dist)
-        trace.chosen.append(items[best])
-        trace.objective_values.append(value)
-    return trace
+    _check_k(inst, k)
+    return _trace(_greedy_rows(inst, k, marginal_gains(inst, [])[1], record=True), 0)
 
 
 def private_greedy(inst: CoverageInstance, k: int, mech: MechanismSpec, rng_seed: int) -> SelectionTrace:
@@ -218,25 +296,12 @@ def private_greedy(inst: CoverageInstance, k: int, mech: MechanismSpec, rng_seed
     Accepts the mechanisms with a proven max-divergence constant (exp, and
     pow on log gains).  Each step applies the mechanism to the gain vector
     restricted to the remaining items, records the exact distribution, and
-    samples one item; deterministic per seed.
+    samples one item as ``spawn_rng(rng_seed, 1).choice`` would; one row of
+    ``_greedy_rows``, deterministic per seed.
     """
-    if np.isinf(_divergence_constant(mech)):
-        raise ValueError("private greedy expects a mechanism with a proven max-divergence constant (exp or pow)")
-    if not 1 <= k <= inst.num_sets:
-        raise ValueError("need 1 <= k <= number of sets")
-    rng = spawn_rng(rng_seed, 1)
-    trace = SelectionTrace([], [], [], [])
-    value = 0
-    for _ in range(k):
-        items, gains = marginal_gains(inst, trace.chosen)
-        dist = _mechanism_distribution(mech, gains)
-        pick = int(rng.choice(len(items), p=dist))
-        value += int(gains[pick])
-        trace.step_items.append(items)
-        trace.step_distributions.append(dist)
-        trace.chosen.append(items[pick])
-        trace.objective_values.append(value)
-    return trace
+    _check_private(mech)
+    _check_k(inst, k)
+    return _trace(_greedy_rows(inst, k, marginal_gains(inst, [])[1], [mech], [rng_seed], record=True), 1)
 
 
 def _top_sum(values: np.ndarray, r: int) -> int:
@@ -323,13 +388,25 @@ def compose_privacy(eps_step: float, delta_step: float, steps: int, eta: float) 
     )
 
 
+def _set_keys(inst: CoverageInstance) -> np.ndarray:
+    """Sorted distinct keys set * universe_size + id, one per id of each set."""
+    owner = np.repeat(np.arange(inst.num_sets), inst.lengths)
+    return np.unique(owner * inst.universe_size + inst.ids)
+
+
+def _differing_sets(inst_a: CoverageInstance, inst_b: CoverageInstance) -> int:
+    """How many sets of two instances over one universe differ as sets of ids
+    (order and repeats within a set aside)."""
+    return np.unique(np.setxor1d(_set_keys(inst_a), _set_keys(inst_b)) // inst_a.universe_size).size
+
+
 def _neighbor_gains(inst_a: CoverageInstance, inst_b: CoverageInstance, contexts):
     """The pair of marginal-gain vectors of two one-record neighbors at each
     context (None stands for the empty selection alone).  The neighbors are
     checked at once; the gains are computed as the pairs are read."""
     if inst_a.universe_size != inst_b.universe_size or inst_a.num_sets != inst_b.num_sets:
         raise ValueError("neighboring instances must share universe and set count")
-    differing = sum(1 for a, b in zip(inst_a.sets, inst_b.sets) if set(a) != set(b))
+    differing = _differing_sets(inst_a, inst_b)
     if differing > 1:
         raise ValueError(f"instances differ in {differing} sets; neighbors differ in at most one")
     contexts = [[]] if contexts is None else contexts
@@ -460,36 +537,37 @@ def manipulation_records(inst: CoverageInstance, k: int, mechs, drop_prob: float
     first-pick distributions on the original vs thinned instance (l1 and sup
     distance), and runs that mechanism's private greedy on the original
     instance to get its realized objective relative to the non-private
-    greedy.  The greedy baseline and the original first-step gains are
-    computed once, the thinned first-step gains once per seed; they do not
-    depend on the mechanism.  A ``collections.Counter`` passed as ``work``
-    gains the counts of greedy runs (baseline and private), thinned
-    instances and gain evaluations (calls of ``marginal_gains``).
+    greedy.  The original first-step gains are computed once, the thinned
+    ones once per seed, and the greedy baseline and every private run are
+    the rows of one ``_greedy_rows`` call.  A ``collections.Counter`` passed
+    as ``work`` gains the counts of greedy runs (baseline and private),
+    thinned instances and gain evaluations (one per step of each greedy run,
+    plus the original and each thinned first step).
     """
-    seeds = list(seeds)
-    baseline = greedy(inst, k)
-    base = baseline.objective_values[-1]
+    mechs, seeds = list(mechs), list(seeds)
+    _check_k(inst, k)
     _, gains = marginal_gains(inst, [])
-    thinned = [marginal_gains(drop_elements(inst, drop_prob, spawn_rng(seed, 0)), [])[1] for seed in seeds]
-    evaluations = len(baseline.step_items) + 1 + len(thinned)
+    thinned = np.array([marginal_gains(drop_elements(inst, drop_prob, spawn_rng(seed, 0)), [])[1]
+                        for seed in seeds]).reshape(len(seeds), inst.num_sets)
+    if seeds:
+        for mech in mechs:
+            _check_private(mech)
+    values = _greedy_rows(inst, k, gains, mechs, seeds)[1].sum(axis=1).tolist()
     records = []
-    for mech in mechs:
-        p_orig = _mechanism_distribution(mech, gains)
-        for seed, thinned_gains in zip(seeds, thinned):
-            p_pert = _mechanism_distribution(mech, thinned_gains)
-            run = private_greedy(inst, k, mech, seed)
-            evaluations += len(run.step_items)
+    for m, mech in enumerate(mechs):
+        move = np.abs(_mechanism_distribution(mech, gains) - _mechanism_distribution(mech, thinned))
+        for j, (seed, l1, linf) in enumerate(zip(seeds, move.sum(axis=1).tolist(), move.max(axis=1).tolist())):
             records.append(
                 {
                     "mechanism": mech.kind,
                     "param": mech.param,
                     "seed": int(seed),
-                    "obj_ratio": run.objective_values[-1] / base,
-                    "l1_dist": float(np.abs(p_orig - p_pert).sum()),
-                    "linf_dist": float(np.abs(p_orig - p_pert).max()),
+                    "obj_ratio": values[1 + m * len(seeds) + j] / values[0],
+                    "l1_dist": l1,
+                    "linf_dist": linf,
                 }
             )
     if work is not None:
-        work.update(greedy_runs=1 + len(records), thinned_instances=len(thinned), gain_evaluations=evaluations)
+        runs = len(records)
+        work.update(greedy_runs=1 + runs, thinned_instances=len(seeds), gain_evaluations=k * (1 + runs) + 1 + len(seeds))
     return records
-

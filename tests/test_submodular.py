@@ -412,16 +412,32 @@ class TestSensitivityAndPrivacyLink:
     def test_neighbor_validation(self):
         a, b = self.make_neighbors()
         reordered = make_instance(6, [[2, 1, 0], [3, 2], [5, 4], [5, 1]])  # the same sets, ids in another order
+        repeated = make_instance(6, [[0, 1, 1, 2], [2, 3, 2], [4, 5], [5, 1, 5]])  # the same sets, ids repeated
         shared = "^neighboring instances must share universe and set count$"
         for call in self.NEIGHBOR_CALLS.values():
             call(a, b)
             call(a, reordered)
+            call(repeated, b)
             with pytest.raises(ValueError, match=shared):
                 call(a, make_instance(7, [[0, 1, 2], [2, 3], [4, 5], [1, 5]]))
             with pytest.raises(ValueError, match=shared):
                 call(a, make_instance(6, [[0, 1, 2], [2, 3], [4, 5]]))
             with pytest.raises(ValueError, match="^instances differ in 2 sets; neighbors differ in at most one$"):
                 call(a, make_instance(6, [[0, 1, 2], [2], [4], [1, 5]]))
+
+    @pytest.mark.parametrize("universe", [1, 5, 40])
+    def test_differing_sets_match_the_set_comparison(self, universe):
+        rng = np.random.default_rng(universe)
+        for _ in range(30):
+            num_sets = int(rng.integers(2, 7))
+            fam = [rng.integers(universe, size=rng.integers(0, 6)).tolist() for _ in range(num_sets)]
+            edited = [rng.permutation(s + s[:1]).tolist() if rng.random() < 0.5 else
+                      rng.integers(universe, size=rng.integers(0, 6)).tolist() for s in fam]
+            a, b = make_instance(universe, fam), make_instance(universe, edited)
+            thinned = submodular.drop_elements(a, 0.4, rng)
+            for x, y in ((a, b), (b, a), (a, thinned), (thinned, b), (a, a)):
+                expected = sum(set(s) != set(t) for s, t in zip(x.sets, y.sets))
+                assert submodular._differing_sets(x, y) == expected
 
     def test_privacy_link_refuses_the_kind_before_the_instances(self):
         a, _ = self.make_neighbors()
@@ -499,24 +515,25 @@ class TestManipulation:
         def counting(name):
             real = getattr(submodular, name)
 
-            def wrapper(*args):
+            def wrapper(*args, **kwargs):
                 calls[name, args[0] is inst] += 1
-                return real(*args)
+                return real(*args, **kwargs)
 
             monkeypatch.setattr(submodular, name, wrapper)
 
-        for name in ("greedy", "drop_elements", "marginal_gains"):
+        for name in ("_greedy_rows", "drop_elements", "marginal_gains"):
             counting(name)
         inst = synthetic_coverage_instance(10, 40, 6)
         work = Counter()
         recs = manipulation_records(inst, 3, [POW2, EXP1], 0.05, [0, 1, 2, 3], work=work)
         assert len(recs) == 8
-        assert calls["greedy", True] == 1
+        assert calls["_greedy_rows", True] == 1  # the baseline and all 8 private runs are its rows
         assert calls["drop_elements", True] == 4
         assert calls["marginal_gains", False] == 4  # thinned first steps, once per seed
-        assert calls["marginal_gains", True] == 3 + 1 + 8 * 3  # greedy, original first step, private runs
-        assert work == {"greedy_runs": 9, "thinned_instances": 4,
-                        "gain_evaluations": calls["marginal_gains", True] + calls["marginal_gains", False]}
+        assert calls["marginal_gains", True] == 1  # the original first step, shared by every run
+        # one gain vector per step of each run (baseline and private), the
+        # original first step and one thinned first step per seed
+        assert work == {"greedy_runs": 9, "thinned_instances": 4, "gain_evaluations": 3 + 1 + 4 + 8 * 3}
 
     def test_mechanisms_match_separate_calls(self):
         inst = synthetic_coverage_instance(12, 60, 8)
@@ -533,6 +550,35 @@ class TestManipulation:
             assert rec["obj_ratio"] == private_greedy(inst, 4, mech, seed).objective_values[-1] / base
         with pytest.raises(ValueError, match="exp or pow"):
             manipulation_records(inst, 4, [POW2, MechanismSpec("plsoftmax", 1.0)], 0.1, range(5))
+
+    def test_sweep_memory_is_bounded(self):
+        inst = synthetic_coverage_instance(40, 8000, 3)
+        mechs, seeds = [POW2, EXP1], range(2000)
+        # all the sweep's rows at once would hold several times the constant
+        # in (rows, sets, words) temporaries alone
+        assert (1 + len(mechs) * len(seeds)) * inst.words.nbytes > 4 * submodular._SWEEP_BYTES
+        tracemalloc.start()
+        try:
+            recs = manipulation_records(inst, 3, mechs, 0.05, seeds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(recs) == 4000
+        assert peak < submodular._SWEEP_BYTES
+
+    @pytest.mark.parametrize("sweep_bytes", [1, 200_000])
+    def test_blocks_do_not_change_the_records(self, monkeypatch, sweep_bytes):
+        inst = synthetic_coverage_instance(30, 300, 9)
+        mechs = [POW2, EXP1, MechanismSpec("pow", 1e-9)]
+        whole = manipulation_records(inst, 4, mechs, 0.1, range(25))
+        monkeypatch.setattr(submodular, "_SWEEP_BYTES", sweep_bytes)  # one seed, or a few, per block
+        assert manipulation_records(inst, 4, mechs, 0.1, range(25)) == whole
+
+    def test_no_seeds(self):
+        inst = synthetic_coverage_instance(10, 40, 6)
+        work = Counter()
+        assert manipulation_records(inst, 3, [POW2, MechanismSpec("plsoftmax", 1.0)], 0.05, [], work=work) == []
+        assert work == {"greedy_runs": 1, "thinned_instances": 0, "gain_evaluations": 3 + 1}
 
     def test_determinism(self):
         inst = synthetic_coverage_instance(10, 40, 6)
