@@ -13,6 +13,9 @@ builder; the synthetic and thinned instances pass their arrays straight to
 the constructor, and ``sets`` is built from the arrays only when read.  The
 neighbour checks (sensitivity, privacy link, insensitivity) share
 ``_neighbor_gains``, which checks the pair and yields each context's gains.
+Every greedy run of a manipulation sweep, the argmax baseline included, is
+a row of one k-step loop, ``_greedy_rows``; ``greedy`` and
+``private_greedy`` are its one-row views.
 
 Set-family file format: one line per set, whitespace-separated nonnegative
 integer element ids, blank lines ignored, UTF-8.  The universe is capped at
@@ -231,7 +234,6 @@ def _greedy_rows(inst: CoverageInstance, k: int, first_gains: np.ndarray, mechs=
     """
     n, words = inst.num_sets, inst.words
     columns = np.ascontiguousarray(words.T)  # word-major: the counts sum over whole rows of sets
-    mechs, seeds = list(mechs), list(seeds)
     total = 1 + len(mechs) * len(seeds)
     chosen = np.empty((total, k), dtype=np.intp)
     picked = np.empty((total, k), dtype=np.int64)
@@ -390,14 +392,15 @@ def compose_privacy(eps_step: float, delta_step: float, steps: int, eta: float) 
 
 def _set_keys(inst: CoverageInstance) -> np.ndarray:
     """Sorted distinct keys set * universe_size + id, one per id of each set."""
-    owner = np.repeat(np.arange(inst.num_sets), inst.lengths)
-    return np.unique(owner * inst.universe_size + inst.ids)
+    keys = np.sort(np.repeat(np.arange(inst.num_sets), inst.lengths) * inst.universe_size + inst.ids)
+    return keys[np.diff(keys, prepend=-1) != 0]  # keys are nonnegative
 
 
 def _differing_sets(inst_a: CoverageInstance, inst_b: CoverageInstance) -> int:
     """How many sets of two instances over one universe differ as sets of ids
     (order and repeats within a set aside)."""
-    return np.unique(np.setxor1d(_set_keys(inst_a), _set_keys(inst_b)) // inst_a.universe_size).size
+    odd = np.setxor1d(_set_keys(inst_a), _set_keys(inst_b), assume_unique=True)  # sorted
+    return np.count_nonzero(np.diff(odd // inst_a.universe_size, prepend=-1))
 
 
 def _neighbor_gains(inst_a: CoverageInstance, inst_b: CoverageInstance, contexts):
