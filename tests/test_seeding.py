@@ -1,6 +1,7 @@
 """The seeding ports against numpy, bit for bit: spawn_rngs against
-SeedSequence, sorted_choices against choice, and trial_draws against the
-per-trial normal, integers and random calls.
+SeedSequence, sorted_choices against choice, trial_draws against the
+per-trial normal, integers and random calls, and weighted_choices against
+choice with probabilities.
 
 The ports reimplement numpy's algorithms, so these tests pin them: a numpy
 release that changed one would fail here instead of changing seeded outputs
@@ -239,3 +240,26 @@ class TestRowDraws:
                 assert np.float64(est.max_ratio).tobytes() == np.float64(ref[0]).tobytes()
                 assert est.witness_x.tobytes() == ref[1].tobytes() and est.witness_y.tobytes() == ref[2].tobytes()
                 assert (est.trials, est.skipped) == ref[3:]
+
+
+class TestWeightedChoices:
+    @pytest.mark.parametrize("d", [1, 2, 7, 50, 300])
+    def test_matches_generator_choice(self, d):
+        rng = np.random.default_rng(d)
+        dists = rng.dirichlet(np.full(d, 0.3), size=120)
+        dists[::3, :d // 2] = 0.0  # zeros up front, where the cdf stays flat
+        dists[1::4] = 1.0 / d
+        dists[2::5] = np.eye(d)[rng.integers(d, size=len(dists[2::5]))]
+        dists /= dists.sum(axis=1, keepdims=True)
+        words, expected = [], []
+        for i, row in enumerate(dists):
+            words.append(spawn_rng(i, 1).bit_generator.random_raw())
+            expected.append(int(spawn_rng(i, 1).choice(d, p=row)))
+        assert seeding.weighted_choices(dists, np.array(words, dtype=np.uint64)).tolist() == expected
+
+    def test_words_at_the_ends(self):
+        dists = np.array([[0.25, 0.5, 0.25]] * 3)
+        # u = 0, exactly the first cdf step (searchsorted's side="right"
+        # moves on past it) and just below 1
+        words = np.array([0, 2**62, 2**64 - 1], dtype=np.uint64)
+        assert seeding.weighted_choices(dists, words).tolist() == [0, 1, 2]
