@@ -42,7 +42,7 @@ _SIZE_EXPONENT = 0.8
 UNIVERSE_CAP = 2**24
 SET_CAP = 10**5  # sets in a synthetic instance
 ID_CAP = 10**7  # ids in a synthetic instance, summed over its sets
-_SWEEP_BYTES = 2**24  # a greedy sweep's row blocks keep their temporaries to half of this
+_SWEEP_BYTES = 2**23  # a greedy sweep's row blocks keep their temporaries under this
 
 
 def _check_universe(universe_size: int) -> None:
@@ -212,44 +212,52 @@ def _check_private(mech: MechanismSpec) -> None:
         raise ValueError("private greedy expects a mechanism with a proven max-divergence constant (exp or pow)")
 
 
-def _greedy_rows(inst: CoverageInstance, k: int, first_gains: np.ndarray, mechs=(), seeds=(), record=False):
+def _greedy_rows(inst: CoverageInstance, k: int, first_gains: np.ndarray, mechs=(), seeds=(), baseline=True,
+                 record=False):
     """The argmax greedy and each mechanism's private greedy from each seed,
     stepped together as the rows of one k-step loop.
 
-    Row 0 is the argmax greedy, ties to the lowest item index; row 1 + m *
-    len(seeds) + j is mechanism m's private greedy from seeds[j].  Every row
+    With ``baseline`` row 0 is the argmax greedy, ties to the lowest item
+    index; row b + m * len(seeds) + j, b = 1 with the baseline and 0
+    without, is mechanism m's private greedy from seeds[j].  Every row
     starts from ``first_gains``, the gains at the empty selection.  At a
     later step a row's gains are the uncovered bit counts of all sets, one
     broadcast over the (rows, words, sets) block, compacted to its remaining
-    items.  Each mechanism's rows get their distributions from one
-    ``_mechanism_distribution`` call, and a private row draws with
+    items.  Each mechanism's rows in a block get their distributions from
+    one ``_mechanism_distribution`` call, and a private row draws with
     ``weighted_choices`` from its next raw word of ``spawn_rng(seed, 1)``:
-    the pick ``Generator.choice`` makes there.  Rows run in blocks of seeds
-    whose (rows, sets, words) temporaries take at most half of
-    _SWEEP_BYTES.
+    the pick ``Generator.choice`` makes there.
+
+    Rows run in blocks, and a block's counts in spans of sets, so that the
+    (rows, words, sets) temporaries and the rows' per-set state stay under
+    _SWEEP_BYTES (for a family of at most _SWEEP_BYTES // 64 sets).  The
+    word-major copy of the coverage matrix is made only when it fits in
+    _SWEEP_BYTES too; a larger matrix is read in place.
 
     Returns the chosen items and the gains of the picks as (rows, k)
     arrays, and with ``record`` set each step's remaining items and
     distributions as (rows, n - t) arrays.
     """
     n, words = inst.num_sets, inst.words
-    columns = np.ascontiguousarray(words.T)  # word-major: the counts sum over whole rows of sets
-    total = 1 + len(mechs) * len(seeds)
+    # word-major: the counts sum over whole rows of sets
+    columns = np.ascontiguousarray(words.T) if words.nbytes <= _SWEEP_BYTES else words.T
+    base, runs = int(baseline), max(1, len(seeds))
+    total = base + len(mechs) * len(seeds)
+    raw = np.array([spawn_rng(seed, 1).bit_generator.random_raw(k) for seed in seeds],
+                   dtype=np.uint64).reshape(len(seeds), k)
     chosen = np.empty((total, k), dtype=np.intp)
     picked = np.empty((total, k), dtype=np.int64)
     steps = [(np.empty((total, n - t), dtype=np.intp), np.empty((total, n - t))) for t in range(k)] if record else []
-    # 8 bytes per (set, word) for the masked words, 1 for their bit counts,
-    # 64 per set for the gains, items, mask, distribution and cdf
-    row_bytes = n * (9 * words.shape[1] + 64)
-    per_block = max(1, _SWEEP_BYTES // (2 * row_bytes * max(1, len(mechs))))
-    for lo in range(0, max(1, len(seeds)), per_block):
-        block = seeds[lo:lo + per_block]
-        raw = np.array([spawn_rng(seed, 1).bit_generator.random_raw(k) for seed in block],
-                       dtype=np.uint64).reshape(len(block), k)
-        first = 1 if lo == 0 else 0  # the argmax greedy runs in the first block
-        rows = np.concatenate((np.zeros(first, dtype=np.intp),
-                               (1 + lo + np.arange(len(mechs))[:, None] * len(seeds) + np.arange(len(block))).ravel()))
+    # bytes per (row, set): 8 per word for the masked words and 1 for their
+    # bit counts, 64 for the counts, gains, items, mask, distribution and cdf
+    cell, state = 9 * words.shape[1], 64
+    per_block = max(1, _SWEEP_BYTES // (n * (cell + state)))
+    for lo in range(0, total, per_block):
+        rows = np.arange(lo, min(total, lo + per_block))
         at = np.arange(rows.size)
+        mech_of, seed_of = np.divmod(rows - base, runs)  # mech_of is -1 on the baseline row
+        cuts = [0, *(np.flatnonzero(np.diff(mech_of)) + 1).tolist(), rows.size]
+        span = max(1, (_SWEEP_BYTES - rows.size * n * state) // (rows.size * cell))
         covered = np.zeros((rows.size, words.shape[1]), dtype=np.uint64)
         remaining = np.ones((rows.size, n), dtype=bool)
         for t in range(k):
@@ -257,18 +265,21 @@ def _greedy_rows(inst: CoverageInstance, k: int, first_gains: np.ndarray, mechs=
                 gains = np.broadcast_to(first_gains, remaining.shape)
                 items = np.broadcast_to(np.arange(n), remaining.shape)
             else:
-                counts = np.bitwise_count(columns & ~covered[:, :, None]).sum(axis=1)
+                counts = np.empty((rows.size, n), dtype=np.uint64)
+                free = ~covered[:, :, None]
+                for a in range(0, n, span):
+                    np.bitwise_count(columns[:, a:a + span] & free).sum(axis=1, out=counts[:, a:a + span])
                 gains = counts[remaining].reshape(rows.size, n - t).astype(float)
                 items = np.nonzero(remaining)[1].reshape(rows.size, n - t)
             dists = np.zeros(gains.shape)
             picks = np.empty(rows.size, dtype=np.intp)
-            if first:
-                picks[0] = np.argmax(gains[0])  # first occurrence wins ties
-                dists[0, picks[0]] = 1.0
-            for m, mech in enumerate(mechs):
-                part = slice(first + m * len(block), first + (m + 1) * len(block))
-                dists[part] = _mechanism_distribution(mech, gains[part])
-                picks[part] = weighted_choices(dists[part], raw[:, t])
+            for a, b in zip(cuts, cuts[1:]):
+                if mech_of[a] < 0:
+                    picks[a] = np.argmax(gains[a])  # first occurrence wins ties
+                    dists[a, picks[a]] = 1.0
+                else:
+                    dists[a:b] = _mechanism_distribution(mechs[mech_of[a]], gains[a:b])
+                    picks[a:b] = weighted_choices(dists[a:b], raw[seed_of[a:b], t])
             item = items[at, picks]
             chosen[rows, t] = item
             picked[rows, t] = gains[at, picks]
@@ -303,7 +314,8 @@ def private_greedy(inst: CoverageInstance, k: int, mech: MechanismSpec, rng_seed
     """
     _check_private(mech)
     _check_k(inst, k)
-    return _trace(_greedy_rows(inst, k, marginal_gains(inst, [])[1], [mech], [rng_seed], record=True), 1)
+    return _trace(_greedy_rows(inst, k, marginal_gains(inst, [])[1], [mech], [rng_seed], baseline=False,
+                               record=True), 0)
 
 
 def _top_sum(values: np.ndarray, r: int) -> int:

@@ -564,14 +564,35 @@ class TestManipulation:
         finally:
             tracemalloc.stop()
         assert len(recs) == 4000
-        assert peak < submodular._SWEEP_BYTES
+        assert peak < submodular._SWEEP_BYTES + 4 * 2**20  # 4 MiB for the records and the thinned gains
 
-    @pytest.mark.parametrize("sweep_bytes", [1, 200_000])
+    def test_rows_memory_is_bounded_when_one_row_is_over_it(self):
+        inst = synthetic_coverage_instance(1500, 65536, 4)
+        # one row's (words, sets) temporaries, and the coverage matrix itself,
+        # are over the constant
+        assert inst.words.nbytes > submodular._SWEEP_BYTES
+        assert inst.num_sets * 9 * inst.words.shape[1] > submodular._SWEEP_BYTES
+        gains = marginal_gains(inst, [])[1]
+        tracemalloc.start()
+        try:
+            chosen, picked, _ = submodular._greedy_rows(inst, 4, gains, [POW2, EXP1], [0, 1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < submodular._SWEEP_BYTES + 2**20  # 1 MiB for the outputs and rounding of the row state
+        assert chosen.shape == picked.shape == (5, 4)
+        for items, gained in zip(chosen, picked):  # each run's gains add up to the coverage of its picks
+            assert len(set(items.tolist())) == 4
+            assert gained.sum() == np.bitwise_count(np.bitwise_or.reduce(inst.words[items])).sum()
+
+    @pytest.mark.parametrize("sweep_bytes", [1, 2500, 200_000])
     def test_blocks_do_not_change_the_records(self, monkeypatch, sweep_bytes):
         inst = synthetic_coverage_instance(30, 300, 9)
         mechs = [POW2, EXP1, MechanismSpec("pow", 1e-9)]
         whole = manipulation_records(inst, 4, mechs, 0.1, range(25))
-        monkeypatch.setattr(submodular, "_SWEEP_BYTES", sweep_bytes)  # one seed, or a few, per block
+        # one row per block and one set per span, one row and two spans, or
+        # blocks of 66 rows that split a mechanism's runs
+        monkeypatch.setattr(submodular, "_SWEEP_BYTES", sweep_bytes)
         assert manipulation_records(inst, 4, mechs, 0.1, range(25)) == whole
 
     def test_no_seeds(self):

@@ -1,13 +1,14 @@
 """Alternating before/after runs of one benchmark workload, appended to its BENCH file.
 
     python tools/workload_pairs.py --before <rev> --workload applications_cli --seeds 91-100 \\
-        --change "<what the change does>" [--seconds 25] [--unseen] \\
+        --change "<what the change does>" [--unseen] \\
         [--others selector_stream,lipschitz_lab,loss_probes --other-seeds 91-95]
 
 Runs `python3 perfbench/run.py --workload <w> --seed <s> --seconds <n>
---trace 0` in two trees, one process at a time: "change" is the working tree
-of this repository, "parent" is <rev> exported (src/ and perfbench/ only)
-with `git archive` into a temporary directory.  Pair i runs seed i in both
+--trace 0`, n being BENCHMARK.json's run_seconds, in two trees, one
+process at a time: "change" is the working tree of this repository,
+"parent" is <rev> exported (src/ and perfbench/ only) with `git archive`
+into a temporary directory.  Pair i runs seed i in both
 trees, and the tree that runs first alternates by pair.  For each tree the
 entry holds whether every run was correct, the attempted and failed
 operations summed over the runs, and each end-to-end metric's median and
@@ -95,7 +96,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, help="seed range a-b, one pair per seed")
     parser.add_argument("--change", required=True, help="what the change does, for the entry's description")
-    parser.add_argument("--seconds", type=float, default=None, help="seconds per run (default: BENCHMARK.json's)")
     parser.add_argument("--unseen", action="store_true", help="the seeds were not used while the change was written")
     parser.add_argument("--others", default="", help="comma-separated workloads for other_workloads")
     parser.add_argument("--other-seeds", default=None, help="seed range for the other workloads (default: --seeds)")
@@ -107,7 +107,7 @@ def main(argv=None) -> int:
     for name in [args.workload, *others]:
         if name not in workloads:
             parser.error(f"unknown workload {name!r}; BENCHMARK.json has {sorted(workloads)}")
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] == "higher" for m in bench["end_to_end"]}
     before = resolve(args.before)
     seeds = seed_list(args.seeds)
