@@ -10,7 +10,8 @@ by exhaustive expected-utility enumeration on small instances.
 One outcome rule serves every caller: ``_outcome_rows`` maps rows of bid
 profiles and the grid prices to revenues, win indicators and payments at
 once.  ``revenue_of_reserve`` and ``revenue_vector`` are its one-row views,
-and ``ic_audit`` feeds it each bidder's deviations as blocks of rows.
+``soft_maximizer`` reads the chosen price's outcome off its grid call, and
+``ic_audit`` feeds it each bidder's deviations as blocks of rows.
 
 Instance file format: JSON object {"H": number, "k": int, "bids": [numbers]}.
 k equal to the number of bidders means unlimited supply (digital goods).
@@ -175,16 +176,16 @@ class MechanismOutcome:
 
 
 def soft_maximizer(inst: AuctionInstance, grid: PriceGrid, mech: MechanismSpec, rng_seed: int) -> MechanismOutcome:
-    """Run the soft-max selector on the revenue vector and realize one price."""
-    x = revenue_vector(inst, grid)
+    """Run the soft-max selector on the revenue vector and realize one price;
+    the vector and the chosen price's outcome come from one ``_outcome_rows`` call."""
+    revenue, wins, payments = _outcome_rows(inst.bids[None, :], grid.prices, inst.supply_k)
     if grid.size == 1:
         dist = np.array([1.0])
     else:
-        dist = mech(x)
+        dist = mech(revenue[0])
     rng = spawn_rng(rng_seed, 0)
     idx = int(rng.choice(grid.size, p=dist))
-    revenue, wins, payments = revenue_of_reserve(inst, float(grid.prices[idx]))
-    return MechanismOutcome(idx, dist, revenue, wins, payments)
+    return MechanismOutcome(idx, dist, float(revenue[0, idx]), wins[0, idx], payments[0, idx])
 
 
 def sensitivity_l1_revenue(grid: PriceGrid) -> float:

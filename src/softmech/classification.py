@@ -195,7 +195,7 @@ def subgradient_check(x, q, delta: float) -> float | None:
     return worst
 
 
-def convexity_probe(q, delta: float, trials: int, rng_seed: int, loss=None) -> float:
+def convexity_probe(q, delta: float, trials: int, rng_seed: int) -> float:
     """Max observed convexity violation of the loss in x for fixed q.
 
     Draws random (x1, x2, t) triples and measures
@@ -203,10 +203,8 @@ def convexity_probe(q, delta: float, trials: int, rng_seed: int, loss=None) -> f
     the max stays at numerical-noise level.  Trial i draws x1 and x2 from
     ``normal(0.0, sd, size=d)`` and then t from ``random()`` on the
     generator of spawn_rng(rng_seed, i); ``seeding.trial_draws`` replays
-    these draws into rows _PROBE_BLOCK trials at a time.  The built-in loss
-    is evaluated by the row form, one call per block; a custom ``loss(x)``
-    callable is called point by point over the block's rows, e.g. to confirm
-    the probe flags a concave double.
+    these draws into rows _PROBE_BLOCK trials at a time, and the loss is
+    evaluated by the row form, one call per block.
     """
     qq = check_distribution(q)
     _check_param(delta, "delta")
@@ -219,12 +217,8 @@ def convexity_probe(q, delta: float, trials: int, rng_seed: int, loss=None) -> f
         z, _, t = trial_draws(rng_seed, start, np.full(n, sd), np.full(n, 2 * d), np.empty((n, 0)))
         x1, x2 = z[:, :d], z[:, d:]
         mid = t[:, None] * x1 + (1 - t[:, None]) * x2
-        if loss is None:
-            l_mid, l1, l2 = np.split(_loss_rows(np.concatenate([mid, x1, x2]), qq, delta), 3)
-            gaps = (l_mid - t * l1 - (1 - t) * l2).tolist()
-        else:
-            gaps = [loss(m) - s * loss(a) - (1 - s) * loss(b) for m, a, b, s in zip(mid, x1, x2, t.tolist())]
-        worst = max(worst, *gaps)
+        l_mid, l1, l2 = np.split(_loss_rows(np.concatenate([mid, x1, x2]), qq, delta), 3)
+        worst = max(worst, *(l_mid - t * l1 - (1 - t) * l2).tolist())
     return float(worst)
 
 

@@ -9,20 +9,23 @@ set is randomly thinned.
 
 An instance is its arrays: every set's ids back to back, the set lengths,
 the distinct ids and the coverage matrix.  ``make_instance`` is the checked
-builder; the synthetic and thinned instances pass their arrays straight to
-the constructor, and ``sets`` is built from the arrays only when read.  The
-neighbour checks (sensitivity, privacy link, insensitivity) share
+builder; the synthetic and thinned instances pass their trusted ids through
+the same ``_from_ids``, and ``sets`` is built from the arrays only when read.
+The neighbour checks (sensitivity, privacy link, insensitivity) share
 ``_neighbor_gains``, which checks the pair and yields each context's gains.
 Every greedy run of a manipulation sweep, the argmax baseline included, is
 a row of one k-step loop, ``_greedy_rows``; ``greedy`` and
-``private_greedy`` are its one-row views.
+``private_greedy`` are its one-row views.  Thinning keeps each universe
+element by one rule, ``_kept``: ``drop_elements`` applies it to the ids,
+and the sweep reads each seed's thinned first-step gains off the coverage
+matrix with the dropped columns masked out, building no instance.
 
 Set-family file format: one line per set, whitespace-separated nonnegative
 integer element ids, blank lines ignored, UTF-8.  The universe is capped at
 ``UNIVERSE_CAP`` = 2**24 elements, so ids run below 2**24.  The coverage
 matrix has one column per distinct id, so it takes num_sets * ceil(distinct
-ids / 64) * 8 bytes whatever the largest id; ``drop_elements`` draws one
-float per universe element, 128 MB at the cap.
+ids / 64) * 8 bytes whatever the largest id; ``_kept`` draws one float per
+universe element, 128 MB at the cap.
 """
 
 from __future__ import annotations
@@ -57,10 +60,9 @@ class CoverageInstance:
     ``ids`` holds every set's ids back to back, ``lengths`` the number of
     ids in each set.  ``words`` is the coverage matrix: row r holds set r as
     bits, one column per id in ``elements``, column j in bit j % 64 of word
-    j // 64.  ``elements`` holds the sorted distinct ids of the family, or,
-    for an instance made by ``drop_elements``, those of the family it was
-    thinned from.  The arrays are trusted as given and made read-only;
-    ``make_instance`` is the checked builder.
+    j // 64.  ``elements`` holds the sorted distinct ids of the family.  The
+    arrays are trusted as given and made read-only; ``make_instance`` is the
+    checked builder.
     """
 
     universe_size: int
@@ -212,18 +214,17 @@ def _check_private(mech: MechanismSpec) -> None:
         raise ValueError("private greedy expects a mechanism with a proven max-divergence constant (exp or pow)")
 
 
-def _greedy_rows(inst: CoverageInstance, k: int, first_gains: np.ndarray, mechs=(), seeds=(), baseline=True,
-                 record=False):
+def _greedy_rows(inst: CoverageInstance, k: int, mechs=(), seeds=(), baseline=True, record=False):
     """The argmax greedy and each mechanism's private greedy from each seed,
     stepped together as the rows of one k-step loop.
 
     With ``baseline`` row 0 is the argmax greedy, ties to the lowest item
     index; row b + m * len(seeds) + j, b = 1 with the baseline and 0
-    without, is mechanism m's private greedy from seeds[j].  Every row
-    starts from ``first_gains``, the gains at the empty selection.  At a
-    later step a row's gains are the uncovered bit counts of all sets, one
-    broadcast over the (rows, words, sets) block, compacted to its remaining
-    items.  Each mechanism's rows in a block get their distributions from
+    without, is mechanism m's private greedy from seeds[j].  At each step a
+    row's gains are the uncovered bit counts of all sets, one broadcast over
+    the (rows, words, sets) block, compacted to its remaining items; at step
+    0 every row is at the empty selection, so one row is counted for all.
+    Each mechanism's rows in a block get their distributions from
     one ``_mechanism_distribution`` call, and a private row draws with
     ``weighted_choices`` from its next raw word of ``spawn_rng(seed, 1)``:
     the pick ``Generator.choice`` makes there.
@@ -261,16 +262,13 @@ def _greedy_rows(inst: CoverageInstance, k: int, first_gains: np.ndarray, mechs=
         covered = np.zeros((rows.size, words.shape[1]), dtype=np.uint64)
         remaining = np.ones((rows.size, n), dtype=bool)
         for t in range(k):
-            if t == 0:
-                gains = np.broadcast_to(first_gains, remaining.shape)
-                items = np.broadcast_to(np.arange(n), remaining.shape)
-            else:
-                counts = np.empty((rows.size, n), dtype=np.uint64)
-                free = ~covered[:, :, None]
-                for a in range(0, n, span):
-                    np.bitwise_count(columns[:, a:a + span] & free).sum(axis=1, out=counts[:, a:a + span])
-                gains = counts[remaining].reshape(rows.size, n - t).astype(float)
-                items = np.nonzero(remaining)[1].reshape(rows.size, n - t)
+            live = covered if t else covered[:1]  # every row starts from the empty selection
+            counts = np.empty((live.shape[0], n), dtype=np.uint64)
+            free = ~live[:, :, None]
+            for a in range(0, n, span):
+                np.bitwise_count(columns[:, a:a + span] & free).sum(axis=1, out=counts[:, a:a + span])
+            gains = np.broadcast_to(counts, remaining.shape)[remaining].reshape(rows.size, n - t).astype(float)
+            items = np.nonzero(remaining)[1].reshape(rows.size, n - t)
             dists = np.zeros(gains.shape)
             picks = np.empty(rows.size, dtype=np.intp)
             for a, b in zip(cuts, cuts[1:]):
@@ -300,7 +298,7 @@ def _trace(run, row: int) -> SelectionTrace:
 def greedy(inst: CoverageInstance, k: int) -> SelectionTrace:
     """Deterministic argmax greedy, ties to the lowest item index."""
     _check_k(inst, k)
-    return _trace(_greedy_rows(inst, k, marginal_gains(inst, [])[1], record=True), 0)
+    return _trace(_greedy_rows(inst, k, record=True), 0)
 
 
 def private_greedy(inst: CoverageInstance, k: int, mech: MechanismSpec, rng_seed: int) -> SelectionTrace:
@@ -314,8 +312,7 @@ def private_greedy(inst: CoverageInstance, k: int, mech: MechanismSpec, rng_seed
     """
     _check_private(mech)
     _check_k(inst, k)
-    return _trace(_greedy_rows(inst, k, marginal_gains(inst, [])[1], [mech], [rng_seed], baseline=False,
-                               record=True), 0)
+    return _trace(_greedy_rows(inst, k, [mech], [rng_seed], baseline=False, record=True), 0)
 
 
 def _top_sum(values: np.ndarray, r: int) -> int:
@@ -336,10 +333,8 @@ def brute_force_opt(inst: CoverageInstance, k: int) -> tuple[int, tuple[int, ...
     larger value replaces the best, so the first optimum in lexicographic
     order is kept.  Refuses to visit more than 10^5 nodes.
     """
-    n = inst.num_sets
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= number of sets")
-    words = inst.words
+    _check_k(inst, k)
+    n, words = inst.num_sets, inst.words
     best_val, best_set = -1, ()
     nodes = 0
     # Each entry is a child still to visit: (parent prefix, its covered
@@ -526,23 +521,21 @@ def exp_error_bound(k: int, d: int, eps: float, s_inf: float, opt: float) -> flo
     return min(1.0 / math.e + k * math.log(d) * s_inf / (eps * opt), 1.0)
 
 
-def drop_elements(inst: CoverageInstance, drop_prob: float, rng: np.random.Generator) -> CoverageInstance:
-    """Remove each universe element independently with probability drop_prob.
-
-    One draw per universe element, ``rng.random(universe_size)``; the
-    thinned coverage matrix is the original ANDed with the packed keep mask
-    of its columns, and each thinned set keeps its surviving ids in order.
-    """
+def _kept(universe_size: int, drop_prob: float, rng: np.random.Generator) -> np.ndarray:
+    """Which universe elements survive thinning, each dropped independently
+    with probability drop_prob: one draw per element, ``rng.random(universe_size)``."""
     if not 0 <= drop_prob < 1:
         raise ValueError("drop_prob must be in [0, 1)")
-    keep = rng.random(inst.universe_size) >= drop_prob
-    kept = keep[inst.ids]
+    return rng.random(universe_size) >= drop_prob
+
+
+def drop_elements(inst: CoverageInstance, drop_prob: float, rng: np.random.Generator) -> CoverageInstance:
+    """Remove each universe element independently with probability
+    drop_prob (``_kept``).  Each thinned set keeps its surviving ids in
+    order, and the result equals ``make_instance`` of the thinned sets."""
+    kept = _kept(inst.universe_size, drop_prob, rng)[inst.ids]
     ends = np.concatenate(([0], np.cumsum(kept)))[np.cumsum(inst.lengths)]
-    keep_bits = np.zeros(inst.words.shape[1] * 64, dtype=bool)
-    keep_bits[:inst.elements.size] = keep[inst.elements]
-    keep_words = np.packbits(keep_bits, bitorder="little").view("<u8").astype(np.uint64, copy=False)
-    return CoverageInstance(inst.universe_size, inst.ids[kept], np.diff(ends, prepend=0), inst.elements,
-                            inst.words & keep_words)
+    return _from_ids(inst.universe_size, inst.ids[kept], np.diff(ends, prepend=0))
 
 
 def manipulation_records(inst: CoverageInstance, k: int, mechs, drop_prob: float, seeds, work=None) -> list[dict]:
@@ -552,22 +545,28 @@ def manipulation_records(inst: CoverageInstance, k: int, mechs, drop_prob: float
     first-pick distributions on the original vs thinned instance (l1 and sup
     distance), and runs that mechanism's private greedy on the original
     instance to get its realized objective relative to the non-private
-    greedy.  The original first-step gains are computed once, the thinned
-    ones once per seed, and the greedy baseline and every private run are
-    the rows of one ``_greedy_rows`` call.  A ``collections.Counter`` passed
-    as ``work`` gains the counts of greedy runs (baseline and private),
-    thinned instances and gain evaluations (one per step of each greedy run,
-    plus the original and each thinned first step).
+    greedy.  The original first-step gains are counted once off the coverage
+    matrix, and each seed's thinned ones off the same matrix with the
+    columns of its dropped ids masked out, one seed at a time; no thinned
+    instance is built.  The greedy baseline and every private run are the
+    rows of one ``_greedy_rows`` call.  A ``collections.Counter`` passed as
+    ``work`` gains the counts of greedy runs (baseline and private), thinned
+    instances (one per seed, each read as its thinned first step) and gain
+    evaluations (one per step of each greedy run, plus the original and
+    each thinned first step).
     """
     mechs, seeds = list(mechs), list(seeds)
     _check_k(inst, k)
-    _, gains = marginal_gains(inst, [])
-    thinned = np.array([marginal_gains(drop_elements(inst, drop_prob, spawn_rng(seed, 0)), [])[1]
-                        for seed in seeds]).reshape(len(seeds), inst.num_sets)
+    gains = _uncovered_counts(inst.words, np.zeros(inst.words.shape[1], dtype=np.uint64)).astype(float)
+    thinned = np.empty((len(seeds), inst.num_sets))
+    dropped = np.zeros(inst.words.shape[1] * 64, dtype=bool)  # bit j: the id of column j is dropped
+    for j, seed in enumerate(seeds):
+        dropped[:inst.elements.size] = ~_kept(inst.universe_size, drop_prob, spawn_rng(seed, 0))[inst.elements]
+        thinned[j] = _uncovered_counts(inst.words, np.packbits(dropped, bitorder="little").view("<u8"))
     if seeds:
         for mech in mechs:
             _check_private(mech)
-    values = _greedy_rows(inst, k, gains, mechs, seeds)[1].sum(axis=1).tolist()
+    values = _greedy_rows(inst, k, mechs, seeds)[1].sum(axis=1).tolist()
     records = []
     for m, mech in enumerate(mechs):
         move = np.abs(_mechanism_distribution(mech, gains) - _mechanism_distribution(mech, thinned))

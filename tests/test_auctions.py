@@ -219,6 +219,19 @@ class TestSoftMaximizer:
         assert out.chosen_price_index == 0
         assert out.selection_distribution.tolist() == [1.0]
 
+    def test_outcome_is_that_of_the_chosen_reserve(self):
+        grid = reserve_grid(1.0, 0.25, 0.05)
+        for supply in (1, 2, 3):
+            inst = AuctionInstance(np.array([0.9, 0.6, 0.2]), 1.0, supply)
+            chosen = set()
+            for seed in range(20):
+                out = soft_maximizer(inst, grid, MechanismSpec("exp", 1.0), seed)
+                revenue, wins, payments = revenue_of_reserve(inst, float(grid.prices[out.chosen_price_index]))
+                assert out.revenue == revenue
+                assert out.allocations.tolist() == wins.tolist() and out.payments.tolist() == payments.tolist()
+                chosen.add(out.chosen_price_index)
+            assert len(chosen) > 1
+
     def test_seed_determinism(self):
         inst = AuctionInstance(np.array([0.9, 0.6, 0.2]), 1.0, 3)
         grid = reserve_grid(1.0, 0.25, 0.05)

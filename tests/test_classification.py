@@ -67,6 +67,15 @@ def per_trial_convexity_probe(q, delta, trials, rng_seed, scale=2.0, loss=None):
     return float(worst)
 
 
+def concave(x):
+    return -float(x @ x)
+
+
+def concave_rows(X, q, delta):
+    """A concave double of ``_loss_rows``: ``concave`` on each row."""
+    return np.array([concave(x) for x in X])
+
+
 def random_target(d, rng):
     ts = list(targets(d, rng))
     return ts[int(rng.integers(len(ts)))]
@@ -192,10 +201,9 @@ class TestConvexity:
             q = np.full(d, 1.0 / d)
             assert convexity_probe(q, 1.0, 400, 0) <= 1e-9
 
-    def test_probe_flags_concave_double(self):
-        q = np.full(4, 0.25)
-        concave = lambda x: -float(x @ x)
-        assert convexity_probe(q, 1.0, 200, 0, loss=concave) > 1e-3
+    def test_probe_flags_concave_double(self, monkeypatch):
+        monkeypatch.setattr(classification, "_loss_rows", concave_rows)
+        assert convexity_probe(np.full(4, 0.25), 1.0, 200, 0) > 1e-3
 
     def test_sparse_targets(self):
         q = np.array([0.7, 0.3, 0.0, 0.0])
@@ -305,12 +313,12 @@ class TestProbesMatchPerPointLoops:
                     seed = int(rng.integers(1000))
                     assert convexity_probe(q, delta, trials, seed) == per_trial_convexity_probe(q, delta, trials, seed)
 
-    def test_convexity_probe_custom_loss(self):
-        # a concave double, called point by point over rows drawn a block at a time
-        concave = lambda x: -float(x @ x)
+    def test_convexity_probe_custom_loss(self, monkeypatch):
+        # a concave double of the row loss, over rows drawn a block at a time
+        monkeypatch.setattr(classification, "_loss_rows", concave_rows)
         q = np.full(5, 0.2)
         for trials in (classification._PROBE_BLOCK - 1, classification._PROBE_BLOCK + 1):
-            got = convexity_probe(q, 1.5, trials, 3, loss=concave)
+            got = convexity_probe(q, 1.5, trials, 3)
             ref = per_trial_convexity_probe(q, 1.5, trials, 3, loss=concave)
             assert np.float64(got).tobytes() == np.float64(ref).tobytes()
             assert got > 1e-3

@@ -130,9 +130,7 @@ class TestMasksMatchPerElementLoop:
             thinned = submodular.drop_elements(inst, drop_prob, spawn_rng(trial, 0))
             keep = (spawn_rng(trial, 0).random(universe) >= drop_prob).tolist()
             assert thinned.sets == tuple(tuple(e for e in s if keep[e]) for s in inst.sets)
-            assert thinned.universe_size == universe
-            assert word_masks(thinned) == per_element_masks(thinned.sets, inst.elements.tolist())
-            assert marginal_gains(thinned, [1])[1].tolist() == marginal_gains(make_instance(universe, thinned.sets), [1])[1].tolist()
+            assert_same_instance(thinned, make_instance(universe, thinned.sets), trial)
 
     def test_all_empty_sets(self):
         inst = make_instance(5, [[], [], []])
@@ -516,24 +514,52 @@ class TestManipulation:
             real = getattr(submodular, name)
 
             def wrapper(*args, **kwargs):
-                calls[name, args[0] is inst] += 1
+                calls[name] += 1
                 return real(*args, **kwargs)
 
             monkeypatch.setattr(submodular, name, wrapper)
 
         for name in ("_greedy_rows", "drop_elements", "marginal_gains"):
             counting(name)
+        post_init = submodular.CoverageInstance.__post_init__
+
+        def counting_post_init(self):
+            calls["CoverageInstance"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(submodular.CoverageInstance, "__post_init__", counting_post_init)
         inst = synthetic_coverage_instance(10, 40, 6)
+        calls.clear()
         work = Counter()
         recs = manipulation_records(inst, 3, [POW2, EXP1], 0.05, [0, 1, 2, 3], work=work)
         assert len(recs) == 8
-        assert calls["_greedy_rows", True] == 1  # the baseline and all 8 private runs are its rows
-        assert calls["drop_elements", True] == 4
-        assert calls["marginal_gains", False] == 4  # thinned first steps, once per seed
-        assert calls["marginal_gains", True] == 1  # the original first step, shared by every run
+        # the baseline and all 8 private runs are the rows of one body call;
+        # every first step is read off the coverage matrix, no instance is built
+        assert calls == {"_greedy_rows": 1}
         # one gain vector per step of each run (baseline and private), the
         # original first step and one thinned first step per seed
         assert work == {"greedy_runs": 9, "thinned_instances": 4, "gain_evaluations": 3 + 1 + 4 + 8 * 3}
+
+    def test_thinned_gains_match_the_thinned_instances(self, monkeypatch):
+        distributions = []
+
+        def recording(mech, gains):
+            distributions.append(gains)
+            return real(mech, gains)
+
+        real = submodular._mechanism_distribution
+        monkeypatch.setattr(submodular, "_mechanism_distribution", recording)
+        seeds = range(7)
+        for inst in (synthetic_coverage_instance(10, 40, 6), synthetic_coverage_instance(30, 300, 9),
+                     make_instance(70, [[], [69, 0, 69], [], [2, 3, 2], [5]])):
+            for drop_prob in (0.0, 0.3, 0.9):
+                manipulation_records(inst, 2, [POW2], drop_prob, seeds)
+                original, thinned = distributions[-2:]  # after the greedy rows' own calls
+                assert original.tolist() == marginal_gains(inst, [])[1].tolist()
+                assert thinned.shape == (len(seeds), inst.num_sets)
+                for seed, row in zip(seeds, thinned):
+                    ref = marginal_gains(submodular.drop_elements(inst, drop_prob, spawn_rng(seed, 0)), [])[1]
+                    assert row.tolist() == ref.tolist(), (drop_prob, seed)
 
     def test_mechanisms_match_separate_calls(self):
         inst = synthetic_coverage_instance(12, 60, 8)
@@ -572,10 +598,9 @@ class TestManipulation:
         # are over the constant
         assert inst.words.nbytes > submodular._SWEEP_BYTES
         assert inst.num_sets * 9 * inst.words.shape[1] > submodular._SWEEP_BYTES
-        gains = marginal_gains(inst, [])[1]
         tracemalloc.start()
         try:
-            chosen, picked, _ = submodular._greedy_rows(inst, 4, gains, [POW2, EXP1], [0, 1])
+            chosen, picked, _ = submodular._greedy_rows(inst, 4, [POW2, EXP1], [0, 1])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -584,6 +609,16 @@ class TestManipulation:
         for items, gained in zip(chosen, picked):  # each run's gains add up to the coverage of its picks
             assert len(set(items.tolist())) == 4
             assert gained.sum() == np.bitwise_count(np.bitwise_or.reduce(inst.words[items])).sum()
+        # a one-step sweep holds the matrix-sized temporary of one first-step
+        # count at a time, never a thinned instance or all seeds' masks at once
+        tracemalloc.start()
+        try:
+            recs = manipulation_records(inst, 1, [POW2, EXP1], 0.05, [0, 1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(recs) == 4
+        assert peak < 1.5 * inst.words.nbytes
 
     @pytest.mark.parametrize("sweep_bytes", [1, 2500, 200_000])
     def test_blocks_do_not_change_the_records(self, monkeypatch, sweep_bytes):
