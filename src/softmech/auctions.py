@@ -11,7 +11,8 @@ One outcome rule serves every caller: ``_outcome_rows`` maps rows of bid
 profiles and the grid prices to revenues, win indicators and payments at
 once.  ``revenue_of_reserve`` and ``revenue_vector`` are its one-row views,
 ``soft_maximizer`` reads the chosen price's outcome off its grid call, and
-``ic_audit`` feeds it each bidder's deviations as blocks of rows.
+``ic_audit`` feeds it every bidder's deviations together, as shared blocks
+of rows.
 
 Instance file format: JSON object {"H": number, "k": int, "bids": [numbers]}.
 k equal to the number of bidders means unlimited supply (digital goods).
@@ -217,19 +218,22 @@ def ic_epsilon_for(mech: MechanismSpec, grid: PriceGrid, H: float) -> float:
     return lipschitz * sensitivity_l1_revenue(grid)
 
 
-def _expected_utilities(true_value: float, bidder: int, wins: np.ndarray, payments: np.ndarray,
-                        dist: np.ndarray) -> np.ndarray:
-    """Per-row expected utility of ``bidder`` over the selection rows ``dist``
-    (m, g), given the outcome rows of ``_outcome_rows``.
+def _expected_utilities(true_values: np.ndarray, bidders: np.ndarray, wins: np.ndarray,
+                        payments: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """Per-row expected utility over the selection rows ``dist`` (m, g), given
+    the outcome rows of ``_outcome_rows``: row r is bidder ``bidders[r]``'s,
+    whose true value is ``true_values[r]``.
 
     Sums over the grid column by column, in grid order, adding nothing where
     the price has probability 0 or the bidder loses, so each row's total is
     the same float as a scalar loop over the grid would give.
     """
+    rows = np.arange(dist.shape[0])
+    won, paid = wins[rows, :, bidders], payments[rows, :, bidders]
+    terms = np.where((dist != 0.0) & won, dist * (true_values[:, None] - paid), 0.0)
     total = np.zeros(dist.shape[0])
-    for j in range(dist.shape[1]):
-        d = dist[:, j]
-        total += np.where((d != 0.0) & wins[:, j, bidder], d * (true_value - payments[:, j, bidder]), 0.0)
+    for column in terms.T:
+        total += column
     return total
 
 
@@ -244,10 +248,13 @@ def ic_audit(inst: AuctionInstance, grid: PriceGrid, mech: MechanismSpec,
     bidders or 12 grid prices are refused; the enumeration is exact, no
     sampling is involved.
 
-    Each bidder's deviations run as blocks of at most ``_AUDIT_BLOCK`` bid
-    rows: one ``_outcome_rows`` call and one row-form selector call per
-    block, so the working arrays do not grow with ``resolution``.  Every
-    record equals the one a per-deviation loop over single profiles gives.
+    Every (bidder, deviation) pair is one bid row, and the rows, bidder-major
+    and in deviation order, run as shared blocks of at most ``_AUDIT_BLOCK``:
+    one ``_outcome_rows`` call, one row-form selector call and one utility
+    pass per block, so the working arrays do not grow with ``resolution``.
+    The truthful outcome and its distribution are computed once and give
+    every bidder's base utility.  Every record equals the one a
+    per-deviation loop over single profiles gives.
     """
     if inst.n > _AUDIT_MAX_BIDDERS or grid.size > _AUDIT_MAX_GRID:
         raise ValueError(
@@ -255,24 +262,25 @@ def ic_audit(inst: AuctionInstance, grid: PriceGrid, mech: MechanismSpec,
         )
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
-    prices, k = grid.prices, inst.supply_k
+    prices, k, n = grid.prices, inst.supply_k, inst.n
     revenue, wins, payments = _outcome_rows(inst.bids[None, :], prices, k)
     truthful_dist = mech.rows(revenue)
+    truthful = [np.broadcast_to(a, (n,) + a.shape[1:]) for a in (wins, payments, truthful_dist)]
+    base = _expected_utilities(inst.bids, np.arange(n), *truthful)
     devs = np.linspace(0.0, inst.H, resolution)
     records = []
     max_gain = 0.0
-    for i in range(inst.n):
-        true_value = float(inst.bids[i])
-        base = _expected_utilities(true_value, i, wins, payments, truthful_dist)[0]
-        for start in range(0, resolution, _AUDIT_BLOCK):
-            block = devs[start:start + _AUDIT_BLOCK]
-            reported = np.repeat(inst.bids[None, :], block.size, axis=0)
-            reported[:, i] = block
-            dev_revenue, dev_wins, dev_payments = _outcome_rows(reported, prices, k)
-            dist = mech.rows(dev_revenue)
-            gains = (_expected_utilities(true_value, i, dev_wins, dev_payments, dist) - base) / inst.H
-            records.extend(zip([i] * block.size, block.tolist(), gains.tolist()))
-            max_gain = max(max_gain, float(gains.max()))
+    for start in range(0, n * resolution, _AUDIT_BLOCK):
+        bidders, dev_index = np.divmod(np.arange(start, min(start + _AUDIT_BLOCK, n * resolution)), resolution)
+        block = devs[dev_index]
+        reported = np.repeat(inst.bids[None, :], block.size, axis=0)
+        reported[np.arange(block.size), bidders] = block
+        dev_revenue, dev_wins, dev_payments = _outcome_rows(reported, prices, k)
+        dist = mech.rows(dev_revenue)
+        utilities = _expected_utilities(inst.bids[bidders], bidders, dev_wins, dev_payments, dist)
+        gains = (utilities - base[bidders]) / inst.H
+        records.extend(zip(bidders.tolist(), block.tolist(), gains.tolist()))
+        max_gain = max(max_gain, float(gains.max()))
     return max_gain, records
 
 

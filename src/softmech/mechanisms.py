@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .distances import parse_metric_id, pq_bound_factor
-from .simplex import SUPPORT_EPS, as_value_rows, as_values, finalize_distribution, finalize_rows
+from .simplex import SUPPORT_EPS, as_value_rows, as_values, finalize_distribution, finalize_rows, value_range
 from .smmatrix import harmonic
 
 
@@ -60,19 +60,38 @@ def _check_param(value: float, name: str) -> None:
         raise ValueError(f"{name} must be positive and finite")
 
 
+def _less_max(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """v - max(v) for a checked vector with min lo and max hi.
+
+    A spread past the float range sends the far entries to -inf, where every
+    selector gives weight 0; numpy's overflow warning is silenced in that
+    case only, because errstate costs about a microsecond per call.
+    """
+    if hi - lo < np.inf:
+        return v - hi
+    with np.errstate(over="ignore"):
+        return v - hi
+
+
 def exp_mechanism(x, lam: float) -> np.ndarray:
     """Normalized exp(lam * x).  The max is subtracted first, which is exact
-    by translation invariance and keeps the exponentials in range."""
-    v = as_values(x)
+    by translation invariance and keeps the exponentials in range; an
+    exponent past the float range is -inf, whose weight is 0."""
+    v, lo, hi = value_range(x)
     _check_param(lam, "lambda")
-    w = np.exp(lam * (v - np.maximum.reduce(v)))
+    if float(lam) * (hi - lo) < np.inf:
+        w = np.exp(lam * (v - hi))
+    else:
+        with np.errstate(over="ignore"):
+            w = np.exp(lam * (v - hi))
     return w / np.add.reduce(w)
 
 
 def _exp_rows(x, lam: float) -> np.ndarray:
     v = as_value_rows(x)
     _check_param(lam, "lambda")
-    w = np.exp(lam * (v - v.max(axis=1, keepdims=True)))
+    with np.errstate(over="ignore"):
+        w = np.exp(lam * (v - v.max(axis=1, keepdims=True)))
     return w / w.sum(axis=1, keepdims=True)
 
 
@@ -82,10 +101,14 @@ def power_mechanism(x, lam: float) -> np.ndarray:
     0**lam is taken as 0.  Evaluated through logs of the positive entries so
     large powers do not overflow.
     """
-    v = as_values(x)
+    v, lo, _ = value_range(x)
     _check_param(lam, "lambda")
-    if np.minimum.reduce(v) < 0:
+    if lo < 0:
         raise ValueError("power mechanism needs nonnegative values")
+    if lo > 0:  # no zeros to mask
+        logs = np.log(v)
+        w = np.exp(lam * (logs - np.maximum.reduce(logs)))
+        return w / np.add.reduce(w)
     pos = v > 0
     logs = np.log(v[pos])
     if not logs.size:
@@ -102,9 +125,9 @@ def _power_rows(x, lam: float) -> np.ndarray:
         raise ValueError("power mechanism needs nonnegative values")
     if not (v > 0).any(axis=1).all():
         raise ValueError("power mechanism needs at least one positive value")
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         logs = np.log(v)  # -inf at the zeros, which exp maps back to 0
-    w = np.exp(lam * (logs - logs.max(axis=1, keepdims=True)))
+        w = np.exp(lam * (logs - logs.max(axis=1, keepdims=True)))
     return w / w.sum(axis=1, keepdims=True)
 
 
@@ -161,13 +184,12 @@ def plsoftmax(x, delta: float) -> np.ndarray:
     stable sort of all of x.  Everything works on x - max(x), so the result
     for x and for x - max(x) is the same to the last bit.
     """
-    return _plsoftmax(as_values(x), delta)
+    return _plsoftmax(_less_max(*value_range(x)), delta)
 
 
 def _plsoftmax(v: np.ndarray, delta: float) -> np.ndarray:
-    """plsoftmax on a value vector already checked by as_values."""
+    """plsoftmax on a checked value vector less its max."""
     _check_param(delta, "delta")
-    v = v - np.maximum.reduce(v)
     active = (v >= -delta).nonzero()[0]
     order = active[(-v[active]).argsort(kind="stable")]
     k = order.size
@@ -181,7 +203,8 @@ def _plsoftmax(v: np.ndarray, delta: float) -> np.ndarray:
 def _plsoftmax_rows(x, delta: float) -> np.ndarray:
     v = as_value_rows(x)
     _check_param(delta, "delta")
-    v = v - v.max(axis=1, keepdims=True)
+    with np.errstate(over="ignore"):
+        v = v - v.max(axis=1, keepdims=True)
     order = np.argsort(-v, axis=1, kind="stable")
     xs = np.take_along_axis(v, order, axis=1)
     k = np.count_nonzero(xs[:, :1] - xs <= delta, axis=1, keepdims=True)
@@ -198,7 +221,8 @@ def log_plsoftmax(x, delta: float) -> np.ndarray:
     Worst-case multiplicative slack is 1 - exp(-delta) <= delta; see
     :func:`multiplicative_guarantee`.
     """
-    return _plsoftmax(np.log(as_values(x, positive=True)), delta)
+    logs = np.log(as_values(x, positive=True))
+    return _plsoftmax(logs - np.maximum.reduce(logs), delta)
 
 
 def _log_plsoftmax_rows(x, delta: float) -> np.ndarray:
@@ -223,8 +247,7 @@ def sparsemax(x) -> np.ndarray:
     subtracted first, which is exact by translation invariance and keeps the
     prefix sums from overflowing.
     """
-    v = as_values(x)
-    v = v - np.maximum.reduce(v)
+    v = _less_max(*value_range(x))
     z = v[v > -1.0]
     z.sort()
     z = z[::-1]
@@ -236,7 +259,8 @@ def sparsemax(x) -> np.ndarray:
 
 def _sparsemax_rows(x) -> np.ndarray:
     v = as_value_rows(x)
-    v = v - v.max(axis=1, keepdims=True)
+    with np.errstate(over="ignore"):
+        v = v - v.max(axis=1, keepdims=True)
     # entries at or below max - 1 are never in the support; clamped to -1 they
     # leave every prefix sum the threshold reads unchanged and cannot overflow
     z = np.maximum(np.sort(v, axis=1)[:, ::-1], -1.0)

@@ -15,10 +15,16 @@ def as_values(x, *, positive: bool = False) -> np.ndarray:
     Raises ValueError on non-finite entries, and on non-positive entries when
     ``positive`` is set (the multiplicative-mode mechanisms need x > 0).
     """
+    return value_range(x, positive=positive)[0]
+
+
+def value_range(x, *, positive: bool = False) -> tuple[np.ndarray, float, float]:
+    """:func:`as_values`, also giving the vector's min and max as Python
+    floats, which the checks find anyway."""
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    return _checked_values(v, positive)
+    return (v, *_checked_range(v, positive))
 
 
 def as_value_rows(x, *, positive: bool = False) -> np.ndarray:
@@ -29,19 +35,24 @@ def as_value_rows(x, *, positive: bool = False) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 2:
         raise ValueError(f"expected rows of values, got shape {v.shape}")
-    return _checked_values(v, positive)
+    _checked_range(v, positive)
+    return v
 
 
-def _checked_values(v: np.ndarray, positive: bool) -> np.ndarray:
+def _checked_range(v: np.ndarray, positive: bool) -> tuple[float, float]:
     # the ufunc reductions are called directly: on small vectors the method
-    # and function wrappers around them cost about as much as the reduction
+    # and function wrappers around them cost about as much as the reduction.
+    # The values are finite exactly when their min and max are (a nan
+    # propagates to both); the initial values only serve an array of no rows.
     if v.shape[-1] < 1:
         raise ValueError("value vector must be non-empty")
-    if not np.logical_and.reduce(np.isfinite(v), None):
+    lo = float(np.minimum.reduce(v, None, initial=np.inf))
+    hi = float(np.maximum.reduce(v, None, initial=-np.inf))
+    if not (-np.inf < lo and hi < np.inf):
         raise ValueError("value vector must be finite")
-    if positive and not np.logical_and.reduce(v > 0, None):
+    if positive and not lo > 0:
         raise ValueError("value vector must be strictly positive")
-    return v
+    return lo, hi
 
 
 def finalize_distribution(raw: np.ndarray) -> np.ndarray:

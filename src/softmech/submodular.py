@@ -250,8 +250,9 @@ def _greedy_rows(inst: CoverageInstance, k: int, mechs=(), seeds=(), baseline=Tr
     picked = np.empty((total, k), dtype=np.int64)
     steps = [(np.empty((total, n - t), dtype=np.intp), np.empty((total, n - t))) for t in range(k)] if record else []
     # bytes per (row, set): 8 per word for the masked words and 1 for their
-    # bit counts, 64 for the counts, gains, items, mask, distribution and cdf
-    cell, state = 9 * words.shape[1], 64
+    # bit counts, 64 for the counts, gains, items, mask, distribution and cdf;
+    # a family of empty sets has no words, and is counted as one
+    cell, state = 9 * max(1, words.shape[1]), 64
     per_block = max(1, _SWEEP_BYTES // (n * (cell + state)))
     for lo in range(0, total, per_block):
         rows = np.arange(lo, min(total, lo + per_block))
@@ -567,6 +568,8 @@ def manipulation_records(inst: CoverageInstance, k: int, mechs, drop_prob: float
         for mech in mechs:
             _check_private(mech)
     values = _greedy_rows(inst, k, mechs, seeds)[1].sum(axis=1).tolist()
+    if values[0] == 0:
+        raise ValueError("the greedy baseline covers 0 elements (every set is empty), so obj_ratio is undefined")
     records = []
     for m, mech in enumerate(mechs):
         move = np.abs(_mechanism_distribution(mech, gains) - _mechanism_distribution(mech, thinned))

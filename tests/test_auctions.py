@@ -450,6 +450,29 @@ class TestRowAuditMatchesPerDeviationLoop:
         for resolution in (3, 4, 5, 9, 41):
             assert self._compare(inst, grid, MechanismSpec("exp", 3.0), resolution)
 
+    @pytest.mark.parametrize("block", [5, 7])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_blocks_split_a_bidders_deviations(self, monkeypatch, block, n):
+        # resolutions that are not multiples of the block: blocks start and
+        # end inside one bidder's deviations and hold several bidders' rows
+        monkeypatch.setattr(auctions, "_AUDIT_BLOCK", block)
+        rng = np.random.default_rng([n, block])
+        grid = reserve_grid(1.0, 0.25, 0.14)
+        for k, resolution in ((n, 9), (max(1, n - 1), 13)):
+            bids = rng.uniform(0.0, 1.0, size=n)
+            for mech in (MechanismSpec("plsoftmax", 0.3), MechanismSpec("exp", 3.0), MechanismSpec("sparsemax")):
+                assert self._compare(AuctionInstance(bids, 1.0, k), grid, mech, resolution)
+
+    @pytest.mark.parametrize("supply_k", [1, 3])
+    def test_selector_error_inside_a_shared_block(self, monkeypatch, supply_k):
+        # bidder 1 deviating to 0 leaves no revenue at any price (the others
+        # bid below the grid), a row pow refuses; it sits mid-block, after
+        # rows of bidder 0 and before rows of bidder 2
+        monkeypatch.setattr(auctions, "_AUDIT_BLOCK", 7)
+        grid = reserve_grid(1.0, 0.25, 0.14)
+        inst = AuctionInstance(np.array([0.05, 0.6, 0.1]), 1.0, supply_k)
+        assert not self._compare(inst, grid, MechanismSpec("pow", 2.0), 3)
+
     def test_working_rows_bounded_by_the_block(self, monkeypatch):
         seen = []
         kernel = auctions._outcome_rows

@@ -353,6 +353,42 @@ def raising_rows(kind, d):
     return rows
 
 
+class TestSpreadPastTheFloatRange:
+    """Finite values whose spread overflows a float: the far entries get
+    weight 0, with no numpy warning, in the 1-D and the row form alike."""
+
+    @pytest.mark.parametrize("kind", sorted(PARAMS))
+    def test_no_overflow_warning(self, kind):
+        spec = MechanismSpec(kind, PARAMS[kind])
+        extreme = np.array([1e308, -1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if spec.positive_domain:
+                # refused for its negative entry before any arithmetic
+                with pytest.raises(ValueError, match="positive|nonnegative"):
+                    spec(extreme)
+                with pytest.raises(ValueError, match="positive|nonnegative"):
+                    spec.rows(np.vstack([extreme, [0.3, 0.2]]))
+                extreme, ordinary = np.array([1e308, 5e-324]), np.array([0.3, 0.2])
+            else:
+                ordinary = np.array([0.3, -0.2])
+            assert spec(extreme).tolist() == [1.0, 0.0]
+            block = np.vstack([extreme, ordinary, extreme[::-1], ordinary[::-1]])
+            out = spec.rows(block)
+        assert out[0].tolist() == out[2].tolist()[::-1] == [1.0, 0.0]
+        for row, o in zip(block, out):
+            assert o.tobytes() == spec(row).tobytes()
+
+    def test_exp_exponent_past_the_float_range(self):
+        # the spread is finite, but lambda times it is not
+        spec = MechanismSpec("exp", 1e300)
+        x = np.array([1e10, 0.0, 1e10 - 1e-3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert spec(x).tolist() == [1.0, 0.0, 0.0]
+            assert spec.rows(np.vstack([x, x[::-1]])).tolist() == [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+
+
 class TestRowForms:
     @pytest.mark.parametrize("kind", sorted(PARAMS))
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 16, 64, 1024])

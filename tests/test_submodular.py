@@ -276,6 +276,19 @@ class TestGreedy:
             opt, _ = brute_force_opt(inst, 3)
             assert tr.objective_values[-1] >= (1 - 1 / np.e) * opt
 
+    def test_family_of_empty_sets(self):
+        # no words to count: every gain is 0, the argmax takes the lowest
+        # index and both mechanisms draw uniformly
+        inst = make_instance(5, [[], [], []])
+        tr = greedy(inst, 2)
+        assert tr.chosen == [0, 1] and tr.objective_values == [0, 0]
+        for mech in (POW2, EXP1):
+            tr = private_greedy(inst, 3, mech, 0)
+            assert sorted(tr.chosen) == [0, 1, 2] and tr.objective_values == [0, 0, 0]
+            assert [dist.tolist() for dist in tr.step_distributions] == [[1 / 3] * 3, [0.5, 0.5], [1.0]]
+        with pytest.raises(ValueError, match="greedy baseline covers 0 elements"):
+            manipulation_records(inst, 2, [EXP1, POW2], 0.5, [0, 1])
+
     def test_trace_shape(self):
         inst = synthetic_coverage_instance(8, 30, 1)
         tr = greedy(inst, 4)
