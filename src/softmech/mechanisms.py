@@ -25,7 +25,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .distances import parse_metric_id, pq_bound_factor
-from .simplex import SUPPORT_EPS, as_value_rows, as_values, finalize_distribution, finalize_rows, value_range
+from .simplex import (SUPPORT_EPS, as_value_rows, as_values, finalize_distribution, finalize_rows, value_range,
+                      value_rows_range)
 from .smmatrix import harmonic
 
 
@@ -60,38 +61,41 @@ def _check_param(value: float, name: str) -> None:
         raise ValueError(f"{name} must be positive and finite")
 
 
-def _less_max(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """v - max(v) for a checked vector with min lo and max hi.
+# A spread of values past the float range sends the far entries of v - max
+# to -inf, where every selector gives weight 0.  numpy's overflow warning is
+# silenced in that case only, because errstate costs about a microsecond per
+# call.  The spread (hi - lo over all the values checked) bounds every row's.
 
-    A spread past the float range sends the far entries to -inf, where every
-    selector gives weight 0; numpy's overflow warning is silenced in that
-    case only, because errstate costs about a microsecond per call.
-    """
-    if hi - lo < np.inf:
-        return v - hi
+
+def _less_max(v: np.ndarray, top, spread: float) -> np.ndarray:
+    """v - top, top being v's max (per row for rows)."""
+    if spread < np.inf:
+        return v - top
     with np.errstate(over="ignore"):
-        return v - hi
+        return v - top
+
+
+def _exp_weights(v: np.ndarray, top, lam: float, spread: float) -> np.ndarray:
+    """exp(lam * (v - top)), top being v's max (per row for rows)."""
+    if float(lam) * spread < np.inf:
+        return np.exp(lam * (v - top))
+    with np.errstate(over="ignore"):
+        return np.exp(lam * (v - top))
 
 
 def exp_mechanism(x, lam: float) -> np.ndarray:
     """Normalized exp(lam * x).  The max is subtracted first, which is exact
-    by translation invariance and keeps the exponentials in range; an
-    exponent past the float range is -inf, whose weight is 0."""
+    by translation invariance and keeps the exponentials in range."""
     v, lo, hi = value_range(x)
     _check_param(lam, "lambda")
-    if float(lam) * (hi - lo) < np.inf:
-        w = np.exp(lam * (v - hi))
-    else:
-        with np.errstate(over="ignore"):
-            w = np.exp(lam * (v - hi))
+    w = _exp_weights(v, hi, lam, hi - lo)
     return w / np.add.reduce(w)
 
 
 def _exp_rows(x, lam: float) -> np.ndarray:
-    v = as_value_rows(x)
+    v, lo, hi = value_rows_range(x)
     _check_param(lam, "lambda")
-    with np.errstate(over="ignore"):
-        w = np.exp(lam * (v - v.max(axis=1, keepdims=True)))
+    w = _exp_weights(v, v.max(axis=1, keepdims=True), lam, hi - lo)
     return w / w.sum(axis=1, keepdims=True)
 
 
@@ -184,7 +188,8 @@ def plsoftmax(x, delta: float) -> np.ndarray:
     stable sort of all of x.  Everything works on x - max(x), so the result
     for x and for x - max(x) is the same to the last bit.
     """
-    return _plsoftmax(_less_max(*value_range(x)), delta)
+    v, lo, hi = value_range(x)
+    return _plsoftmax(_less_max(v, hi, hi - lo), delta)
 
 
 def _plsoftmax(v: np.ndarray, delta: float) -> np.ndarray:
@@ -201,10 +206,9 @@ def _plsoftmax(v: np.ndarray, delta: float) -> np.ndarray:
 
 
 def _plsoftmax_rows(x, delta: float) -> np.ndarray:
-    v = as_value_rows(x)
+    v, lo, hi = value_rows_range(x)
     _check_param(delta, "delta")
-    with np.errstate(over="ignore"):
-        v = v - v.max(axis=1, keepdims=True)
+    v = _less_max(v, v.max(axis=1, keepdims=True), hi - lo)
     order = np.argsort(-v, axis=1, kind="stable")
     xs = np.take_along_axis(v, order, axis=1)
     k = np.count_nonzero(xs[:, :1] - xs <= delta, axis=1, keepdims=True)
@@ -247,7 +251,8 @@ def sparsemax(x) -> np.ndarray:
     subtracted first, which is exact by translation invariance and keeps the
     prefix sums from overflowing.
     """
-    v = _less_max(*value_range(x))
+    v, lo, hi = value_range(x)
+    v = _less_max(v, hi, hi - lo)
     z = v[v > -1.0]
     z.sort()
     z = z[::-1]
@@ -258,9 +263,8 @@ def sparsemax(x) -> np.ndarray:
 
 
 def _sparsemax_rows(x) -> np.ndarray:
-    v = as_value_rows(x)
-    with np.errstate(over="ignore"):
-        v = v - v.max(axis=1, keepdims=True)
+    v, lo, hi = value_rows_range(x)
+    v = _less_max(v, v.max(axis=1, keepdims=True), hi - lo)
     # entries at or below max - 1 are never in the support; clamped to -1 they
     # leave every prefix sum the threshold reads unchanged and cannot overflow
     z = np.maximum(np.sort(v, axis=1)[:, ::-1], -1.0)

@@ -32,11 +32,16 @@ def as_value_rows(x, *, positive: bool = False) -> np.ndarray:
 
     Every row gets :func:`as_values`' checks, with the same exceptions.
     """
+    return value_rows_range(x, positive=positive)[0]
+
+
+def value_rows_range(x, *, positive: bool = False) -> tuple[np.ndarray, float, float]:
+    """:func:`as_value_rows`, also giving the min and max over all rows as
+    Python floats (inf and -inf for no rows)."""
     v = np.asarray(x, dtype=float)
     if v.ndim != 2:
         raise ValueError(f"expected rows of values, got shape {v.shape}")
-    _checked_range(v, positive)
-    return v
+    return (v, *_checked_range(v, positive))
 
 
 def _checked_range(v: np.ndarray, positive: bool) -> tuple[float, float]:
