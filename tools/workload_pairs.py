@@ -18,8 +18,11 @@ parent's and the number of pairs in which the change was better, in the
 metric's direction from BENCHMARK.json.  The workloads named by --others are
 run the same way on --other-seeds and go into the entry's
 "other_workloads".  The entry is appended to BENCH_<workload>.json at the
-repository root; nothing else is written.  --unseen states in the entry that
-the seeds were not used while the change was written.
+repository root; nothing else is written.  That file is read and checked
+before the first run: a file holding one entry (a JSON object) is rewritten
+as a list that holds it, and a file of any other shape than an object or a
+list of objects ends the command with exit code 2.  --unseen states in the
+entry that the seeds were not used while the change was written.
 """
 
 from __future__ import annotations
@@ -49,6 +52,24 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} in {tree} exited with {proc.returncode}:\n{proc.stderr[-4000:]}")
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def read_entries(path: str) -> list[dict]:
+    """The entries of a BENCH file: none for a missing file, a lone entry
+    (one JSON object) as a one-element list that holds it unchanged, and a
+    list of entries as it is.  Raises ValueError on any other content."""
+    if not os.path.exists(path):
+        return []
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path} is not JSON: {exc}") from None
+    if isinstance(data, dict):
+        return [data]
+    if isinstance(data, list) and all(isinstance(entry, dict) for entry in data):
+        return data
+    raise ValueError(f"{path} holds neither an entry nor a list of entries")
 
 
 def quartiles(values: list[float]) -> dict:
@@ -107,6 +128,12 @@ def main(argv=None) -> int:
     for name in [args.workload, *others]:
         if name not in workloads:
             parser.error(f"unknown workload {name!r}; BENCHMARK.json has {sorted(workloads)}")
+    path = os.path.join(ROOT, f"BENCH_{args.workload}.json")
+    try:
+        entries = read_entries(path)
+    except ValueError as exc:
+        print(f"workload_pairs.py: {exc}", file=sys.stderr)
+        return 2
     seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] == "higher" for m in bench["end_to_end"]}
     before = resolve(args.before)
@@ -130,11 +157,6 @@ def main(argv=None) -> int:
     if others:
         other_seeds = seed_list(args.other_seeds) if args.other_seeds else seeds
         entry["other_workloads"] = {name: pairs(before, name, other_seeds, seconds, better) for name in others}
-    path = os.path.join(ROOT, f"BENCH_{args.workload}.json")
-    entries = []
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            entries = json.load(fh)
     entries.append(entry)
     write_json(path, entries)
     print(json.dumps({k: entry[args.workload][k] for k in ("change_over_parent", "change_wins")}))
