@@ -8,12 +8,19 @@ part (squared distance between q and the linear selector piece indexed by
 q's own order and support).  The total is zero exactly when the selector
 applied to x returns q, and it is convex in x for fixed q.
 
-The parts have one body, ``_parts``, for one score vector and for (n, d)
-rows against one target: the 1-D losses validate once and read it, and the
-row form that the gradient and convexity probes use reads it on rows.
+Everything the loss reads of q (its order, support size, top index,
+support indices and q in rank order) is built once per target, by
+``_target_piece``.  The hinge arguments of a point, or of (n, d) rows, are
+computed once, by ``_hinges``; the parts (``_parts``, one body for a vector
+and for rows), the gradient (the signs of the arguments) and the smoothness
+test of ``subgradient_check`` (the smallest |argument|) all read them.  The
+1-D losses validate once and read ``_parts``, and the row form that the
+gradient and convexity probes use reads it on rows.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,13 +35,25 @@ _PROBE_SCALE = 2.0  # the probe's normal draws have sd _PROBE_SCALE * max(delta,
 _FD_STEP = 1e-5  # central-difference step of subgradient_check
 
 
-def _target_piece(q: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """An already validated q's stable non-increasing sort order, its support
-    size k, and the last rank the order part reaches: the first rank outside
-    the support, capped at d - 1."""
+class _Piece(NamedTuple):
+    """What the loss reads of a validated target q, built once per target."""
+
+    order: np.ndarray  # q's stable non-increasing sort order
+    k: int  # support size
+    last: int  # last rank of the order part: the first outside the support, capped at d - 1
+    top: int  # q's first max index (order[0]), matching the tie rule
+    support: np.ndarray  # the indices with q > 0, ascending
+    outside: np.ndarray  # the indices with q == 0, ascending
+    qs: np.ndarray  # q[order]
+
+
+def _target_piece(q: np.ndarray) -> _Piece:
+    """The _Piece of an already validated q."""
     order = np.argsort(-q, kind="stable")
-    k = int(np.count_nonzero(q > 0))
-    return order, k, min(k, q.size - 1)
+    in_support = q > 0
+    k = int(np.count_nonzero(in_support))
+    return _Piece(order, k, min(k, q.size - 1), int(order[0]), np.flatnonzero(in_support),
+                  np.flatnonzero(~in_support), q[order])
 
 
 def _validated(x, q, delta: float | None = None, rows: bool = False):
@@ -47,35 +66,47 @@ def _validated(x, q, delta: float | None = None, rows: bool = False):
     return xx, qq
 
 
-def _parts(x: np.ndarray, q: np.ndarray, delta: float, piece: tuple[np.ndarray, int, int]):
+def _hinges(x: np.ndarray, delta: float, piece: _Piece):
+    """The hinge pass of validated scores x, one vector or (n, d) rows,
+    against a target whose _Piece is piece: x in q's rank order, and the
+    arguments of the three hinge families, each active where it is > 0.
+
+    - order: xs[i + 1] - xs[i] for ranks i below piece.last;
+    - inside: top - x[j] - delta for j in the support;
+    - outside: x[j] - top + delta for j outside it;
+
+    top being the score of q's top coordinate.  Every array is C-contiguous
+    (take, unlike a fancy-indexed column selection, returns C order), so
+    each row reduces as one vector does.
+    """
+    xs = x.take(piece.order, -1)
+    top = xs[..., :1]
+    return (xs, xs[..., 1 : piece.last + 1] - xs[..., : piece.last],
+            top - x.take(piece.support, -1) - delta, x.take(piece.outside, -1) - top + delta)
+
+
+def _parts(x: np.ndarray, delta: float, piece: _Piece):
     """The order, support and square parts of the loss at validated scores x,
-    one vector or (n, d) rows, against one validated target q whose
-    _target_piece is piece.  Their sum is the total loss.
+    one vector or (n, d) rows, against one validated target whose _Piece is
+    piece.  Their sum is the total loss.
 
     Each row's parts equal the parts of that row alone bit for bit: every
-    reduction runs on a C-contiguous row, as on one vector (a fancy-indexed
-    column selection is not C-contiguous, and numpy sums such rows in
-    another order), and the square part is a stack of r @ r row products,
-    which numpy computes with the 1-D dot product (einsum rounds
-    differently).
+    reduction runs on a C-contiguous row, as on one vector (numpy sums rows
+    of another layout in another order), and the square part is a stack of
+    r @ r row products, which numpy computes with the 1-D dot product
+    (einsum rounds differently).
     """
-    order, k, last = piece
-    xs = np.ascontiguousarray(x[..., order])
-    ord_part = np.maximum(xs[..., 1 : last + 1] - xs[..., :last], 0.0).sum(axis=-1)
-
-    top = x[..., int(np.argmax(q)), None]  # first max index, matching the tie rule
-    in_support = q > 0
-    inside = np.maximum(top - np.ascontiguousarray(x[..., in_support]) - delta, 0.0).sum(axis=-1)
-    outside = np.maximum(np.ascontiguousarray(x[..., ~in_support]) - top + delta, 0.0).sum(axis=-1)
-
-    r = _piece_residual(xs, q[order], delta, k)
-    return ord_part, inside + outside, (r[..., None, :] @ r[..., :, None])[..., 0, 0]
+    xs, ord_args, inside, outside = _hinges(x, delta, piece)
+    ord_part = np.maximum(ord_args, 0.0).sum(axis=-1)
+    supp_part = np.maximum(inside, 0.0).sum(axis=-1) + np.maximum(outside, 0.0).sum(axis=-1)
+    r = _piece_residual(xs, piece.qs, delta, piece.k)
+    return ord_part, supp_part, (r[..., None, :] @ r[..., :, None])[..., 0, 0]
 
 
 def _validated_parts(x, q, delta: float, rows: bool = False):
     """_parts of scores and a target validated here."""
     xx, qq = _validated(x, q, delta, rows)
-    return _parts(xx, qq, delta, _target_piece(qq))
+    return _parts(xx, delta, _target_piece(qq))
 
 
 def loss_ord(x, q) -> float:
@@ -102,7 +133,7 @@ def loss_supp(x, q, delta: float) -> float:
 def _piece_residual(xs: np.ndarray, qs: np.ndarray, delta: float, k: int) -> np.ndarray:
     """q minus its own selector piece (support size k) applied to x, with the
     scores xs (one vector or (n, d) rows) and qs = q[order] in q's rank order."""
-    r = qs - _piece_apply(xs, k if xs.ndim == 1 else np.full((xs.shape[0], 1), k)) / delta
+    r = qs - _piece_apply(xs, k) / delta
     r[..., :k] -= 1.0 / k
     return r
 
@@ -130,44 +161,32 @@ def _loss_rows(X, q, delta: float) -> np.ndarray:
 def loss_grad(x, q, delta: float) -> np.ndarray:
     """Gradient of the total loss in x (a subgradient at hinge corners)."""
     xx, qq = _validated(x, q, delta)
-    return _piece_grad(xx, qq, delta, _target_piece(qq))
+    piece = _target_piece(qq)
+    return _hinge_grad(_hinges(xx, delta, piece), delta, piece)
 
 
-def _piece_grad(xx: np.ndarray, qq: np.ndarray, delta: float, piece: tuple[np.ndarray, int, int]) -> np.ndarray:
-    """loss_grad of a validated point and target, given q's _target_piece."""
-    g = np.zeros_like(xx)
-    order, k, last = piece
-    lo, hi = order[:last], order[1 : last + 1]
-    inverted = xx[hi] - xx[lo] > 0
-    g[hi[inverted]] += 1.0
-    g[lo[inverted]] -= 1.0
-
-    top = int(np.argmax(qq))
-    in_support = qq > 0
-    too_low = in_support & (xx[top] - xx - delta > 0)
-    too_high = ~in_support & (xx - xx[top] + delta > 0)
-    g[too_low] -= 1.0
-    g[too_high] += 1.0
-    g[top] += np.count_nonzero(too_low) - np.count_nonzero(too_high)
-
-    r = _piece_residual(xx[order], qq[order], delta, k)
+def _hinge_grad(hinges, delta: float, piece: _Piece) -> np.ndarray:
+    """loss_grad at one point, read off its _hinges: each active hinge
+    contributes +-1, then the square part its residual through A_k^T."""
+    xs, ord_args, inside, outside = hinges
+    order, k, last = piece.order, piece.k, piece.last
+    g = np.zeros(xs.size)
+    inverted = ord_args > 0
+    g[order[1 : last + 1]] = inverted
+    g[order[:last]] -= inverted
+    too_low, too_high = inside > 0, outside > 0
+    g[piece.support] -= too_low
+    g[piece.outside] += too_high
+    g[piece.top] += np.count_nonzero(too_low) - np.count_nonzero(too_high)
+    r = _piece_residual(xs, piece.qs, delta, k)
     g[order] -= (2.0 / delta) * _piece_apply_transpose(r, k)
     return g
 
 
-def _is_smooth_point(
-    x: np.ndarray, q: np.ndarray, delta: float, tol: float, piece: tuple[np.ndarray, int, int]
-) -> bool:
-    """Whether every hinge argument at x is farther than tol from its corner;
-    piece is q's _target_piece."""
-    order, _, last = piece
-    xs = x[order]
-    if np.any(np.abs(xs[1 : last + 1] - xs[:last]) <= tol):
-        return False
-    top = x[int(np.argmax(q))]
-    in_support = q > 0
-    args = np.concatenate([top - x[in_support] - delta, x[~in_support] - top + delta])
-    return not np.any(np.abs(args) <= tol)
+def _is_smooth(hinges, tol: float) -> bool:
+    """Whether every hinge argument of one point's _hinges is farther than
+    tol from its corner: the smallest |argument| is above tol."""
+    return all(np.minimum.reduce(np.abs(args), initial=np.inf) > tol for args in hinges[1:])
 
 
 def subgradient_check(x, q, delta: float) -> float | None:
@@ -175,24 +194,26 @@ def subgradient_check(x, q, delta: float) -> float | None:
 
     Returns None (skip signal) when some hinge argument sits within
     2 * _FD_STEP of its corner: there the central difference straddles a
-    point where the loss is not differentiable.
+    point where the loss is not differentiable.  One hinge pass at x serves
+    the test and the gradient; the 2d difference points are the rows of one
+    _parts call.
     """
     xx, qq = _validated(x, q, delta)
     piece = _target_piece(qq)
-    if not _is_smooth_point(xx, qq, delta, 2.0 * _FD_STEP, piece):
+    hinges = _hinges(xx, delta, piece)
+    if not _is_smooth(hinges, 2.0 * _FD_STEP):
         return None
-    grad = _piece_grad(xx, qq, delta, piece)
-    d, idx = xx.size, np.arange(xx.size)
-    steps = np.tile(xx, (2 * d, 1))  # rows i and d + i step coordinate i up and down
-    steps[idx, idx] += _FD_STEP
-    steps[d + idx, idx] -= _FD_STEP
-    losses = sum(_parts(steps, qq, delta, piece))
+    grad = _hinge_grad(hinges, delta, piece)
+    d = xx.size
+    steps = np.empty((2 * d, d))
+    steps[:] = xx
+    flat = steps.reshape(-1)
+    flat[: d * d : d + 1] += _FD_STEP  # row i steps coordinate i up
+    flat[d * d :: d + 1] -= _FD_STEP  # row d + i steps it down
+    losses = sum(_parts(steps, delta, piece))
     fds = (losses[:d] - losses[d:]) / (2.0 * _FD_STEP)
-    worst = 0.0
-    for g, fd in zip(grad.tolist(), fds.tolist()):
-        scale = max(abs(fd), abs(g), 1.0)
-        worst = max(worst, abs(g - fd) / scale)
-    return worst
+    scale = np.maximum(np.maximum(np.abs(fds), np.abs(grad)), 1.0)
+    return float(np.maximum.reduce(np.abs(grad - fds) / scale, initial=0.0))
 
 
 def convexity_probe(q, delta: float, trials: int, rng_seed: int) -> float:

@@ -144,10 +144,11 @@ def _piece_apply(xs: np.ndarray, k) -> np.ndarray:
     t = xs - xs[0], entry i < k is t[i]/(i+1) - sum_{j=i+1..k-1} t[j] / ((j+1) j),
     a suffix sum in O(k).  Entries at and beyond k are zero.
 
-    For one vector k is an int and the work is O(k) slices.  For (n, d) rows
-    k is an (n, 1) array of per-row counts: the work covers the first max(k)
-    columns, with each row's t masked to zero beyond its own k, so every sum
-    gains only leading zeros and each row equals the 1-D result bit for bit.
+    For one vector, or (n, d) rows that share one count, k is an int and the
+    work is O(k) slices of each row.  For (n, d) rows k may also be an (n, 1)
+    array of per-row counts: the work covers the first max(k) columns, with
+    each row's t masked to zero beyond its own k, so every sum gains only
+    leading zeros.  Either way each row equals the 1-D result bit for bit.
     """
     if isinstance(k, np.ndarray):
         m = int(np.maximum.reduce(k, None, initial=1))  # 1 for a block of no rows
@@ -156,7 +157,7 @@ def _piece_apply(xs: np.ndarray, k) -> np.ndarray:
     else:
         m = k
         ranks, pairs = _rank_tables(m)
-        t = xs[:m] - xs[0]
+        t = xs[:m] - xs[0] if xs.ndim == 1 else xs[:, :m] - xs[:, :1]
     y = np.zeros(xs.shape)
     y[..., :m] = t / ranks
     y[..., : m - 1] -= np.add.accumulate((t[..., 1:] / pairs)[..., ::-1], -1)[..., ::-1]
