@@ -305,7 +305,7 @@ class TestProbesMatchPerPointLoops:
         rng = np.random.default_rng(12)
         results = []
         for j in range(320):
-            d = int(rng.choice([1, 2, 3, 8, 9, 16, 32]))
+            d = int(rng.choice([1, 2, 3, 8, 9, 16, 32, 64]))
             delta = float(rng.choice([0.1, 0.5, 1.0, 2.0]))
             x = rng.normal(0.0, 2.0 * delta, size=d) + float(rng.choice([0.0, 1e4]))
             if j % 5 == 0 and d > 1:
