@@ -194,11 +194,14 @@ def subgradient_check(x, q, delta: float) -> float | None:
 
     Returns None (skip signal) when some hinge argument sits within
     2 * _FD_STEP of its corner: there the central difference straddles a
-    point where the loss is not differentiable.  One hinge pass at x serves
-    the test and the gradient; the 2d difference points are the rows of one
-    _parts call.
+    point where the loss is not differentiable.  The loss is translation
+    invariant, so everything runs at x - max(x): at a large offset,
+    x +- _FD_STEP would round to x +- ulp.  One hinge pass at that point
+    serves the test and the gradient; the 2d difference points are the rows
+    of one _parts call.
     """
     xx, qq = _validated(x, q, delta)
+    xx = xx - np.maximum.reduce(xx)
     piece = _target_piece(qq)
     hinges = _hinges(xx, delta, piece)
     if not _is_smooth(hinges, 2.0 * _FD_STEP):

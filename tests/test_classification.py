@@ -48,8 +48,10 @@ def is_smooth_point(x, q, delta, tol):
 
 
 def per_point_subgradient_check(x, q, delta, fd_step=1e-5):
-    """subgradient_check with one loss_total call per finite-difference point."""
+    """subgradient_check with one loss_total call per finite-difference point,
+    at x - max(x) as it is."""
     xx, qq = np.asarray(x, dtype=float), np.asarray(q, dtype=float)
+    xx = xx - xx.max()
     if not is_smooth_point(xx, qq, delta, 2.0 * fd_step):
         return None
     grad = loss_grad(xx, qq, delta)
@@ -236,6 +238,21 @@ class TestGradient:
                 continue
             assert err <= 1e-4
             checked += 1
+
+    @pytest.mark.parametrize("offset", [1e8, 1e10, 1e12])
+    def test_large_offsets_match_finite_differences(self, offset):
+        # x +- 1e-5 would round to x +- ulp at these offsets; the check runs at
+        # x - max(x), where the loss is the same by translation invariance
+        rng = np.random.default_rng(5)
+        worst, checked = 0.0, 0
+        for _ in range(50):
+            x = rng.normal(0.0, 2.0, size=8)
+            q = plsoftmax(rng.normal(0.0, 2.0, size=8), 1.0)
+            err = subgradient_check(x + offset, q, 1.0)
+            if err is not None:
+                worst, checked = max(worst, err), checked + 1
+        assert checked >= 40
+        assert worst <= 1e-8
 
     def test_skip_within_difference_step_of_a_corner(self):
         # a support hinge sits 6.5e-6 from its corner: inside the central
