@@ -19,6 +19,7 @@ v.max() cost as much as the work.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -67,6 +68,11 @@ def _check_param(value: float, name: str) -> None:
 # call.  The spread (hi - lo over all the values checked) bounds every row's.
 
 
+# Bound on |math.log(y) - np.log(y)| summed over both ends of a log spread:
+# each is within a few ulp of log(y), and |log(y)| < 745.
+_LOG_SLACK = 1e-9
+
+
 def _less_max(v: np.ndarray, top, spread: float) -> np.ndarray:
     """v - top, top being v's max (per row for rows)."""
     if spread < np.inf:
@@ -105,20 +111,23 @@ def power_mechanism(x, lam: float) -> np.ndarray:
     0**lam is taken as 0.  Evaluated through logs of the positive entries so
     large powers do not overflow.
     """
-    v, lo, _ = value_range(x)
+    v, lo, hi = value_range(x)
     _check_param(lam, "lambda")
     if lo < 0:
         raise ValueError("power mechanism needs nonnegative values")
     if lo > 0:  # no zeros to mask
         logs = np.log(v)
-        w = np.exp(lam * (logs - np.maximum.reduce(logs)))
+        # the log spread from the range; math.log and np.log may differ in
+        # the last bits, which _LOG_SLACK covers
+        w = _exp_weights(logs, np.maximum.reduce(logs), lam, math.log(hi) - math.log(lo) + _LOG_SLACK)
         return w / np.add.reduce(w)
     pos = v > 0
     logs = np.log(v[pos])
     if not logs.size:
         raise ValueError("power mechanism needs at least one positive value")
+    top = np.maximum.reduce(logs)
     w = np.zeros(v.size)
-    w[pos] = np.exp(lam * (logs - np.maximum.reduce(logs)))
+    w[pos] = _exp_weights(logs, top, lam, float(top - np.minimum.reduce(logs)))
     return w / np.add.reduce(w)
 
 

@@ -388,6 +388,17 @@ class TestSpreadPastTheFloatRange:
             assert spec(x).tolist() == [1.0, 0.0, 0.0]
             assert spec.rows(np.vstack([x, x[::-1]])).tolist() == [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
 
+    def test_pow_exponent_past_the_float_range(self):
+        # the log spread is finite, but lambda times it is not
+        spec = MechanismSpec("pow", 1e306)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in ([1e308, 1.0], [1e308, 1.0, 0.0], [1.0, 1e308 * (1 - 1e-15)]):
+                x = np.array(x)
+                want = (x == x.max()).astype(float)
+                assert spec(x).tolist() == want.tolist()
+                assert spec.rows(x[None]).tolist() == [want.tolist()]
+
 
 class TestRowForms:
     @pytest.mark.parametrize("kind", sorted(PARAMS))
