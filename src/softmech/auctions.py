@@ -31,6 +31,10 @@ from .simplex import SUPPORT_EPS
 
 _AUDIT_MAX_BIDDERS = 6
 _AUDIT_MAX_GRID = 12
+# Most deviation bids per bidder in ic_audit.  Its records are kept until
+# it returns, about 120 bytes each: a 6-bidder audit at the cap keeps
+# 600,000 of them (about 70 MB) and takes seconds.
+_AUDIT_MAX_RESOLUTION = 10**5
 # Deviation rows per ic_audit block; bounds its (rows, grid, bidders) arrays
 # whatever the resolution.
 _AUDIT_BLOCK = 1024
@@ -245,8 +249,8 @@ def ic_audit(inst: AuctionInstance, grid: PriceGrid, mech: MechanismSpec,
     computes the exact expected utility (sum over the selection distribution)
     against truthful reporting.  Returns the max gain and per-deviation
     records (bidder, deviation_bid, utility_gain).  Instances beyond 6
-    bidders or 12 grid prices are refused; the enumeration is exact, no
-    sampling is involved.
+    bidders or 12 grid prices, and resolutions beyond 10**5, are refused
+    before any work; the enumeration is exact, no sampling is involved.
 
     Every (bidder, deviation) pair is one bid row, and the rows, bidder-major
     and in deviation order, run as shared blocks of at most ``_AUDIT_BLOCK``:
@@ -262,6 +266,8 @@ def ic_audit(inst: AuctionInstance, grid: PriceGrid, mech: MechanismSpec,
         )
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
+    if resolution > _AUDIT_MAX_RESOLUTION:
+        raise ValueError(f"resolution {resolution} above the cap {_AUDIT_MAX_RESOLUTION}")
     prices, k, n = grid.prices, inst.supply_k, inst.n
     revenue, wins, payments = _outcome_rows(inst.bids[None, :], prices, k)
     truthful_dist = mech.rows(revenue)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from softmech import cli, smoothness, submodular
+from softmech import auctions, cli, smoothness, submodular
 from softmech.cli import main, parse_seeds, parse_vector, read_vector_file
 from softmech.mechanisms import MechanismSpec
 
@@ -294,6 +294,27 @@ class TestAuction:
         gains = [float(l.split(",")[2]) for l in lines[1:]]
         assert max(gains) <= payload["epsilon_ic"] + 1e-9
 
+
+    def test_audit_resolution_above_the_cap_exits_2(self, tmp_path, monkeypatch, capsys):
+        # resolution 10**8 would keep about 70 GB of records; the cap is
+        # checked before the audit allocates anything
+        spec = tmp_path / "auction.json"
+        spec.write_text(json.dumps({"H": 1.0, "k": 2, "bids": [0.9, 0.4]}), encoding="utf-8")
+        argv = ["auction", "--instance-file", str(spec), "--mech", "plsoftmax:delta=4", "--audit"]
+        assert main([*argv, "--resolution", str(10**8)]) == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err == {"command": "auction", "error": f"resolution {10**8} above the cap {10**5}"}
+        monkeypatch.setattr(auctions, "_AUDIT_MAX_RESOLUTION", 21)
+        assert main([*argv, "--resolution", "21"]) == 0
+        capsys.readouterr()
+
+        def no_work(*args, **kwargs):
+            raise RuntimeError("worked before checking the resolution")
+
+        monkeypatch.setattr(auctions, "_expected_utilities", no_work)
+        assert main([*argv, "--resolution", "22"]) == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err == {"command": "auction", "error": "resolution 22 above the cap 21"}
 
     def test_grid_step_below_float_resolution_exits_2(self, tmp_path):
         # 1 - 1e-300 == 1 in floats, so the price never reaches the floor.  The
