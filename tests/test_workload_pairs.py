@@ -1,4 +1,5 @@
-"""tools/workload_pairs.py reads and checks its BENCH file before any run."""
+"""tools/workload_pairs.py reads and checks its BENCH file before any run, and
+bad arguments to the timing tools end them with exit code 2 before any run."""
 
 import json
 import shutil
@@ -10,6 +11,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 
+import acceptance_times  # noqa: E402
+import selector_times  # noqa: E402
 import workload_pairs  # noqa: E402
 
 ENTRY = {"what": "one entry", "loss_probes": {"seeds": [1, 2], "pairs": 2}}
@@ -50,3 +53,33 @@ def test_a_malformed_file_exits_2_before_any_run(tmp_path, monkeypatch, capsys):
     assert workload_pairs.main(argv) == 2
     assert "neither an entry nor a list of entries" in capsys.readouterr().err
     assert (tmp_path / "BENCH_loss_probes.json").read_text(encoding="utf-8") == "[1, 2]"
+
+
+WORKLOAD_ARGS = ["--workload", "loss_probes", "--change", "nothing"]
+
+
+@pytest.mark.parametrize("tool, argv, message", [
+    (workload_pairs, ["--before", "HEAD", *WORKLOAD_ARGS, "--seeds", "5-3"], "invalid seed_list value: '5-3'"),
+    (workload_pairs, ["--before", "HEAD", *WORKLOAD_ARGS, "--seeds", "x"], "invalid seed_list value: 'x'"),
+    (workload_pairs, ["--before", "HEAD", *WORKLOAD_ARGS, "--seeds", "1-2", "--other-seeds", "2-1",
+                      "--others", "lipschitz_lab"], "invalid seed_list value: '2-1'"),
+    (workload_pairs, ["--before", "no-such-rev", *WORKLOAD_ARGS, "--seeds", "1-2"], "'no-such-rev' names no commit"),
+    (acceptance_times, ["--before", "no-such-rev"], "'no-such-rev' names no commit"),
+    (selector_times, ["--before", "no-such-rev"], "'no-such-rev' names no commit"),
+])
+def test_bad_arguments_exit_2_with_one_line_before_any_run(tool, argv, message, tmp_path, monkeypatch, capsys):
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
+    monkeypatch.setattr(tool, "ROOT", str(tmp_path))
+
+    def no_runs(*args, **kwargs):
+        raise AssertionError("a benchmark run started")
+
+    for runner in ("alternate", "pairs", "run_once", "run_suite", "run_child"):
+        if hasattr(tool, runner):
+            monkeypatch.setattr(tool, runner, no_runs)
+    with pytest.raises(SystemExit) as exc:
+        tool.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    assert list(tmp_path.iterdir()) == [tmp_path / "BENCHMARK.json"]

@@ -5,19 +5,19 @@
 For each mechanism kind at d = 4, 16, 64 and 1024 this times three things:
 one 1-D call (``MechanismSpec.__call__``, us per call), one ``rows`` call on
 a single row (us per call), and ``rows`` on blocks of 256 rows (rows per
-second).  It does so in two trees: "after" is the working tree of this
-repository, "before" is <rev> exported with `git archive` into a temporary
-directory.  Each run is one child process of this script that imports
-softmech from its tree's src/; runs alternate between the trees, one
+second).  It does so in two trees: the "change" is the working tree of this
+repository, the "parent" is <rev> exported with `git archive` into a
+temporary directory.  Each run is one child process of this script that
+imports softmech from its tree's src/; runs alternate between the trees, one
 process at a time, so both trees are timed by the same code.  Within a run
 each figure is the best of several timed rounds over a fixed pool of seeded
 inputs.  Across runs the JSON written to --out (default:
-BENCH_selector_calls.json at the repository root) holds each figure's best,
-median and worst value per tree, the after/before ratio of the best values,
-the trees' git ids, the CPU count and the Python and numpy versions.  The
-ratio uses the best values because on a shared machine whole processes run
-slow at random (every figure of such a run reads about 1.6x higher), which
-moves a median of a few runs.  Nothing else in the repository is written.
+BENCH_selector_calls.json at the repository root) holds each figure's
+ab_harness.compare summary, the trees' git ids, the CPU count and the Python
+and numpy versions.  On a shared machine whole processes run slow at random
+(every figure of such a run reads about 1.6x higher), which moves a median
+of a few runs, so the ratio of the best runs is the steadier one.  Nothing
+else in the repository is written.
 """
 
 from __future__ import annotations
@@ -25,12 +25,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import subprocess
 import sys
 import time
 
-from ab_harness import ROOT, alternate, machine, resolve, trees, write_json
+from ab_harness import ROOT, Parser, alternate, compare, machine, resolve, trees, write_json
 
 KINDS = (("exp", 1.0), ("pow", 2.0), ("plsoftmax", 1.0), ("logplsoftmax", 0.5), ("sparsemax", None))
 DIMS = (4, 16, 64, 1024)
@@ -81,7 +80,7 @@ def child() -> dict:
     return {name: BATCH / t if name.endswith("rows_per_s") else 1e6 * t for name, t in best.items()}
 
 
-def run_child(tree: str) -> dict:
+def run_child(tree: str, _pair: int) -> dict:
     env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src")}
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
@@ -92,14 +91,8 @@ def run_child(tree: str) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def summary(values: list[float], higher_is_better: bool) -> dict:
-    ranked = sorted(values, reverse=higher_is_better)
-    return {"best": round(ranked[0], 3), "median": round(statistics.median(values), 3),
-            "worst": round(ranked[-1], 3)}
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = Parser(__doc__)
     parser.add_argument("--before", help="git revision to compare the working tree against")
     parser.add_argument("--repeats", type=int, default=3, help="runs per tree (default 3)")
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_selector_calls.json"))
@@ -112,24 +105,19 @@ def main(argv=None) -> int:
         parser.error("--before is required")
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
-    before = resolve(args.before)
+    before = resolve(args.before, parser)
     runs = alternate(before, args.repeats, run_child,
                      lambda run: f"plsoftmax at d = 4 {run['plsoftmax.d4.call_us']:.1f} us per call", ("src",))
-    figures = {}
-    for name in runs["after"][0]:
-        row = {side: summary([run[name] for run in runs[side]], name.endswith("rows_per_s")) for side in runs}
-        row["after_over_before"] = round(row["after"]["best"] / row["before"]["best"], 3)
-        figures[name] = row
     payload = {
         "what": "per kind and d: one 1-D MechanismSpec call (call_us), one rows call on a single row "
                 f"(rows1_us) and rows per second in rows calls on {BATCH}-row blocks (rows_per_s); each "
                 f"figure is the best of {ROUNDS} rounds over {POOL} seeded inputs in one process, summarised "
-                f"over {args.repeats} alternating runs per tree, one process at a time; after_over_before "
-                "compares the best runs",
+                f"over {args.repeats} alternating runs per tree, one process at a time, by "
+                "ab_harness.compare",
         "command": f"python tools/selector_times.py --before {before} --repeats {args.repeats}",
         **trees(before, ("src",)),
         "machine": machine("numpy"),
-        "figures": figures,
+        "figures": compare(runs, lambda name: name.endswith("rows_per_s")),
     }
     write_json(args.out, payload)
     return 0
