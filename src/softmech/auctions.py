@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mechanisms import MechanismSpec
+from .mechanisms import MechanismSpec, selection_distribution
 from .seeding import spawn_rng
 from .simplex import SUPPORT_EPS
 
@@ -76,7 +76,10 @@ def load_auction_json(path) -> AuctionInstance:
     with open(path, encoding="utf-8") as fh:
         spec = json.load(fh)
     try:
-        return AuctionInstance(np.asarray(spec["bids"], dtype=float), float(spec["H"]), int(spec["k"]))
+        k = spec["k"]
+        if type(k) is not int:  # not isinstance: JSON true loads as a bool, an int subclass
+            raise ValueError(f"{path}: auction field 'k' must be a JSON integer, not {json.dumps(k)}")
+        return AuctionInstance(np.asarray(spec["bids"], dtype=float), float(spec["H"]), k)
     except KeyError as exc:
         raise ValueError(f"{path}: missing auction field {exc}") from None
     except (TypeError, OverflowError) as exc:
@@ -184,10 +187,7 @@ def soft_maximizer(inst: AuctionInstance, grid: PriceGrid, mech: MechanismSpec, 
     """Run the soft-max selector on the revenue vector and realize one price;
     the vector and the chosen price's outcome come from one ``_outcome_rows`` call."""
     revenue, wins, payments = _outcome_rows(inst.bids[None, :], grid.prices, inst.supply_k)
-    if grid.size == 1:
-        dist = np.array([1.0])
-    else:
-        dist = mech(revenue[0])
+    dist = selection_distribution(mech, revenue[0])
     rng = spawn_rng(rng_seed, 0)
     idx = int(rng.choice(grid.size, p=dist))
     return MechanismOutcome(idx, dist, float(revenue[0, idx]), wins[0, idx], payments[0, idx])
@@ -250,7 +250,9 @@ def ic_audit(inst: AuctionInstance, grid: PriceGrid, mech: MechanismSpec,
     against truthful reporting.  Returns the max gain and per-deviation
     records (bidder, deviation_bid, utility_gain).  Instances beyond 6
     bidders or 12 grid prices, and resolutions beyond 10**5, are refused
-    before any work; the enumeration is exact, no sampling is involved.
+    before any work.  Each deviation's utility is exact, with no sampling,
+    but the deviations are ``resolution`` evenly spaced bids, so the max gain
+    is a lower bound on the supremum over all deviation bids.
 
     Every (bidder, deviation) pair is one bid row, and the rows, bidder-major
     and in deviation order, run as shared blocks of at most ``_AUDIT_BLOCK``:
@@ -270,7 +272,7 @@ def ic_audit(inst: AuctionInstance, grid: PriceGrid, mech: MechanismSpec,
         raise ValueError(f"resolution {resolution} above the cap {_AUDIT_MAX_RESOLUTION}")
     prices, k, n = grid.prices, inst.supply_k, inst.n
     revenue, wins, payments = _outcome_rows(inst.bids[None, :], prices, k)
-    truthful_dist = mech.rows(revenue)
+    truthful_dist = selection_distribution(mech, revenue)
     truthful = [np.broadcast_to(a, (n,) + a.shape[1:]) for a in (wins, payments, truthful_dist)]
     base = _expected_utilities(inst.bids, np.arange(n), *truthful)
     devs = np.linspace(0.0, inst.H, resolution)
@@ -282,7 +284,7 @@ def ic_audit(inst: AuctionInstance, grid: PriceGrid, mech: MechanismSpec,
         reported = np.repeat(inst.bids[None, :], block.size, axis=0)
         reported[np.arange(block.size), bidders] = block
         dev_revenue, dev_wins, dev_payments = _outcome_rows(reported, prices, k)
-        dist = mech.rows(dev_revenue)
+        dist = selection_distribution(mech, dev_revenue)
         utilities = _expected_utilities(inst.bids[bidders], bidders, dev_wins, dev_payments, dist)
         gains = (utilities - base[bidders]) / inst.H
         records.extend(zip(bidders.tolist(), block.tolist(), gains.tolist()))

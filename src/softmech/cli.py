@@ -134,15 +134,23 @@ class Checks:
         return 1 if failures else 0
 
 
+def _is_distribution(probs) -> bool:
+    """Whether check_distribution accepts a selector's output."""
+    try:
+        check_distribution(probs)
+    except ValueError:
+        return False
+    return True
+
+
 def cmd_eval(args) -> int:
     checks = Checks()
     mech = MechanismSpec.parse(args.mech)
-    x = read_vector_file(args.x_file) if args.x_file else parse_vector(args.x)
+    x = read_vector_file(args.x_file) if args.x_file is not None else parse_vector(args.x)
     if x.size < 2:
         raise ValueError("need at least 2 option values")
     probs = mech(x)
-    check_distribution(probs)
-    checks.add("simplex_valid", True)
+    checks.add("simplex_valid", _is_distribution(probs))
     add_gap = additive_gap(x, probs)
     mult_gap = multiplicative_gap(x, probs) if x.max() > 0 else float("nan")
     support = int(np.count_nonzero(probs > SUPPORT_EPS))
@@ -312,10 +320,7 @@ def cmd_selftest(args) -> int:
     for _ in range(500):
         x = rng.normal(0.0, 2.0, size=int(rng.integers(2, 17)))
         probs = plsoftmax(x, 1.0)
-        try:
-            check_distribution(probs)
-        except ValueError:
-            ok_simplex = False
+        ok_simplex &= _is_distribution(probs)
         ok_support &= worst_case_support_ok(x, probs, 1.0)
     checks.add("plsoftmax_simplex", ok_simplex)
     checks.add("plsoftmax_worst_case_support", ok_support)
@@ -358,8 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a mechanism on one value vector")
     p.add_argument("--mech", required=True, help="mechanism spec, e.g. plsoftmax:delta=1")
-    p.add_argument("--x", help="inline vector, e.g. 0.5,0")
-    p.add_argument("--x-file", help="file with one whitespace/comma separated vector")
+    values = p.add_mutually_exclusive_group(required=True)
+    values.add_argument("--x", help="inline vector, e.g. 0.5,0")
+    values.add_argument("--x-file", help="file with one whitespace/comma separated vector")
     p.add_argument("--out")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 

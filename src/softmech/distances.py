@@ -50,59 +50,52 @@ def lp_distance(x, y, p: float):
     return float(dist) if dist.ndim == 0 else dist
 
 
-def renyi_divergence(x, y, order: float) -> float:
-    """Order-alpha Renyi divergence between simplex points.
+def renyi_divergence(x, y, order: float):
+    """Order-alpha Renyi divergence between simplex points, along the last axis.
 
     order=1 is the KL divergence (terms with x_i = 0 contribute 0), order=inf
-    is log max_i x_i/y_i over the support of x.  Returns +inf when y misses
-    mass where x has some; infinity is a value, not an error.
+    is log max_i x_i/y_i over the support of x, and a finite order a > 1 is
+    logsumexp_i(log x_i + (a-1) log(x_i/y_i)) / (a-1) over that support, which
+    stays finite at any order and approaches the order-inf value as a grows.
+    Returns +inf when y misses mass where x has some; infinity is a value,
+    not an error.
 
-    Two (n, d) arrays give the n row divergences, each equal bit for bit to
-    the 1-D call on that row, and nan for a pair of rows where the 1-D call
-    raises because one of them is not a simplex point.
+    Two vectors give a float and raise ValueError unless both are simplex
+    points.  Two (n, d) arrays give the n row divergences, with nan for a
+    pair of rows where the 1-D call raises; a vector runs through the same
+    body as a single row, so each row equals its 1-D call bit for bit.
     """
-    if np.ndim(x) == 2:
-        return _renyi_rows(x, y, order)
-    p = check_distribution(x)
-    q = check_distribution(y)
+    rows = np.ndim(x) == 2
+    p = np.asarray(x, dtype=float) if rows else check_distribution(x)
+    q = np.asarray(y, dtype=float) if rows else check_distribution(y)
     if p.shape != q.shape:
         raise ValueError("dimension mismatch")
     if not order >= 1:
         raise ValueError("order must be >= 1")
-    p = np.maximum(p, 0.0)
-    q = np.maximum(q, 0.0)
-    support = p > 0
-    if np.any(q[support] == 0):
-        return float("inf")
-    ps, qs = p[support], q[support]
-    if np.isinf(order):
-        return float(np.log(np.max(ps / qs)))
-    if order == 1:
-        return float(np.sum(ps * np.log(ps / qs)))
-    s = float(np.sum(ps**order / qs ** (order - 1.0)))
-    return float(np.log(s) / (order - 1.0))
-
-
-def _renyi_rows(x, y, order: float) -> np.ndarray:
-    p = np.asarray(x, dtype=float)
-    q = np.asarray(y, dtype=float)
-    if p.shape != q.shape:
-        raise ValueError("dimension mismatch")
-    if not order >= 1:
-        raise ValueError("order must be >= 1")
-    ok = distribution_rows_ok(p) & distribution_rows_ok(q)
-    out = np.full(p.shape[0], np.nan)
-    if not np.isinf(order):
-        # finite orders sum over each row's own support: one row at a time
-        out[ok] = [renyi_divergence(a, b, order) for a, b in zip(p[ok], q[ok])]
-        return out
-    p = np.maximum(p[ok], 0.0)
+    ok = distribution_rows_ok(p) & distribution_rows_ok(q) if rows else True
+    p = np.maximum(p[ok], 0.0)  # p[True] is the vector as one row
     q = np.maximum(q[ok], 0.0)
     support = p > 0
-    with np.errstate(divide="ignore"):
-        ratio = np.where(support, p / np.where(support, q, 1.0), -np.inf)
-    missed = np.any(support & (q == 0), axis=1)
-    out[ok] = np.where(missed, np.inf, np.log(ratio.max(axis=1)))
+    ratio = p / np.where(q > 0, q, 1.0)
+    if np.isinf(order):
+        div = np.log(ratio.max(axis=1))
+    elif order == 1:
+        div = (p * np.log(np.where(support, ratio, 1.0))).sum(axis=1)
+    else:
+        # logsumexp shifted by the largest log ratio, so no term exceeds log x_i;
+        # off the support both logs are -inf, and so is the term
+        with np.errstate(divide="ignore", over="ignore"):
+            log_ratio = np.log(ratio)
+            top = log_ratio.max(axis=1, keepdims=True)
+            terms = np.log(p) + (order - 1.0) * (log_ratio - top)
+        lead = terms.max(axis=1)
+        total = lead + np.log(np.exp(terms - lead[:, None]).sum(axis=1))
+        div = top[:, 0] + total / (order - 1.0)
+    div = np.where(np.any(support & (q == 0), axis=1), np.inf, div)
+    if not rows:
+        return float(div[0])
+    out = np.full(ok.shape, np.nan)
+    out[ok] = div
     return out
 
 

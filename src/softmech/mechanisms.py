@@ -444,3 +444,17 @@ class MechanismSpec:
     def rows(self, X) -> np.ndarray:
         """The mechanism on each row of an (n, d) value array; see MechanismKind."""
         return MECHANISM_KINDS[self.kind].rows(X, self.param)
+
+
+def selection_distribution(mech: MechanismSpec, values: np.ndarray) -> np.ndarray:
+    """The mechanism's selection distributions for one value vector or (n, d)
+    rows of them; uniform in a row with no positive value when the kind's
+    domain is the positive values (it is undefined there, and no option is
+    worth more than another)."""
+    rows = values.reshape(-1, values.shape[-1])
+    flat = ~(rows > 0).any(axis=1) if mech.positive_domain else np.zeros(len(rows), dtype=bool)
+    if not flat.any():
+        return mech.rows(rows).reshape(values.shape)
+    out = np.full(rows.shape, 1.0 / rows.shape[1])
+    out[~flat] = mech.rows(rows[~flat])
+    return out.reshape(values.shape)

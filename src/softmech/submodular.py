@@ -37,7 +37,7 @@ from itertools import chain
 import numpy as np
 
 from .distances import renyi_divergence
-from .mechanisms import MechanismSpec
+from .mechanisms import MechanismSpec, selection_distribution
 from .seeding import sorted_choices, spawn_rng, weighted_choices
 
 _NODE_CAP = 10**5
@@ -191,17 +191,8 @@ class SelectionTrace:
     objective_values: list[int]
 
 
-def _mechanism_distribution(mech: MechanismSpec, gains: np.ndarray) -> np.ndarray:
-    """Selection distributions over remaining items, for one gain vector or
-    (n, d) rows of them; uniform in a row where the power mechanism sees
-    all-zero gains (no choice can improve the objective)."""
-    rows = gains.reshape(-1, gains.shape[-1])
-    flat = ~(rows > 0).any(axis=1) if mech.kind == "pow" else np.zeros(len(rows), dtype=bool)
-    if not flat.any():
-        return mech.rows(rows).reshape(gains.shape)
-    out = np.full(rows.shape, 1.0 / rows.shape[1])
-    out[~flat] = mech.rows(rows[~flat])
-    return out.reshape(gains.shape)
+# the greedy step's distributions, under the name its callers and tests read
+_mechanism_distribution = selection_distribution
 
 
 def _check_k(inst: CoverageInstance, k: int) -> None:

@@ -16,13 +16,14 @@ import numpy as np
 from softmech.distances import (
     lp_distance,
     renyi_divergence,
+    sm_norm_bound,
     subordinate_norm_exact,
     subordinate_norm_row_bound,
     subordinate_norm_sampled,
 )
 from softmech.mechanisms import MechanismSpec, exp_mechanism, plsoftmax, sparsemax
 from softmech.simplex import SUPPORT_EPS
-from softmech.smmatrix import build_softmax_matrix, harmonic, recursion_identity_exact
+from softmech.smmatrix import build_softmax_matrix, recursion_identity_exact
 from softmech.smoothness import (
     empirical_lipschitz,
     exp_l1_lb_witness,
@@ -135,8 +136,7 @@ def test_criterion_05_norm_theorem_and_bound():
                 low = subordinate_norm_sampled(A, p, 1.0, 100, rng_seed=5)
                 high = subordinate_norm_row_bound(A, p, 1.0)
                 ok &= low <= exact + 1e-9 <= high + 2e-9
-                p_term = INF if np.isinf(p) else p + 1.0
-                ok &= exact <= 2.0 * min(p_term, harmonic(k)) + 1e-9
+                ok &= exact <= sm_norm_bound(k, p, 1.0) + 1e-9
     report(5, "sign-enumeration norms sandwiched and under 2*min(p+1, H_k)", ok, t0, 120.0)
 
 

@@ -42,6 +42,14 @@ def per_price_outcome(bids, H, k, r):
     return float(payments.sum()), wins, payments
 
 
+def select(mech, revenue):
+    """The selector on one revenue vector, uniform where a positive-domain
+    kind sees no revenue at any price."""
+    if mech.positive_domain and not (revenue > 0).any():
+        return np.full(revenue.size, 1.0 / revenue.size)
+    return mech(revenue)
+
+
 def per_deviation_ic_audit(inst, grid, mech, resolution):
     """One full auction per deviation and one scalar pass over the grid per
     expected utility; ``ic_audit`` must return exactly what this returns."""
@@ -59,7 +67,7 @@ def per_deviation_ic_audit(inst, grid, mech, resolution):
                 total += dist[j] * (true_value - payments[bidder])
         return total
 
-    truthful_dist = mech(revenues(inst.bids))
+    truthful_dist = select(mech, revenues(inst.bids))
     records = []
     max_gain = 0.0
     for i in range(inst.n):
@@ -68,7 +76,7 @@ def per_deviation_ic_audit(inst, grid, mech, resolution):
         for dev in np.linspace(0.0, inst.H, resolution):
             reported = inst.bids.copy()
             reported[i] = dev
-            dist = mech(revenues(reported))
+            dist = select(mech, revenues(reported))
             gain = (utility(true_value, i, reported, dist) - base) / inst.H
             records.append((i, float(dev), float(gain)))
             max_gain = max(max_gain, gain)
@@ -425,7 +433,7 @@ class TestRowAuditMatchesPerDeviationLoop:
             if trial == 3:
                 bids[-1] = grid.prices[grid_size // 2]  # a bid on a grid price
             ran += self._compare(AuctionInstance(bids, 1.0, k), grid, mech, int(rng.integers(2, 30)))
-        if mech.kind in ("exp", "plsoftmax", "sparsemax"):
+        if mech.kind in ("exp", "pow", "plsoftmax", "sparsemax"):
             assert ran == 6  # these selectors accept every revenue row
 
     @pytest.mark.parametrize("supply_k", [2, 4])
@@ -465,13 +473,22 @@ class TestRowAuditMatchesPerDeviationLoop:
 
     @pytest.mark.parametrize("supply_k", [1, 3])
     def test_selector_error_inside_a_shared_block(self, monkeypatch, supply_k):
+        # bidder 1 deviating to 0.5 leaves no revenue at the two top prices,
+        # a row logplsoftmax refuses; it sits mid-block, after rows of
+        # bidder 0 and before rows of bidder 2
+        monkeypatch.setattr(auctions, "_AUDIT_BLOCK", 7)
+        grid = reserve_grid(1.0, 0.25, 0.14)
+        inst = AuctionInstance(np.array([0.05, 0.9, 0.1]), 1.0, supply_k)
+        assert not self._compare(inst, grid, MechanismSpec("logplsoftmax", 0.5), 3)
+
+    @pytest.mark.parametrize("supply_k", [1, 3])
+    def test_flat_row_inside_a_shared_block(self, monkeypatch, supply_k):
         # bidder 1 deviating to 0 leaves no revenue at any price (the others
-        # bid below the grid), a row pow refuses; it sits mid-block, after
-        # rows of bidder 0 and before rows of bidder 2
+        # bid below the grid): pow draws uniformly there, mid-block
         monkeypatch.setattr(auctions, "_AUDIT_BLOCK", 7)
         grid = reserve_grid(1.0, 0.25, 0.14)
         inst = AuctionInstance(np.array([0.05, 0.6, 0.1]), 1.0, supply_k)
-        assert not self._compare(inst, grid, MechanismSpec("pow", 2.0), 3)
+        assert self._compare(inst, grid, MechanismSpec("pow", 2.0), 3)
 
     def test_working_rows_bounded_by_the_block(self, monkeypatch):
         seen = []
@@ -490,12 +507,13 @@ class TestRowAuditMatchesPerDeviationLoop:
         assert sum(seen) == 1 + len(records)  # the truthful row, then every deviation once
 
     def test_selector_error_matches(self):
-        # a deviation to 0 leaves no revenue at any price: pow and
-        # logplsoftmax refuse that row on both paths
+        # a bid of 0.5 leaves no revenue at the top prices, rows logplsoftmax
+        # refuses on both paths; pow takes them, and the deviation to 0,
+        # with no revenue at any price, is uniform on both paths
         grid = reserve_grid(1.0, 0.25, 0.14)
         inst = AuctionInstance(np.array([0.5]), 1.0, 1)
-        for mech in (MechanismSpec("pow", 2.0), MechanismSpec("logplsoftmax", 0.5)):
-            assert not self._compare(inst, grid, mech, 11)
+        assert not self._compare(inst, grid, MechanismSpec("logplsoftmax", 0.5), 11)
+        assert self._compare(inst, grid, MechanismSpec("pow", 2.0), 11)
 
     def test_revenue_views_match_per_price_rule(self):
         rng = np.random.default_rng(5)

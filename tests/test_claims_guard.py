@@ -19,8 +19,6 @@ NAMES = set(MECHANISM_KINDS) | {"delta", "lambda"}
 # (module, function) -> why the site may name a kind
 ALLOWED = {
     ("smoothness.py", "_designed_rows"): "builds the witness pairs known for exp and sparsemax; witnesses, not claims",
-    ("submodular.py", "_mechanism_distribution"): "pow is undefined on all-zero gains, so the greedy step draws "
-                                                  "uniformly there; a rule about inputs, not a claim",
 }
 
 

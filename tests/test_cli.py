@@ -79,6 +79,23 @@ class TestEval:
             assert err["command"] == "eval" and name in err["error"]
 
 
+    def test_missing_or_doubled_input_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "x.txt"
+        path.write_text("1 2\n", encoding="utf-8")
+        for extra, needle in (([], "one of the arguments --x --x-file is required"),
+                              (["--x", "3,4", "--x-file", str(path)], "not allowed with argument")):
+            assert main(["eval", "--mech", "exp:lambda=1", *extra]) == 2
+            err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+            assert err["command"] == "eval" and needle in err["error"]
+
+    def test_simplex_check_reads_check_distribution(self, capsys, monkeypatch):
+        def refuse(probs):
+            raise ValueError("distribution sums to 2")
+
+        monkeypatch.setattr(cli, "check_distribution", refuse)
+        assert main(["eval", "--mech", "exp:lambda=1", "--x", "1,2"]) == 1
+        assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["failures"] == ["simplex_valid"]
+
     def test_huge_values_sparsemax(self, capsys):
         assert main(["eval", "--mech", "sparsemax", "--x", "1e308,1e308", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out.splitlines()[0])
@@ -150,6 +167,17 @@ class TestLipschitz:
         rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
         assert [row[6] for row in rows] == ["2", "2"]
         assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["checks"] == 2
+
+    def test_renyi_range_at_order_1000(self, tmp_path, capsys):
+        # p**a / q**(a-1) overflowed at this order, and no pair gave a usable ratio
+        out = tmp_path / "lip.csv"
+        code = main(["lipschitz", "--mech", "exp:lambda=1", "--d", "8", "--trials", "300",
+                     "--range", "renyi:1000", "--out", str(out)])
+        assert code == 0
+        row = out.read_text(encoding="utf-8").splitlines()[1].split(",")
+        assert row[6] == "2" and 0.0 < float(row[5]) < 2.0
+        summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert summary["failures"] == [] and summary["pairs"]["skipped"] == 0
 
     def test_renyi_domain_refused_before_any_draw(self, capsys, monkeypatch):
         def no_draws(*args):
@@ -294,6 +322,29 @@ class TestAuction:
         gains = [float(l.split(",")[2]) for l in lines[1:]]
         assert max(gains) <= payload["epsilon_ic"] + 1e-9
 
+
+    def test_pow_on_revenue_rows_without_a_positive_entry(self, tmp_path, capsys):
+        spec = tmp_path / "auction.json"
+        out = tmp_path / "outcome.json"
+        argv = ["auction", "--instance-file", str(spec), "--mech", "pow:lambda=1", "--out", str(out)]
+        # the one bidder's deviations below every price leave no revenue anywhere
+        spec.write_text(json.dumps({"H": 1, "k": 1, "bids": [0.9]}), encoding="utf-8")
+        assert main([*argv, "--audit"]) == 0
+        assert np.isfinite(json.loads(out.read_text(encoding="utf-8"))["audit_max_gain"])
+        # a zero bid leaves none at any price of the grid: pow draws uniformly
+        spec.write_text(json.dumps({"H": 1, "k": 1, "bids": [0.0]}), encoding="utf-8")
+        assert main(argv) == 0
+        dist = json.loads(out.read_text(encoding="utf-8"))["selection_distribution"]
+        assert len(dist) > 1 and dist == [dist[0]] * len(dist)
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("k", [1.9, 1.0, True, "1", None])
+    def test_supply_that_is_not_a_json_integer_exits_2(self, tmp_path, capsys, k):
+        spec = tmp_path / "auction.json"
+        spec.write_text(json.dumps({"H": 1.0, "k": k, "bids": [0.9, 0.4]}), encoding="utf-8")
+        assert main(["auction", "--instance-file", str(spec), "--mech", "exp:lambda=1"]) == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["command"] == "auction" and "'k' must be a JSON integer" in err["error"]
 
     def test_audit_resolution_above_the_cap_exits_2(self, tmp_path, monkeypatch, capsys):
         # resolution 10**8 would keep about 70 GB of records; the cap is

@@ -1,5 +1,7 @@
 """Distance/divergence examples and subordinate-norm oracles."""
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,16 @@ INF = float("inf")
 
 def random_simplex(rng, d, conc=1.0):
     return rng.dirichlet(np.full(d, conc))
+
+
+def decimal_renyi(x, y, order):
+    """The order's divergence in the current decimal precision, from the
+    floats' exact values: sum x log(x/y), or log(sum x (x/y)**(a-1)) / (a-1)."""
+    pairs = [(Decimal(a), Decimal(b)) for a, b in zip(x.tolist(), y.tolist()) if a > 0]
+    if order == 1:
+        return sum(a * (a / b).ln() for a, b in pairs)
+    power = Decimal(order) - 1
+    return sum(a * ((a / b).ln() * power).exp() for a, b in pairs).ln() / power
 
 
 class TestLp:
@@ -65,6 +77,42 @@ class TestRenyi:
             vals = [renyi_divergence(x, y, a) for a in orders]
             assert all(b >= a - 1e-10 for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_large_orders_stay_finite_below_order_inf(self):
+        # p**a / q**(a-1) overflows here; the log-sum-exp form does not
+        rng = np.random.default_rng(3)
+        orders = [1e3, 1e6, 1e12, INF]
+        for _ in range(100):
+            d = int(rng.integers(8, 33))
+            x, y = random_simplex(rng, d, conc=0.5), random_simplex(rng, d, conc=0.5)
+            x[rng.random(d) < 0.3] = 0.0
+            x /= x.sum()
+            rows = renyi_divergence(np.stack([x, y]), np.stack([y, x]), 1e6)
+            assert np.isfinite(rows[0]) and np.isinf(rows[1]) == (x == 0).any()
+            vals = [renyi_divergence(x, y, a) for a in orders]
+            assert all(np.isfinite(vals))
+            assert all(b >= a for a, b in zip(vals, vals[1:]))
+            for a in orders[:-1]:
+                assert abs(renyi_divergence(x, x, a)) <= 1e-15
+
+    def test_matches_a_60_digit_reference(self):
+        # absolute bound fixed at 1e-14 (about 45 eps) before measuring
+        rng = np.random.default_rng(4)
+        worst = 0.0
+        for _ in range(300):
+            d = int(rng.integers(2, 65))
+            x = random_simplex(rng, d, conc=float(rng.choice([0.3, 1.0, 3.0])))
+            y = random_simplex(rng, d, conc=float(rng.choice([0.3, 1.0, 3.0])))
+            x[rng.random(d) < 0.2] = 0.0
+            if x.sum() == 0.0:
+                continue
+            x /= x.sum()
+            order = float(rng.choice([1.0, 1.5, 2.0, 3.0, 10.0, 50.0]))
+            with localcontext() as ctx:
+                ctx.prec = 60
+                worst = max(worst, abs(Decimal(renyi_divergence(x, y, order)) - decimal_renyi(x, y, order)))
+        assert worst <= Decimal("1e-14")
+
     def test_l1_dominated_by_two_sided_sup_divergence(self):
         # the transfer from divergence-Lipschitz to l1-Lipschitz uses the
         # two-sided bound; the one-sided form fails, e.g. at the pair below
@@ -88,14 +136,17 @@ class TestRows:
             assert lp_distance(x, y, p).tobytes() == loop.tobytes()
             loop = np.array([log_lp_distance(a, b, p) for a, b in zip(np.exp(x), np.exp(y))])
             assert log_lp_distance(np.exp(x), np.exp(y), p).tobytes() == loop.tobytes()
-        p, q = np.exp(3.0 * x), np.exp(y)
-        p[::3, :2] = 0.0
-        q[::5, 3] = 0.0
-        p, q = p / p.sum(axis=1, keepdims=True), q / q.sum(axis=1, keepdims=True)
-        for order in (1.0, 2.0, INF):
-            loop = np.array([renyi_divergence(a, b, order) for a, b in zip(p, q)])
-            assert np.isinf(loop).any()
-            assert renyi_divergence(p, q, order).tobytes() == loop.tobytes()
+        for d in (7, 9, 16):
+            x, y = rng.normal(size=(2, 40, d))
+            p, q = np.exp(3.0 * x), np.exp(y)
+            p[::3, :2] = 0.0
+            p[1::4, d - 3:] = 0.0
+            q[::5, 3] = 0.0
+            p, q = p / p.sum(axis=1, keepdims=True), q / q.sum(axis=1, keepdims=True)
+            for order in (1.0, 1.5, 2.0, 50.0, 1e6, INF):
+                loop = np.array([renyi_divergence(a, b, order) for a, b in zip(p, q)])
+                assert np.isinf(loop).any() and np.isfinite(loop).any()
+                assert renyi_divergence(p, q, order).tobytes() == loop.tobytes()
 
     def test_rows_outside_the_domain_give_nan(self):
         x = np.exp(np.random.default_rng(6).normal(size=(4, 3)))

@@ -19,8 +19,6 @@ SRC = ROOT / "src" / "softmech"
 
 # module.name -> why the name stays without a caller
 ALLOWED = {
-    "distances.sm_norm_bound": "paper claim: the closed-form norm bound on the k-active matrices, "
-                               "for the planned tradeoff table",
     "smoothness.forbidden_region_slope": "paper claim: the two-option lower bound, for the planned tradeoff table",
     "submodular.pow_error_bound": "paper claim: the power mechanism's coverage loss, for the planned frontier",
     "submodular.exp_error_bound": "paper claim: the exponential mechanism's coverage loss, for the planned frontier",
