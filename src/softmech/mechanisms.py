@@ -447,14 +447,16 @@ class MechanismSpec:
 
 
 def selection_distribution(mech: MechanismSpec, values: np.ndarray) -> np.ndarray:
-    """The mechanism's selection distributions for one value vector or (n, d)
-    rows of them; uniform in a row with no positive value when the kind's
-    domain is the positive values (it is undefined there, and no option is
-    worth more than another)."""
-    rows = values.reshape(-1, values.shape[-1])
-    flat = ~(rows > 0).any(axis=1) if mech.positive_domain else np.zeros(len(rows), dtype=bool)
+    """The mechanism's selection distribution for one value vector, or for
+    each row of an (n, d) array; uniform in a row with no positive value when
+    the kind's domain is the positive values (it is undefined there, and no
+    option is worth more than another).  A vector goes to the kind's 1-D
+    function, which costs less than a one-row call of its row form."""
+    flat = ~(values > 0).any(axis=-1) if mech.positive_domain else np.zeros(values.shape[:-1], dtype=bool)
+    if values.ndim == 1:
+        return np.full(values.size, 1.0 / values.size) if flat else mech(values)
     if not flat.any():
-        return mech.rows(rows).reshape(values.shape)
-    out = np.full(rows.shape, 1.0 / rows.shape[1])
-    out[~flat] = mech.rows(rows[~flat])
-    return out.reshape(values.shape)
+        return mech.rows(values)
+    out = np.full(values.shape, 1.0 / values.shape[1])
+    out[~flat] = mech.rows(values[~flat])
+    return out
