@@ -27,9 +27,12 @@ def lp_distance(x, y, p: float):
     """p-norm of x - y along the last axis; p may be any real >= 1 or inf.
 
     Two vectors give a float; two (n, d) arrays give the n row distances as
-    an array, each equal bit for bit to the 1-D call on that row.  The rows'
-    p-th roots are taken with Python's float power, the libm pow of the 1-D
-    path, because numpy's array power can differ from it in the last bit.
+    an array, each equal bit for bit to the 1-D call on that row.  The p-th
+    roots are taken with Python's float power, the libm pow, because numpy's
+    array power can differ from it in the last bit.  Where the sum of p-th
+    powers overflows to inf or underflows to 0 while the largest difference
+    is a finite positive float, the differences are divided by it first and
+    the root scaled back; every other distance is the unscaled one.
     """
     a = np.asarray(x, dtype=float)
     b = np.asarray(y, dtype=float)
@@ -43,10 +46,19 @@ def lp_distance(x, y, p: float):
     elif p == 1:
         dist = diff.sum(axis=-1)
     else:
-        sums = (diff**p).sum(axis=-1)
-        if sums.ndim == 0:
-            return float(sums ** (1.0 / p))
-        dist = np.array([s ** (1.0 / p) for s in sums.tolist()])
+        with np.errstate(over="ignore"):
+            sums = (diff**p).sum(axis=-1)
+            scale = 1.0
+            kept = (sums > 0) & (sums < np.inf)
+            if not kept.all():
+                # the p-th powers left the float range; dividing the rows
+                # kept by 1.0 changes no bit
+                top = diff.max(axis=-1, initial=0.0)
+                scale = np.where(~kept & (top > 0) & (top < np.inf), top, 1.0)
+                sums = ((diff / scale[..., None]) ** p).sum(axis=-1)
+            if sums.ndim == 0:
+                return float(scale * sums ** (1.0 / p))
+            dist = scale * np.array([s ** (1.0 / p) for s in sums.tolist()])
     return float(dist) if dist.ndim == 0 else dist
 
 
@@ -77,8 +89,9 @@ def renyi_divergence(x, y, order: float):
     q = np.maximum(q[ok], 0.0)
     support = p > 0
     ratio = p / np.where(q > 0, q, 1.0)
+    # the reductions' initial values let rows of width 0 (all nan) through
     if np.isinf(order):
-        div = np.log(ratio.max(axis=1))
+        div = np.log(ratio.max(axis=1, initial=0.0))
     elif order == 1:
         div = (p * np.log(np.where(support, ratio, 1.0))).sum(axis=1)
     else:
@@ -86,9 +99,9 @@ def renyi_divergence(x, y, order: float):
         # off the support both logs are -inf, and so is the term
         with np.errstate(divide="ignore", over="ignore"):
             log_ratio = np.log(ratio)
-            top = log_ratio.max(axis=1, keepdims=True)
+            top = log_ratio.max(axis=1, keepdims=True, initial=-np.inf)
             terms = np.log(p) + (order - 1.0) * (log_ratio - top)
-        lead = terms.max(axis=1)
+        lead = terms.max(axis=1, initial=-np.inf)
         total = lead + np.log(np.exp(terms - lead[:, None]).sum(axis=1))
         div = top[:, 0] + total / (order - 1.0)
     div = np.where(np.any(support & (q == 0), axis=1), np.inf, div)

@@ -18,39 +18,38 @@ numpy's.  Seeds and keys outside the port (not a non-negative integer, or a
 key of 2**32 or more) take numpy's own path, and so get numpy's values or
 numpy's error.
 
-``sorted_choices`` is the second port: it replays numpy's
-``Generator.choice(P, s, replace=False)`` on a PCG64 generator from raw
-words.  For P <= 10**4 numpy draws each set with Floyd's algorithm, one
-Lemire-bounded 32-bit draw in [0, j] for j = P - s, ..., P - 1 (a step whose
-draw is already taken takes j instead), then shuffles it with s - 1 more
-draws of bounds s, s - 1, ..., 2.  A 32-bit draw is the low half of a PCG64
-word, then its high half; a bound of 1 takes no half, and a rejected half
-(Lemire's ``(u * n) mod 2**32 < (2**32 - n) mod n``) passes the draw on to
-the next one.  The port makes these draws from ``random_raw`` blocks and
-resolves the Floyd steps of many sets with one sort, so the sets, and
-the generator state it leaves, are numpy's; instances built from it depend
-only on PCG64's raw stream, not on how numpy implements ``choice``.
+``trial_draws`` is the second port: the draws of a run of seeded trials,
+each on its own ``spawn_rng(s, i)``, that take normals and then bounded
+integers or one uniform.  The normals are still numpy's: its ziggurat tables
+ship only inside the compiled library, so each trial fills its row with one
+``standard_normal`` call, and the block is scaled once (``normal(0.0, s)`` is
+``0.0 + s * z`` in numpy, which turns -0.0 into +0.0).  The rest is replayed
+from one ``random_raw`` call per trial, a fraction of the cost of an
+``integers`` call on the trial's bounds.  A fresh generator holds no 32-bit
+half, and the normals take whole words, so the integer draws read the next
+words' halves, low half first, with numpy's Lemire rule for ``integers(n)``,
+n < 2**32, on PCG64's 32-bit stream: a bound of 1 takes no half, the draw is
+the high 32 bits of ``half * n``, and a rejected half (``(half * n) mod 2**32
+< (2**32 - n) mod n``) passes the draw on to the next one.  This runs for
+the whole block at once; ``random()`` is the next word's top 53 bits times
+2**-53.  Each trial fetches a spare half at least, so only a trial with two
+rejections (under 1e-14 per trial for bounds up to 200) can run out; it
+makes numpy's own calls instead.
 
-``trial_draws`` is the third port: the draws of a run of seeded trials, each
-on its own ``spawn_rng(s, i)``, that take normals and then bounded integers
-or one uniform.  The normals are still numpy's: its ziggurat tables ship only
-inside the compiled library, so each trial fills its row with one
-``standard_normal`` call, and the block is scaled once
-(``normal(0.0, s)`` is ``0.0 + s * z`` in numpy, which turns -0.0 into
-+0.0).  The rest is replayed from one ``random_raw`` call per trial.  A
-fresh generator holds no 32-bit half, and the normals take whole words, so
-the integer draws read the next words' halves, low half first, with the same
-Lemire rule as above, for the whole block at once; ``random()`` is the next
-word's top 53 bits times 2**-53.  Each trial fetches a spare half at least,
-so only a trial with two rejections (under 1e-14 per trial for bounds up
-to 200) can run out; it makes numpy's own calls instead.
-
-``weighted_choices`` is the fourth port: ``Generator.choice(n, p=dist)`` for
-many rows at once.  numpy takes ``cdf = dist.cumsum(); cdf /= cdf[-1]`` and
-returns ``cdf.searchsorted(random(), side="right")``, the count of cdf
-entries at or below the uniform; ``random()`` is the top 53 bits of the
-generator's next raw word times 2**-53, so given that word the pick is the
-same arithmetic, row by row.
+The coverage instances and the private greedy draw through numpy itself.
+``sorted_choices`` gives the sets of a loop of numpy's
+``Generator.choice(P, s, replace=False)`` calls, many sets at a time.  For P
+<= 10**4 numpy draws each set with Floyd's algorithm, one ``integers(j +
+1)`` draw for j = P - s, ..., P - 1 (a step whose draw is already taken
+takes j instead), then shuffles it with s - 1 more draws of bounds s, s - 1,
+..., 2.  ``integers`` on an array of bounds makes one such draw per entry,
+in order, as a run of scalar calls does (a bound of 1 takes no draw, and a
+spare 32-bit half stays in the generator), so one call gives a block of
+sets their draws, and one sort resolves their Floyd steps.
+``weighted_choices`` is ``Generator.choice(n, p=dist)`` for many rows at
+once, given each row's uniform: numpy takes ``cdf = dist.cumsum(); cdf /=
+cdf[-1]`` and returns ``cdf.searchsorted(random(), side="right")``, the
+count of cdf entries at or below the uniform.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state's hash constants
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _KEY_BLOCK = 1024  # spawn keys hashed together: vector speed, bounded memory at any n
 _FLOYD_POPULATION = 10**4  # numpy's choice without replacement runs Floyd's algorithm for any size up to here
-_DRAW_BLOCK = 2**13  # bounded draws replayed together (plus one set's): vector speed, bounded memory
+_DRAW_BLOCK = 2**13  # bounded draws taken together (plus one set's): vector speed, bounded memory
 _DOUBLE_UNIT = 2.0**-53  # random() is the top 53 bits of a raw word times this
 
 
@@ -180,8 +179,8 @@ def sorted_choices(rng: np.random.Generator, population: int, sizes) -> tuple[np
 
     The sets are drawn in turn from one PCG64 generator, as that loop draws
     them, and the generator is left where the loop leaves it.  Up to
-    _FLOYD_POPULATION the draws are replayed from raw words, about
-    _DRAW_BLOCK draws at a time with any unused 32-bit half carried over;
+    _FLOYD_POPULATION the Floyd and shuffle draws come from one
+    ``rng.integers`` call on an array of about _DRAW_BLOCK bounds at a time;
     above it the loop itself runs.
     """
     sizes = np.array(sizes, dtype=np.intp)
@@ -190,9 +189,6 @@ def sorted_choices(rng: np.random.Generator, population: int, sizes) -> tuple[np
     if population > _FLOYD_POPULATION:
         sets = [np.sort(rng.choice(population, size=s, replace=False)) for s in sizes.tolist()]
         return np.concatenate(sets or [np.empty(0, np.intp)]).astype(np.intp, copy=False), sizes
-    bitgen = rng.bit_generator
-    state = bitgen.state
-    half = state["uinteger"] if state["has_uint32"] else None
     draws = 2 * sizes - 1  # s Floyd steps, s - 1 shuffle swaps
     block = (np.cumsum(draws) - draws) // _DRAW_BLOCK  # the block a set starts in
     cuts = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), sizes.size]
@@ -202,49 +198,9 @@ def sorted_choices(rng: np.random.Generator, population: int, sizes) -> tuple[np
         s = np.repeat(group, count)
         k = np.arange(s.size) - np.repeat(np.cumsum(count) - count, count)  # draw k of its set
         floyd = k < s  # bounds P - s + 1, ..., P, then the shuffle's s, s - 1, ..., 2
-        values, half = _bounded_draws(bitgen, np.where(floyd, population - s + 1 + k, 2 * s - k), half)
+        values = rng.integers(np.where(floyd, population - s + 1 + k, 2 * s - k))
         ids.append(_floyd_sets(population, group, values[floyd]))
-    state = bitgen.state
-    state["has_uint32"], state["uinteger"] = (0, 0) if half is None else (1, half)
-    bitgen.state = state
     return np.concatenate(ids or [np.empty(0, np.intp)]), sizes
-
-
-def _bounded_draws(bitgen, bounds: np.ndarray, half):
-    """Lemire-bounded draws in [0, n) for n in ``bounds`` (each below 2**32), in turn.
-
-    numpy's ``random_bounded_uint64(0, n - 1)`` on PCG64's 32-bit stream:
-    ``half`` is a 32-bit value left over from an earlier word, or None.  A
-    bound of 1 gives 0 and takes no half.  Returns the draws and the half
-    left over.
-    """
-    bounds = np.asarray(bounds, dtype=np.uint64)
-    live = np.flatnonzero(bounds > 1)
-    n = bounds[live]
-    halves = np.array([] if half is None else [half], dtype=np.uint64)
-    products = np.empty(n.size, dtype=np.uint64)
-    done, rejected = 0, 0  # draws settled; halves rejected so far
-    while done < n.size:
-        short = n.size + rejected - halves.size
-        if short > 0:
-            words = bitgen.random_raw(-(-short // 2)).astype("<u8")
-            halves = np.concatenate((halves, words.view("<u4").astype(np.uint64)))
-        m = halves[done + rejected:n.size + rejected] * n[done:]
-        low = m & np.uint64(_MASK32)
-        near = np.flatnonzero(low < n[done:])  # the rejection threshold (2**32 - n) % n is below n
-        bound = n[done:][near]
-        rejects = near[low[near] < (np.uint64(2**32) - bound) % bound]
-        if not rejects.size:
-            products[done:] = m
-            break
-        first = int(rejects[0])
-        products[done:done + first] = m[:first]
-        done += first  # draw `done` passes its rejected half on to the next one
-        rejected += 1
-    values = np.zeros(bounds.size, dtype=np.intp)
-    values[live] = products >> np.uint64(32)
-    left = n.size + rejected
-    return values, int(halves[left]) if left < halves.size else None
 
 
 def _floyd_sets(population: int, sizes: np.ndarray, draws: np.ndarray) -> np.ndarray:
@@ -313,8 +269,8 @@ def _row_draws(words: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.nd
 
     Row j's 32-bit stream is the halves of ``words[j]``, low half first; a
     bound of 1 gives 0 and takes no half, and a rejected half passes the
-    draw on to the next one, as in ``_bounded_draws``.  Returns the draws
-    and the rows that ran out of halves, whose draws are not set.
+    draw on to the next one, as numpy's ``integers(b)`` does.  Returns the
+    draws and the rows that ran out of halves, whose draws are not set.
     """
     halves = words.astype("<u8").view("<u4").astype(np.uint64)
     values = np.zeros(bounds.shape, dtype=np.intp)
@@ -334,10 +290,9 @@ def _row_draws(words: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.nd
     return values, short
 
 
-def weighted_choices(dists: np.ndarray, words: np.ndarray) -> np.ndarray:
+def weighted_choices(dists: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Per row of the (n, d) ``dists``, ``Generator.choice(d, p=row)`` on a
-    PCG64 generator whose next raw word is ``words[row]``."""
+    generator whose next ``random()`` is ``u[row]``."""
     cdf = np.add.accumulate(dists, axis=1)
     cdf /= cdf[:, -1:]
-    u = (words >> np.uint64(11)) * _DOUBLE_UNIT
     return np.count_nonzero(cdf <= u[:, None], axis=1)

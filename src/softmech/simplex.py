@@ -103,7 +103,8 @@ def distribution_rows_ok(p) -> np.ndarray:
     q = np.asarray(p, dtype=float)
     finite = np.isfinite(q).all(axis=1)
     with np.errstate(invalid="ignore"):
-        return finite & (q.min(axis=1) >= -NEGATIVE_CLAMP) & (np.abs(q.sum(axis=1) - 1.0) <= SUM_TOLERANCE)
+        lowest = q.min(axis=1, initial=np.inf)  # a row of width 0 sums to 0 and is refused
+        return finite & (lowest >= -NEGATIVE_CLAMP) & (np.abs(q.sum(axis=1) - 1.0) <= SUM_TOLERANCE)
 
 
 def check_distribution(p) -> np.ndarray:

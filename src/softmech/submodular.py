@@ -117,7 +117,7 @@ def synthetic_coverage_instance(num_sets: int, universe_size: int, rng_seed: int
 
     Set i is ``sorted(rng.choice(universe_size, size_i, replace=False))``,
     the sets drawn in turn from ``spawn_rng(rng_seed, 0)``; ``sorted_choices``
-    replays those draws from the generator's raw words.  Needs 2 <= num_sets
+    takes those draws from numpy, many sets per call.  Needs 2 <= num_sets
     <= SET_CAP, 2 <= universe_size <= UNIVERSE_CAP and at most ID_CAP ids in
     all, checked before any draw.
     """
@@ -217,7 +217,7 @@ def _greedy_rows(inst: CoverageInstance, k: int, mechs=(), seeds=(), baseline=Tr
     0 every row is at the empty selection, so one row is counted for all.
     Each mechanism's rows in a block get their distributions from
     one ``_mechanism_distribution`` call, and a private row draws with
-    ``weighted_choices`` from its next raw word of ``spawn_rng(seed, 1)``:
+    ``weighted_choices`` from its next ``random()`` of ``spawn_rng(seed, 1)``:
     the pick ``Generator.choice`` makes there.
 
     Rows run in blocks, and a block's counts in spans of sets, so that the
@@ -235,8 +235,7 @@ def _greedy_rows(inst: CoverageInstance, k: int, mechs=(), seeds=(), baseline=Tr
     columns = np.ascontiguousarray(words.T) if words.nbytes <= _SWEEP_BYTES else words.T
     base, runs = int(baseline), max(1, len(seeds))
     total = base + len(mechs) * len(seeds)
-    raw = np.array([spawn_rng(seed, 1).bit_generator.random_raw(k) for seed in seeds],
-                   dtype=np.uint64).reshape(len(seeds), k)
+    uniforms = np.array([spawn_rng(seed, 1).random(k) for seed in seeds]).reshape(len(seeds), k)
     chosen = np.empty((total, k), dtype=np.intp)
     picked = np.empty((total, k), dtype=np.int64)
     steps = [(np.empty((total, n - t), dtype=np.intp), np.empty((total, n - t))) for t in range(k)] if record else []
@@ -269,7 +268,7 @@ def _greedy_rows(inst: CoverageInstance, k: int, mechs=(), seeds=(), baseline=Tr
                     dists[a, picks[a]] = 1.0
                 else:
                     dists[a:b] = _mechanism_distribution(mechs[mech_of[a]], gains[a:b])
-                    picks[a:b] = weighted_choices(dists[a:b], raw[seed_of[a:b], t])
+                    picks[a:b] = weighted_choices(dists[a:b], uniforms[seed_of[a:b], t])
             item = items[at, picks]
             chosen[rows, t] = item
             picked[rows, t] = gains[at, picks]

@@ -48,6 +48,16 @@ class TestLp:
         with pytest.raises(ValueError):
             lp_distance([1.0, 2.0], [1.0], 2.0)
 
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("c", [1e200, 1e-200])
+    def test_scales_past_the_float_range_of_the_powers(self, p, c):
+        # the p-th powers of c * (a - b) overflow (c = 1e200) or underflow (1e-200)
+        x, y = np.random.default_rng(7).normal(size=(2, 30, 4))
+        expected = c * lp_distance(x, y, p)
+        np.testing.assert_allclose(lp_distance(c * x, c * y, p), expected, rtol=1e-15, atol=0.0)
+        assert np.isclose(lp_distance(c * x[0], c * y[0], p), expected[0], rtol=1e-15, atol=0.0)
+        assert lp_distance(c * x[0], c * x[0], p) == 0.0
+
 
 class TestRenyi:
     def test_self_divergence_zero(self):
@@ -161,6 +171,9 @@ class TestRows:
         p[3] *= 2.0
         for order in (1.0, INF):
             assert np.isnan(renyi_divergence(p, y, order)).tolist() == [False, False, False, True]
+        for order in (1.0, 2.0, INF):
+            assert np.isnan(renyi_divergence(np.zeros((3, 0)), np.zeros((3, 0)), order)).tolist() == [True] * 3
+            assert renyi_divergence(np.zeros((0, 3)), np.zeros((0, 3)), order).shape == (0,)
 
 
 class TestLogLp:

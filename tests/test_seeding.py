@@ -1,11 +1,12 @@
-"""The seeding ports against numpy, bit for bit: spawn_rngs against
+"""The seeding helpers against numpy, bit for bit: spawn_rngs against
 SeedSequence, sorted_choices against choice, trial_draws against the
 per-trial normal, integers and random calls, and weighted_choices against
 choice with probabilities.
 
-The ports reimplement numpy's algorithms, so these tests pin them: a numpy
-release that changed one would fail here instead of changing seeded outputs
-silently.
+spawn_rngs and trial_draws port numpy's algorithms, and sorted_choices and
+weighted_choices rest on what numpy's own calls draw (integers on an array of
+bounds, choice's cdf search), so these tests pin both: a numpy release that
+changed either would fail here instead of changing seeded outputs silently.
 """
 
 import numpy as np
@@ -124,25 +125,33 @@ class TestSortedChoices:
 
 
 class TestBoundedDraws:
+    """numpy's ``integers`` on an array of bounds, which ``sorted_choices``
+    relies on, is one scalar ``integers(b)`` call per bound, in order: the
+    same values, the same buffered 32-bit half, and so the same later draws."""
+
+    @staticmethod
+    def assert_same_as_scalar_calls(seed, calls):
+        got, ref = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+        carried = []  # whether a half is buffered after each call
+        for bounds in calls:
+            assert got.integers(np.array(bounds, dtype=np.intp)).tolist() == [int(ref.integers(n)) for n in bounds]
+            assert live_state(got) == live_state(ref)
+            carried.append(live_state(ref)[1] is not None)
+        assert got.integers(0, 2**32 - 1, size=3).tolist() == ref.integers(0, 2**32 - 1, size=3).tolist()
+        return carried
+
     @pytest.mark.parametrize("n", [2, 3, 1000, 3 * 2**30, 2**31 + 1, 2**32 - 1])
     def test_matches_integers(self, n):
         # at 3 * 2**30 a quarter of the halves are rejected, at 2**31 + 1 nearly half
         for seed in range(3):
-            values, half = seeding._bounded_draws(np.random.PCG64(seed), [n] * 501, None)
-            ref = np.random.Generator(np.random.PCG64(seed))
-            assert values.tolist() == ref.integers(n, size=501).tolist()
-            state = ref.bit_generator.state
-            assert half == (state["uinteger"] if state["has_uint32"] else None)
+            self.assert_same_as_scalar_calls(seed, [[n] * 501])
 
     def test_mixed_bounds_and_carried_half(self):
         bounds = [1, 2**31 + 1, 5, 1, 1, 3 * 2**30, 7, 2**32 - 1, 1] * 40
         for seed in range(5):
-            ref = np.random.Generator(np.random.PCG64(seed))
-            expected = [int(ref.integers(n)) for n in bounds]
-            bitgen = np.random.PCG64(seed)
-            first, half = seeding._bounded_draws(bitgen, bounds[:101], None)
-            second, half = seeding._bounded_draws(bitgen, bounds[101:], half)
-            assert first.tolist() + second.tolist() == expected
+            # bound 2 rejects no half, so its 101 draws flip whether a half is carried
+            carried = self.assert_same_as_scalar_calls(seed, [bounds[:101], [2] * 101, bounds[101:]])
+            assert carried[0] != carried[1]
 
 
 def numpy_trials(seed, start, scales, widths, bounds):
@@ -251,15 +260,14 @@ class TestWeightedChoices:
         dists[1::4] = 1.0 / d
         dists[2::5] = np.eye(d)[rng.integers(d, size=len(dists[2::5]))]
         dists /= dists.sum(axis=1, keepdims=True)
-        words, expected = [], []
+        uniforms, expected = [], []
         for i, row in enumerate(dists):
-            words.append(spawn_rng(i, 1).bit_generator.random_raw())
+            uniforms.append(spawn_rng(i, 1).random())
             expected.append(int(spawn_rng(i, 1).choice(d, p=row)))
-        assert seeding.weighted_choices(dists, np.array(words, dtype=np.uint64)).tolist() == expected
+        assert seeding.weighted_choices(dists, np.array(uniforms)).tolist() == expected
 
-    def test_words_at_the_ends(self):
+    def test_uniforms_at_the_ends(self):
         dists = np.array([[0.25, 0.5, 0.25]] * 3)
         # u = 0, exactly the first cdf step (searchsorted's side="right"
-        # moves on past it) and just below 1
-        words = np.array([0, 2**62, 2**64 - 1], dtype=np.uint64)
-        assert seeding.weighted_choices(dists, words).tolist() == [0, 1, 2]
+        # moves on past it) and the largest random() below 1
+        assert seeding.weighted_choices(dists, np.array([0.0, 0.25, 1 - 2**-53])).tolist() == [0, 1, 2]
