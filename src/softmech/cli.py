@@ -49,7 +49,7 @@ _SEED_CAP = 10**5
 # block's (rows, 2d) normals, and the (2d, d) step matrix of
 # classification.subgradient_check.
 _ARRAY_ENTRIES = 2**22
-_LIPSCHITZ_D_CAP = _ARRAY_ENTRIES // (2 * smoothness._BLOCK_ROWS)  # 8192
+_LIPSCHITZ_D_CAP = _ARRAY_ENTRIES // (2 * smoothness._MIN_BLOCK_ROWS)  # 8192
 _LOSSFN_D_CAP = math.isqrt(_ARRAY_ENTRIES // 2)  # 1448
 # Most trials per seed.  Both commands draw and evaluate trials in blocks,
 # so memory does not grow with --trials; the cap bounds a seed's loops

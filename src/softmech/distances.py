@@ -27,12 +27,13 @@ def lp_distance(x, y, p: float):
     """p-norm of x - y along the last axis; p may be any real >= 1 or inf.
 
     Two vectors give a float; two (n, d) arrays give the n row distances as
-    an array, each equal bit for bit to the 1-D call on that row.  The p-th
-    roots are taken with Python's float power, the libm pow, because numpy's
-    array power can differ from it in the last bit.  Where the sum of p-th
-    powers overflows to inf or underflows to 0 while the largest difference
-    is a finite positive float, the differences are divided by it first and
-    the root scaled back; every other distance is the unscaled one.
+    an array, each equal bit for bit to the 1-D call on that row, and arrays
+    of more dimensions give one distance per last-axis row in the same way.
+    The p-th roots are taken with Python's float power, the libm pow, because
+    numpy's array power can differ from it in the last bit.  Where the sum of
+    p-th powers overflows to inf or underflows to 0 while the largest
+    difference is a finite positive float, the differences are divided by it
+    first and the root scaled back; every other distance is the unscaled one.
     """
     a = np.asarray(x, dtype=float)
     b = np.asarray(y, dtype=float)
@@ -58,7 +59,7 @@ def lp_distance(x, y, p: float):
                 sums = ((diff / scale[..., None]) ** p).sum(axis=-1)
             if sums.ndim == 0:
                 return float(scale * sums ** (1.0 / p))
-            dist = scale * np.array([s ** (1.0 / p) for s in sums.tolist()])
+            dist = scale * np.array([s ** (1.0 / p) for s in sums.ravel().tolist()]).reshape(sums.shape)
     return float(dist) if dist.ndim == 0 else dist
 
 

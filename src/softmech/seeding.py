@@ -4,37 +4,40 @@ Sub-task number i of master seed s uses SeedSequence(s, spawn_key=(i,)); the
 derivation is a pure function of (s, i), so trials can run in any order or in
 parallel and reductions by max/mean stay reproducible.
 
-``spawn_rng`` builds one such generator through numpy.  ``spawn_rngs`` builds
-a run of them, ``spawn_rng(s, i)`` for consecutive i, at a fraction of the
-cost: it ports SeedSequence's hash (O'Neill's ``seed_seq_fe``, numpy's
-seeding policy since NEP 19) to uint32 words and runs it on a whole block of
-spawn keys at once.  The hash is exact 32-bit arithmetic, so the port gives
-numpy's words bit for bit: the master seed fills a 4-word pool (zero-padded
-to the pool size, as numpy pads when a spawn key follows), the pool is mixed,
-each key word is mixed into its own copy of the pool, and the pool is
-stretched into the 4 uint64 words that seed PCG64.  The words reach PCG64
-through a minimal ``ISeedSequence``, so the generators' states and draws are
-numpy's.  Seeds and keys outside the port (not a non-negative integer, or a
-key of 2**32 or more) take numpy's own path, and so get numpy's values or
-numpy's error.
+``spawn_rng`` builds one such generator through numpy.  ``_key_runs`` gives
+the PCG64 seed words of a run of them, ``spawn_rng(s, i)`` for consecutive
+i, at a fraction of the cost: it ports SeedSequence's hash (O'Neill's
+``seed_seq_fe``, numpy's seeding policy since NEP 19) to uint32 words and
+runs it on a whole block of spawn keys at once.  The hash is exact 32-bit
+arithmetic, so the port gives numpy's words bit for bit: the master seed
+fills a 4-word pool (zero-padded to the pool size, as numpy pads when a
+spawn key follows), the pool is mixed, each key word is mixed into its own
+copy of the pool, and the pool is stretched into the 4 uint64 words that
+seed PCG64.  The words reach PCG64 through a minimal ``ISeedSequence``, so
+the generators' states and draws are numpy's.  Seeds and keys outside the
+port (not a non-negative integer, or a key of 2**32 or more) take numpy's
+own path, and so get numpy's values or numpy's error.
 
 ``trial_draws`` is the second port: the draws of a run of seeded trials,
 each on its own ``spawn_rng(s, i)``, that take normals and then bounded
-integers or one uniform.  The normals are still numpy's: its ziggurat tables
-ship only inside the compiled library, so each trial fills its row with one
-``standard_normal`` call, and the block is scaled once (``normal(0.0, s)`` is
-``0.0 + s * z`` in numpy, which turns -0.0 into +0.0).  The rest is replayed
-from one ``random_raw`` call per trial, a fraction of the cost of an
-``integers`` call on the trial's bounds.  A fresh generator holds no 32-bit
-half, and the normals take whole words, so the integer draws read the next
-words' halves, low half first, with numpy's Lemire rule for ``integers(n)``,
-n < 2**32, on PCG64's 32-bit stream: a bound of 1 takes no half, the draw is
-the high 32 bits of ``half * n``, and a rejected half (``(half * n) mod 2**32
-< (2**32 - n) mod n``) passes the draw on to the next one.  This runs for
-the whole block at once; ``random()`` is the next word's top 53 bits times
-2**-53.  Each trial fetches a spare half at least, so only a trial with two
-rejections (under 1e-14 per trial for bounds up to 200) can run out; it
-makes numpy's own calls instead.
+integers or one uniform.  It builds each trial's PCG64 straight from the
+seed words of ``_key_runs``, the one place where the port and numpy's own
+path part, in one loop over the block.  The normals are still numpy's: its
+ziggurat tables ship only inside the compiled library, so each trial fills
+its row with one ``standard_normal`` call, and the block is scaled once
+(``normal(0.0, s)`` is ``0.0 + s * z`` in numpy, which turns -0.0 into
++0.0).  The rest is replayed from one ``random_raw`` call per trial, a
+fraction of the cost of an ``integers`` call on the trial's bounds.  A fresh
+generator holds no 32-bit half, and the normals take whole words, so the
+integer draws read the next words' halves, low half first, with numpy's
+Lemire rule for ``integers(n)``, n < 2**32, on PCG64's 32-bit stream: a
+bound of 1 takes no half, the draw is the high 32 bits of ``half * n``, and
+a rejected half (``(half * n) mod 2**32 < (2**32 - n) mod n``) passes the
+draw on to the next one.  This runs for the whole block at once;
+``random()`` is the next word's top 53 bits times 2**-53.  Each trial
+fetches a spare half at least, so only a trial with two rejections (under
+1e-14 per trial for bounds up to 200) can run out; it makes numpy's own
+calls instead.
 
 The coverage instances and the private greedy draw through numpy itself.
 ``sorted_choices`` gives the sets of a loop of numpy's
@@ -73,16 +76,17 @@ def spawn_rng(master_seed: int, *counters: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(counters)))
 
 
-def spawn_rngs(master_seed: int, start: int, n: int):
-    """Generators of ``spawn_rng(master_seed, i)`` for i in [start, start + n), in order.
+def _key_runs(master_seed: int, start: int, n: int):
+    """The keys [start, start + n) as runs (lo, hi, seeds), in order.
 
-    Each has the state, and so the draws, of its ``spawn_rng`` counterpart.
-    The keys are hashed _KEY_BLOCK at a time; the generators are built as
-    they are consumed.
+    ``seeds`` holds the PCG64 seed words of keys lo .. hi - 1, one row of 4
+    uint64 words per key, hashed _KEY_BLOCK keys at a time; it is None for a
+    run that takes numpy's own path (``spawn_rng``), and so gets numpy's
+    values or numpy's error: every key of a seed that is not a non-negative
+    integer, and keys of 2**32 or more.
     """
     if not all(isinstance(v, (int, np.integer)) and v >= 0 for v in (master_seed, start)):
-        for i in range(start, start + n):  # numpy's values, or numpy's error
-            yield spawn_rng(master_seed, i)
+        yield start, start + n, None
         return
     run = _int_words(int(master_seed))
     run += [0] * (_POOL_SIZE - len(run))  # numpy pads the run entropy when a spawn key follows
@@ -91,10 +95,9 @@ def spawn_rngs(master_seed: int, start: int, n: int):
         ported = min(hi, 2**32)  # a key of 2**32 or more is two words: numpy's path
         if lo < ported:
             keys = np.arange(lo, ported, dtype=np.uint64).astype(np.uint32)
-            for words in _pcg64_seed_words(_mix_entropy(run + [keys])):
-                yield np.random.Generator(np.random.PCG64(_Words(words)))
-        for i in range(max(lo, ported), hi):
-            yield spawn_rng(master_seed, i)
+            yield lo, ported, _pcg64_seed_words(_mix_entropy(run + [keys]))
+        if ported < hi:
+            yield max(lo, ported), hi, None
 
 
 class _Words(ISeedSequence):
@@ -249,10 +252,18 @@ def trial_draws(master_seed: int, start: int, scales, widths, bounds) -> tuple[n
         raise ValueError(f"integer bounds must lie in [1, 2**32], got {bounds.min()} to {bounds.max()}")
     n = widths.size
     z = np.zeros((n, int(widths.max(initial=0))))
-    words = np.empty((n, bounds.shape[1] // 2 + 1), dtype=np.uint64)  # halves for every draw plus one rejection
-    for j, (width, rng) in enumerate(zip(widths.tolist(), spawn_rngs(master_seed, start, n))):
-        rng.standard_normal(out=z[j, :width])
-        words[j] = rng.bit_generator.random_raw(words.shape[1])
+    rows = [z[j, :width] for j, width in enumerate(widths.tolist())]
+    k = bounds.shape[1] // 2 + 1  # halves for every draw plus one rejection
+    raw = []
+    for lo, hi, seeds in _key_runs(master_seed, start, n):
+        if seeds is None:
+            bits = (spawn_rng(master_seed, i).bit_generator for i in range(lo, hi))
+        else:
+            bits = map(np.random.PCG64, map(_Words, seeds))
+        for row, bit in zip(rows[lo - start:hi - start], bits):
+            np.random.Generator(bit).standard_normal(out=row)
+            raw.append(bit.random_raw(k))
+    words = np.array(raw, dtype=np.uint64).reshape(n, k)
     # the padding is left alone: 0 * inf would warn
     np.multiply(z, scales[:, None], out=z, where=np.arange(z.shape[1]) < widths[:, None])
     z += 0.0

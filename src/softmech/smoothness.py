@@ -28,7 +28,13 @@ from .seeding import trial_draws
 _PERTURB_STEPS = (1e-2, 1e-4, 1e-6)
 _BOUNDARY_STEP = 1e-6
 _WITNESS_STEP = 1e-4
-_BLOCK_ROWS = 256  # pairs evaluated together: row-wise speed, memory bounded whatever the trial count
+# Pairs are drawn and evaluated in blocks: row-wise speed, memory bounded
+# whatever the trial count.  A block holds up to _BLOCK_VALUES values per side
+# (256 rows at d = 64), never fewer than _MIN_BLOCK_ROWS rows, and never more
+# than _MAX_BLOCK_ROWS, which bounds the per-row objects of the seeding loop at
+# small d.
+_BLOCK_VALUES = 2**14
+_MIN_BLOCK_ROWS, _MAX_BLOCK_ROWS = 256, 2048
 
 
 @dataclass(frozen=True)
@@ -104,6 +110,11 @@ def _pair_rows(mech: MechanismSpec, d: int, rng_seed: int, start: int, n: int) -
     return x, y
 
 
+def _block_rows(d: int) -> int:
+    """The pairs of a block at dimension d."""
+    return min(max(_BLOCK_VALUES // max(d, 1), _MIN_BLOCK_ROWS), _MAX_BLOCK_ROWS)
+
+
 def _draw_scale(mech: MechanismSpec) -> float:
     """The middle of the three trial scales: delta for the worst-case kinds,
     1/lambda for the other kinds with a parameter, else 1."""
@@ -135,7 +146,8 @@ def empirical_lipschitz(
 
     Deterministic per seed: trial i draws from a generator derived from
     (rng_seed, i).  The designed pairs form the first block of rows, then the
-    trials follow in blocks of _BLOCK_ROWS drawn straight into rows; each
+    trials follow in blocks drawn straight into rows, ``_block_rows(d)``
+    pairs each (2**14 values per side, within 256 to 2048 rows); each
     block gets one row-wise domain distance, one ``mech.rows`` call on each
     side and one row-wise range distance.  The first pair with the largest
     ratio is the witness (first argmax in a block, strict > between blocks);
@@ -157,7 +169,8 @@ def empirical_lipschitz(
     best = -1.0
     witness = None
     evaluated = drawn = 0
-    blocks = (_pair_rows(mech, d, rng_seed, s, min(_BLOCK_ROWS, trials - s)) for s in range(0, trials, _BLOCK_ROWS))
+    rows = _block_rows(d)
+    blocks = (_pair_rows(mech, d, rng_seed, s, min(rows, trials - s)) for s in range(0, trials, rows))
     for x, y in chain([_designed_rows(mech, d)], blocks):
         drawn += len(x)
         dxy = dom(x, y)  # nan where a row is outside the metric's domain

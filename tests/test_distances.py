@@ -158,6 +158,15 @@ class TestRows:
                 assert np.isinf(loop).any() and np.isfinite(loop).any()
                 assert renyi_divergence(p, q, order).tobytes() == loop.tobytes()
 
+    def test_more_dimensions_equal_vector_calls(self):
+        # one distance per last-axis row; at 1 < p < inf the roots are taken entry by entry
+        x, y = np.random.default_rng(8).normal(size=(2, 2, 3, 4))
+        y[1, 2] *= 1e200  # this row's cubes overflow and take the scaled path
+        for p in (1.0, 3.0, INF):
+            loop = np.array([[lp_distance(a, b, p) for a, b in zip(xs, ys)] for xs, ys in zip(x, y)])
+            got = lp_distance(x, y, p)
+            assert got.shape == (2, 3) and got.tobytes() == loop.tobytes()
+
     def test_rows_outside_the_domain_give_nan(self):
         x = np.exp(np.random.default_rng(6).normal(size=(4, 3)))
         y = x[::-1] / x[::-1].sum(axis=1, keepdims=True)

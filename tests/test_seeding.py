@@ -1,9 +1,9 @@
-"""The seeding helpers against numpy, bit for bit: spawn_rngs against
-SeedSequence, sorted_choices against choice, trial_draws against the
-per-trial normal, integers and random calls, and weighted_choices against
-choice with probabilities.
+"""The seeding helpers against numpy, bit for bit: the hashed seed words of
+_key_runs against SeedSequence, sorted_choices against choice, trial_draws
+against the per-trial normal, integers and random calls, and
+weighted_choices against choice with probabilities.
 
-spawn_rngs and trial_draws port numpy's algorithms, and sorted_choices and
+_key_runs and trial_draws port numpy's algorithms, and sorted_choices and
 weighted_choices rest on what numpy's own calls draw (integers on an array of
 bounds, choice's cdf search), so these tests pin both: a numpy release that
 changed either would fail here instead of changing seeded outputs silently.
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from softmech import seeding
-from softmech.seeding import spawn_rng, spawn_rngs
+from softmech.seeding import spawn_rng
 from softmech.smoothness import empirical_lipschitz
 from test_smoothness import ORACLE_MECHS, per_pair_lipschitz
 
@@ -22,6 +22,16 @@ SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**199 + 12345, np.int64(7)]
 
 def numpy_rng(seed, i):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))))
+
+
+def spawn_rngs(seed, start, n):
+    """The generators of spawn_rng(seed, i), i in [start, start + n), from
+    the seed words of ``_key_runs``, each built as ``trial_draws`` builds it."""
+    for lo, hi, seeds in seeding._key_runs(seed, start, n):
+        if seeds is None:
+            yield from (spawn_rng(seed, i) for i in range(lo, hi))
+        else:
+            yield from (np.random.Generator(np.random.PCG64(seeding._Words(words))) for words in seeds)
 
 
 def assert_same_generators(seed, start, n):
@@ -50,6 +60,8 @@ def test_across_key_block_edges(seed):
 @pytest.mark.parametrize("start, n", [(2**32 - 3, 6), (2**32, 2), (2**40 + 7, 3)])
 def test_two_word_keys_take_numpy_path(start, n):
     assert_same_generators(11, start, n)
+    for lo, hi, seeds in seeding._key_runs(11, start, n):
+        assert (seeds is None) == (lo >= 2**32) and (hi <= 2**32 or lo >= 2**32)
 
 
 def test_seeds_outside_the_port_take_numpy_path():
@@ -195,6 +207,14 @@ class TestTrialDraws:
             widths = rng.choice([0, 1, 2, 16, 32, 200], size=n).tolist()
             bounds = rng.integers(1, [2**32, 4, 2, 2**31 + 2], size=(n, 4)).tolist()
             assert_same_trials(seed, int(rng.integers(1000)), [0.5] * n, widths, bounds)
+
+    @pytest.mark.parametrize("start, n", [(seeding._KEY_BLOCK - 2, seeding._KEY_BLOCK + 5), (2**32 - 3, 7)])
+    def test_across_key_edges(self, start, n):
+        # the keys are hashed _KEY_BLOCK at a time, and a key of 2**32 or more takes numpy's path
+        rng = np.random.default_rng(n)
+        widths = rng.integers(0, 9, size=n).tolist()
+        bounds = rng.integers(1, 50, size=(n, 2)).tolist()
+        assert_same_trials(4, start, rng.uniform(0.5, 2.0, size=n).tolist(), widths, bounds)
 
     def test_no_integers_and_no_trials(self):
         assert_same_trials(3, 9, [2.0, 0.25, 1.0], [4, 0, 7], [[], [], []])

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from softmech import seeding, submodular
+from softmech import seeding, smoothness, submodular
 from softmech.distances import (
     lp_distance,
     metric_from_id,
@@ -206,27 +206,30 @@ class TestRowBlocksMatchPerPairLoop:
     @pytest.mark.parametrize("mech", ORACLE_MECHS, ids=lambda m: m.kind)
     @pytest.mark.parametrize("domain, range_", ORACLE_METRICS, ids=lambda m: m)
     def test_same_estimate_witness_and_counts(self, mech, domain, range_):
-        # 256 pairs make a block; the exp and sparsemax designed pairs move
-        # the block edges by one or two
-        for trials in (1, 255, 256, 257, 1000):
-            seed = 1000 + trials
-            try:
-                ref = per_pair_lipschitz(mech, 6, domain, range_, trials, seed)
-            except ValueError:
-                with pytest.raises(ValueError):
-                    empirical_lipschitz(mech, 6, domain, range_, trials, seed)
-                continue
-            est = empirical_lipschitz(mech, 6, domain, range_, trials, seed)
-            got = (est.max_ratio, est.witness_x, est.witness_y, est.trials, est.skipped)
-            assert np.float64(got[0]).tobytes() == np.float64(ref[0]).tobytes(), trials
-            assert got[1].tobytes() == ref[1].tobytes() and got[2].tobytes() == ref[2].tobytes(), trials
-            assert got[3:] == ref[3:], trials
+        # trials straddle the block edge the block rule sets at d (at d = 100,
+        # the floor of _MIN_BLOCK_ROWS pairs); the exp and sparsemax designed
+        # pairs sit in a block of their own ahead of the trials
+        for d in (6, 100):
+            rows = smoothness._block_rows(d)
+            for trials in (1, rows - 1, rows, rows + 1):
+                seed = 1000 + trials
+                try:
+                    ref = per_pair_lipschitz(mech, d, domain, range_, trials, seed)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        empirical_lipschitz(mech, d, domain, range_, trials, seed)
+                    continue
+                est = empirical_lipschitz(mech, d, domain, range_, trials, seed)
+                got = (est.max_ratio, est.witness_x, est.witness_y, est.trials, est.skipped)
+                assert np.float64(got[0]).tobytes() == np.float64(ref[0]).tobytes(), (d, trials)
+                assert got[1].tobytes() == ref[1].tobytes() and got[2].tobytes() == ref[2].tobytes(), (d, trials)
+                assert got[3:] == ref[3:], (d, trials)
 
     @pytest.mark.parametrize("mech", ORACLE_MECHS[:5], ids=lambda m: m.kind)
     @pytest.mark.parametrize("d", [1, 2, 3, 17])
     def test_other_dimensions(self, mech, d):
         # d = 1 has no seam to straddle: the draws raise ValueError from trial 2 on
-        for trials in (2, 257):
+        for trials in (2, smoothness._block_rows(d) + 1):
             try:
                 ref = per_pair_lipschitz(mech, d, "l2", "l1", trials, d)
             except ValueError:
@@ -240,7 +243,7 @@ class TestRowBlocksMatchPerPairLoop:
 
     @pytest.mark.parametrize("mech", [MechanismSpec("exp", 1.5), MechanismSpec("plsoftmax", 0.5)], ids=lambda m: m.kind)
     def test_across_a_seeding_block_edge(self, mech):
-        # the trial generators come from spawn_rngs, hashed _KEY_BLOCK keys at a time
+        # trial_draws hashes the trials' keys _KEY_BLOCK at a time
         trials = seeding._KEY_BLOCK + 3
         ref = per_pair_lipschitz(mech, 6, "l2", "l2", trials, 77)
         est = empirical_lipschitz(mech, 6, "l2", "l2", trials, 77)
@@ -249,15 +252,17 @@ class TestRowBlocksMatchPerPairLoop:
         assert (est.trials, est.skipped) == ref[3:]
 
     def test_memory_bounded_by_the_block(self):
-        # all 20 000 pairs at once would hold more than 20 MB of rows
-        tracemalloc.start()
-        try:
-            est = empirical_lipschitz(MechanismSpec("sparsemax"), 64, "l2", "l1", 20_000, 0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert est.trials == 20_001
-        assert peak < 4 * 2**20
+        # all 20 000 pairs at once would hold more than 20 MB of rows at d = 64;
+        # at small d the block's rows are capped, and with them its per-row objects
+        for d in (2, 16, 64):
+            tracemalloc.start()
+            try:
+                est = empirical_lipschitz(MechanismSpec("sparsemax"), d, "l2", "l1", 20_000, 0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert est.trials == 20_001
+            assert peak < 4 * 2**20, d
 
     def test_skipped_pairs_counted(self):
         # plsoftmax draws pairs on the whole line; log-l2 needs positive entries
