@@ -14,7 +14,18 @@ Approximation diagnostics (``additive_gap``, ``multiplicative_gap``,
 ``worst_case_support_ok``) quantify how much value each selector gives up.
 All functions are pure; randomness never enters this module.  The 1-D
 selectors call numpy's ufuncs directly: on small vectors wrappers such as
-v.max() cost as much as the work.
+v.max() cost as much as the work, and so does each further call.  So they
+make as few calls as give the same bits:
+
+* arithmetic is done in place, but only on arrays the body allocated (the
+  exp and pow weights, the shifted vectors, the piece values), never on the
+  caller's values;
+* ``plsoftmax`` clamps rounding residue by the minimum of its k active
+  values, and sparsemax's max(v - tau, 0) has no residue to clamp; both still
+  divide by numpy's pairwise sum over the whole vector;
+* when the max is the only active entry (k = 1), ``plsoftmax``,
+  ``log_plsoftmax`` and sparsemax return the point mass on it, which is what
+  the piece map and the threshold give there.
 """
 
 from __future__ import annotations
@@ -26,8 +37,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .distances import parse_metric_id, pq_bound_factor
-from .simplex import (SUPPORT_EPS, as_value_rows, as_values, finalize_distribution, finalize_rows, value_range,
-                      value_rows_range)
+from .simplex import (SUPPORT_EPS, as_value_rows, as_values, checked_total, clamp_residue, finalize_rows,
+                      value_range, value_rows_range)
 from .smmatrix import harmonic
 
 
@@ -82,11 +93,14 @@ def _less_max(v: np.ndarray, top, spread: float) -> np.ndarray:
 
 
 def _exp_weights(v: np.ndarray, top, lam: float, spread: float) -> np.ndarray:
-    """exp(lam * (v - top)), top being v's max (per row for rows)."""
-    if float(lam) * spread < np.inf:
-        return np.exp(lam * (v - top))
-    with np.errstate(over="ignore"):
-        return np.exp(lam * (v - top))
+    """exp(lam * (v - top)) in a new array, top being v's max (per row for
+    rows)."""
+    if not float(lam) * spread < np.inf:
+        with np.errstate(over="ignore"):
+            return np.exp(lam * (v - top))
+    w = v - top
+    w *= lam
+    return np.exp(w, out=w)
 
 
 def exp_mechanism(x, lam: float) -> np.ndarray:
@@ -95,7 +109,8 @@ def exp_mechanism(x, lam: float) -> np.ndarray:
     v, lo, hi = value_range(x)
     _check_param(lam, "lambda")
     w = _exp_weights(v, hi, lam, hi - lo)
-    return w / np.add.reduce(w)
+    w /= np.add.reduce(w)
+    return w
 
 
 def _exp_rows(x, lam: float) -> np.ndarray:
@@ -120,15 +135,16 @@ def power_mechanism(x, lam: float) -> np.ndarray:
         # the log spread from the range; math.log and np.log may differ in
         # the last bits, which _LOG_SLACK covers
         w = _exp_weights(logs, np.maximum.reduce(logs), lam, math.log(hi) - math.log(lo) + _LOG_SLACK)
-        return w / np.add.reduce(w)
-    pos = v > 0
-    logs = np.log(v[pos])
-    if not logs.size:
-        raise ValueError("power mechanism needs at least one positive value")
-    top = np.maximum.reduce(logs)
-    w = np.zeros(v.size)
-    w[pos] = _exp_weights(logs, top, lam, float(top - np.minimum.reduce(logs)))
-    return w / np.add.reduce(w)
+    else:
+        pos = v > 0
+        logs = np.log(v[pos])
+        if not logs.size:
+            raise ValueError("power mechanism needs at least one positive value")
+        top = np.maximum.reduce(logs)
+        w = np.zeros(v.size)
+        w[pos] = _exp_weights(logs, top, lam, float(top - np.minimum.reduce(logs)))
+    w /= np.add.reduce(w)
+    return w
 
 
 def _power_rows(x, lam: float) -> np.ndarray:
@@ -158,6 +174,8 @@ def _piece_apply(xs: np.ndarray, k) -> np.ndarray:
     array of per-row counts: the work covers the first max(k) columns, with
     each row's t masked to zero beyond its own k, so every sum gains only
     leading zeros.  Either way each row equals the 1-D result bit for bit.
+    When the work covers the whole last axis, as it does for the 1-D
+    selector's k values, the result is that work's own array.
     """
     if isinstance(k, np.ndarray):
         m = int(np.maximum.reduce(k, None, initial=1))  # 1 for a block of no rows
@@ -167,9 +185,13 @@ def _piece_apply(xs: np.ndarray, k) -> np.ndarray:
         m = k
         ranks, pairs = _rank_tables(m)
         t = xs[:m] - xs[0] if xs.ndim == 1 else xs[:, :m] - xs[:, :1]
+    suffix = np.add.accumulate((t[..., 1:] / pairs)[..., ::-1], -1)[..., ::-1]
+    t /= ranks
+    t[..., : m - 1] -= suffix
+    if m == xs.shape[-1]:
+        return t
     y = np.zeros(xs.shape)
-    y[..., :m] = t / ranks
-    y[..., : m - 1] -= np.add.accumulate((t[..., 1:] / pairs)[..., ::-1], -1)[..., ::-1]
+    y[..., :m] = t
     return y
 
 
@@ -203,16 +225,22 @@ def plsoftmax(x, delta: float) -> np.ndarray:
 
 
 def _plsoftmax(v: np.ndarray, delta: float) -> np.ndarray:
-    """plsoftmax on a checked value vector less its max."""
+    """plsoftmax on a checked value vector less its max.  The residue clamp
+    reads the k active values only; the total is over all of out."""
     _check_param(delta, "delta")
     active = (v >= -delta).nonzero()[0]
-    order = active[(-v[active]).argsort(kind="stable")]
-    k = order.size
-    f_sorted = _piece_apply(v[order], k) / delta
-    f_sorted += 1.0 / k
     out = np.zeros(v.size)
-    out[order] = f_sorted
-    return finalize_distribution(out)
+    k = active.size
+    if k == 1:  # only the max is within delta: the point mass the piece map gives
+        out[active] = 1.0
+        return out
+    order = active[(-v[active]).argsort(kind="stable")]
+    f_sorted = _piece_apply(v[order], k)
+    f_sorted /= delta
+    f_sorted += 1.0 / k
+    out[order] = clamp_residue(f_sorted, np.minimum.reduce(f_sorted))
+    out /= checked_total(out)
+    return out
 
 
 def _plsoftmax_rows(x, delta: float) -> np.ndarray:
@@ -236,7 +264,8 @@ def log_plsoftmax(x, delta: float) -> np.ndarray:
     :func:`multiplicative_guarantee`.
     """
     logs = np.log(as_values(x, positive=True))
-    return _plsoftmax(logs - np.maximum.reduce(logs), delta)
+    logs -= np.maximum.reduce(logs)
+    return _plsoftmax(logs, delta)
 
 
 def _log_plsoftmax_rows(x, delta: float) -> np.ndarray:
@@ -259,17 +288,25 @@ def sparsemax(x) -> np.ndarray:
     only, O(d + k log k): find the largest prefix whose shifted values stay
     positive, subtract the prefix threshold, clip at zero.  The max is
     subtracted first, which is exact by translation invariance and keeps the
-    prefix sums from overflowing.
+    prefix sums from overflowing.  When the max is the only entry above
+    max - 1, tau is max - 1 and the result is the point mass on the max.
     """
     v, lo, hi = value_range(x)
     v = _less_max(v, hi, hi - lo)
-    z = v[v > -1.0]
+    above = (v > -1.0).nonzero()[0]
+    if above.size == 1:
+        out = np.zeros(v.size)
+        out[above] = 1.0
+        return out
+    z = v[above]
     z.sort()
     z = z[::-1]
     cssv = np.add.accumulate(z) - 1.0
     rho = int(np.count_nonzero(z - cssv / _rank_tables(z.size)[0] > 0))
-    tau = cssv[rho - 1] / rho
-    return finalize_distribution(np.maximum(v - tau, 0.0))
+    v -= cssv[rho - 1] / rho
+    np.maximum(v, 0.0, out=v)  # never negative, so no residue to clamp
+    v /= checked_total(v)
+    return v
 
 
 def _sparsemax_rows(x) -> np.ndarray:

@@ -24,7 +24,8 @@ def value_range(x, *, positive: bool = False) -> tuple[np.ndarray, float, float]
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    return (v, *_checked_range(v, positive))
+    lo, hi = _checked_range(v, positive)
+    return v, lo, hi
 
 
 def as_value_rows(x, *, positive: bool = False) -> np.ndarray:
@@ -41,19 +42,27 @@ def value_rows_range(x, *, positive: bool = False) -> tuple[np.ndarray, float, f
     v = np.asarray(x, dtype=float)
     if v.ndim != 2:
         raise ValueError(f"expected rows of values, got shape {v.shape}")
-    return (v, *_checked_range(v, positive))
+    lo, hi = _checked_range(v, positive)
+    return v, lo, hi
+
+
+_INF = np.inf
+_min_of, _max_of = np.minimum.reduce, np.maximum.reduce
 
 
 def _checked_range(v: np.ndarray, positive: bool) -> tuple[float, float]:
-    # the ufunc reductions are called directly: on small vectors the method
-    # and function wrappers around them cost about as much as the reduction.
-    # The values are finite exactly when their min and max are (a nan
-    # propagates to both); the initial values only serve an array of no rows.
+    # the ufunc reductions are called directly, bound once: on small vectors
+    # the method and function wrappers around them, and even the attribute
+    # lookups, cost a good part of the reduction.  The values are finite
+    # exactly when their min and max are (a nan propagates to both).  An
+    # array of no rows has the range (inf, -inf).
     if v.shape[-1] < 1:
         raise ValueError("value vector must be non-empty")
-    lo = float(np.minimum.reduce(v, None, initial=np.inf))
-    hi = float(np.maximum.reduce(v, None, initial=-np.inf))
-    if not (-np.inf < lo and hi < np.inf):
+    if not v.size:
+        return _INF, -_INF
+    lo = float(_min_of(v, None))
+    hi = float(_max_of(v, None))
+    if not (-_INF < lo and hi < _INF):
         raise ValueError("value vector must be finite")
     if positive and not lo > 0:
         raise ValueError("value vector must be strictly positive")
@@ -67,15 +76,26 @@ def finalize_distribution(raw: np.ndarray) -> np.ndarray:
     entry at or below -1e-12 indicates a real bug and raises AssertionError.
     """
     p = np.asarray(raw, dtype=float)
-    low = np.minimum.reduce(p, None) if p.size else 0.0  # an empty p fails the sum check
+    p = clamp_residue(p, np.minimum.reduce(p, None) if p.size else 0.0)  # an empty p fails the sum check
+    return p / checked_total(p)
+
+
+def clamp_residue(p: np.ndarray, low) -> np.ndarray:
+    """:func:`finalize_distribution`'s clamp of p, given its minimum low:
+    AssertionError at or below -NEGATIVE_CLAMP, p itself when nothing is
+    negative, else a copy with the negative entries set to 0."""
     if low <= -NEGATIVE_CLAMP:
         raise AssertionError(f"distribution entry {low} below clamping range")
-    if low < 0.0:
-        p = np.where(p < 0.0, 0.0, p)
+    return np.where(p < 0.0, 0.0, p) if low < 0.0 else p
+
+
+def checked_total(p: np.ndarray):
+    """The sum of all of p's entries, numpy's pairwise sum in index order;
+    AssertionError unless it is positive and finite."""
     total = np.add.reduce(p, None)
     if not 0.0 < total < np.inf:
         raise AssertionError(f"distribution sums to {total}")
-    return p / total
+    return total
 
 
 def finalize_rows(raw: np.ndarray) -> np.ndarray:

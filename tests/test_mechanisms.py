@@ -555,3 +555,26 @@ class TestSupportFirst:
             x = np.exp(x - x.max(axis=1, keepdims=True))
         for row, o in zip(x, spec.rows(x)):
             assert o.tobytes() == spec(row).tobytes()
+
+
+class TestInputSafety:
+    """The 1-D selectors do their arithmetic in place, on arrays they allocate
+    themselves only: on a read-only input every kind, 1-D and rows alike,
+    gives the bytes it gives on a writable copy, and neither input changes."""
+
+    @pytest.mark.parametrize("kind", sorted(PARAMS))
+    @pytest.mark.parametrize("d", [1, 4, 64, 1024])
+    def test_read_only_input(self, kind, d):
+        entry, param = MECHANISM_KINDS[kind], PARAMS[kind]
+        rng = np.random.default_rng(d)
+        lone = np.full((1, d), -50.0)
+        lone[0, rng.integers(d)] = 0.0  # one active entry: the point mass
+        x = np.vstack([parity_rows(kind, d, rng), np.exp(lone) if entry.positive_domain else lone])
+        frozen = x.copy()
+        frozen.setflags(write=False)
+        for row, writable in zip(frozen, x.copy()):
+            assert entry.function(row, param).tobytes() == entry.function(writable, param).tobytes()
+            assert writable.tobytes() == row.tobytes()
+        writable = x.copy()
+        assert entry.rows(frozen, param).tobytes() == entry.rows(writable, param).tobytes()
+        assert frozen.tobytes() == writable.tobytes() == x.tobytes()
