@@ -25,11 +25,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .mechanisms import _check_param, _piece_apply, _piece_apply_transpose, plsoftmax
-from .seeding import trial_draws
+from .seeding import spawn_rng
 from .simplex import as_value_rows, as_values, check_distribution
 
-# Trials of the convexity probe evaluated per row-form loss call (three
-# points each); bounds the probe's memory at any trial count.
+# Trials of the convexity probe drawn together and evaluated per row-form loss
+# call (three points each); bounds the probe's memory at any trial count.  A
+# block is also the unit of seeding, so retuning it changes seeded outputs.
 _PROBE_BLOCK = 512
 _PROBE_SCALE = 2.0  # the probe's normal draws have sd _PROBE_SCALE * max(delta, 1)
 _FD_STEP = 1e-5  # central-difference step of subgradient_check
@@ -224,11 +225,13 @@ def convexity_probe(q, delta: float, trials: int, rng_seed: int) -> float:
 
     Draws random (x1, x2, t) triples and measures
     loss(t x1 + (1-t) x2) - t loss(x1) - (1-t) loss(x2); for a convex loss
-    the max stays at numerical-noise level.  Trial i draws x1 and x2 from
-    ``normal(0.0, sd, size=d)`` and then t from ``random()`` on the
-    generator of spawn_rng(rng_seed, i); ``seeding.trial_draws`` replays
-    these draws into rows _PROBE_BLOCK trials at a time, and the loss is
-    evaluated by the row form, one call per block.
+    the max stays at numerical-noise level.  The trials come in draw blocks
+    of B = _PROBE_BLOCK: block b draws one ``standard_normal((n, 2 d))``
+    call on spawn_rng(rng_seed, b, 0), n being its trials, and one
+    ``random(n)`` call on spawn_rng(rng_seed, b, 1).  Trial i = bB + j takes
+    x1 and x2 from row j of the normals, times sd, and t from uniform j, so a
+    run of n trials is a prefix of any longer run.  The loss is evaluated by
+    the row form, one call per block.
     """
     qq = check_distribution(q)
     _check_param(delta, "delta")
@@ -236,9 +239,11 @@ def convexity_probe(q, delta: float, trials: int, rng_seed: int) -> float:
         raise ValueError("trials must be >= 1")
     d, sd = qq.size, _PROBE_SCALE * max(delta, 1.0)
     worst = -np.inf
-    for start in range(0, trials, _PROBE_BLOCK):
+    for block, start in enumerate(range(0, trials, _PROBE_BLOCK)):
         n = min(_PROBE_BLOCK, trials - start)
-        z, _, t = trial_draws(rng_seed, start, np.full(n, sd), np.full(n, 2 * d), np.empty((n, 0)))
+        z = spawn_rng(rng_seed, block, 0).standard_normal((n, 2 * d))
+        z *= sd
+        t = spawn_rng(rng_seed, block, 1).random(n)
         x1, x2 = z[:, :d], z[:, d:]
         mid = t[:, None] * x1 + (1 - t[:, None]) * x2
         l_mid, l1, l2 = np.split(_loss_rows(np.concatenate([mid, x1, x2]), qq, delta), 3)

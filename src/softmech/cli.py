@@ -1,10 +1,11 @@
 """Command-line experiment runner.
 
 Subcommands: eval, lipschitz, submodular, auction, lossfn, selftest.  Every
-command is deterministic given its flags: a master seed fans out to sub-task
-i through SeedSequence(master, spawn_key=(i,)), floats are printed with 12
-significant digits and '.' decimals, and repeated runs produce byte-identical
-output files.  Exit code is 0 iff every invariant check the command performs
+command is deterministic given its flags: a master seed fans out to its
+sub-tasks through SeedSequence(master, spawn_key=counters) (in the lipschitz
+and lossfn probes a sub-task is a draw block b and one of its two streams,
+counters (b, 0) and (b, 1)), floats are printed with 12 significant digits
+and '.' decimals, and repeated runs produce byte-identical output files.  Exit code is 0 iff every invariant check the command performs
 passes; a machine-readable JSON summary line is always printed last.
 """
 

@@ -487,13 +487,32 @@ def selection_distribution(mech: MechanismSpec, values: np.ndarray) -> np.ndarra
     """The mechanism's selection distribution for one value vector, or for
     each row of an (n, d) array; uniform in a row with no positive value when
     the kind's domain is the positive values (it is undefined there, and no
-    option is worth more than another).  A vector goes to the kind's 1-D
-    function, which costs less than a one-row call of its row form."""
+    option is worth more than another).  A zero entry gets weight 0 under
+    logplsoftmax, as it does under pow: log 0 is never within delta of a
+    finite max.  A vector goes to the kind's 1-D function, which costs less
+    than a one-row call of its row form."""
     flat = ~(values > 0).any(axis=-1) if mech.positive_domain else np.zeros(values.shape[:-1], dtype=bool)
+    if mech.kind == "logplsoftmax" and (values == 0).any():
+        return _zeros_left_out(mech, values, flat)
     if values.ndim == 1:
         return np.full(values.size, 1.0 / values.size) if flat else mech(values)
     if not flat.any():
         return mech.rows(values)
     out = np.full(values.shape, 1.0 / values.shape[1])
     out[~flat] = mech.rows(values[~flat])
+    return out
+
+
+def _zeros_left_out(mech: MechanismSpec, values: np.ndarray, flat) -> np.ndarray:
+    """selection_distribution of values with zero entries, one row at a time:
+    the 1-D mechanism on the row's other entries, 0 at its zeros, and uniform
+    in a flat row."""
+    d = values.shape[-1]
+    out = np.zeros(values.shape)
+    for row, dest, uniform in zip(values.reshape(-1, d), out.reshape(-1, d), np.ravel(flat).tolist()):
+        if uniform:
+            dest[:] = 1.0 / d
+        else:
+            kept = row != 0
+            dest[kept] = mech(row[kept])
     return out

@@ -23,7 +23,7 @@ import numpy as np
 
 from .distances import lp_distance, metric_from_id, parse_metric_id
 from .mechanisms import MechanismSpec, _check_param
-from .seeding import trial_draws
+from .seeding import spawn_rng
 
 _PERTURB_STEPS = (1e-2, 1e-4, 1e-6)
 _BOUNDARY_STEP = 1e-6
@@ -31,8 +31,9 @@ _WITNESS_STEP = 1e-4
 # Pairs are drawn and evaluated in blocks: row-wise speed, memory bounded
 # whatever the trial count.  A block holds up to _BLOCK_VALUES values per side
 # (256 rows at d = 64), never fewer than _MIN_BLOCK_ROWS rows, and never more
-# than _MAX_BLOCK_ROWS, which bounds the per-row objects of the seeding loop at
-# small d.
+# than _MAX_BLOCK_ROWS, which bounds the block's arrays at small d (no object
+# is built per row).  A block is also the unit of seeding (see _pair_rows), so
+# retuning these changes the lab's seeded outputs.
 _BLOCK_VALUES = 2**14
 _MIN_BLOCK_ROWS, _MAX_BLOCK_ROWS = 256, 2048
 
@@ -56,37 +57,43 @@ class LipschitzEstimate:
     witness_y: np.ndarray
 
 
-def _pair_rows(mech: MechanismSpec, d: int, rng_seed: int, start: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Trials start .. start + n - 1 as (n, d) rows x and y.
+def _pair_rows(mech: MechanismSpec, d: int, rng_seed: int, block: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first n trials of draw block ``block`` as (n, d) rows x and y.
 
-    Trial i draws from the generator of spawn_rng(rng_seed, i) and cycles
-    three families, three scales and three steps: an independent random
-    pair; a single-coordinate perturbation; and a pair with gap 1e-6 in the
-    sup norm straddling a selector seam.  For the worst-case kinds the
+    Block b holds trials bB .. bB + B - 1, B = _block_rows(d).  Trial i
+    cycles three families, three scales and three steps: an independent
+    random pair; a single-coordinate perturbation; and a pair with gap 1e-6
+    in the sup norm straddling a selector seam.  For the worst-case kinds the
     straddle crosses the active-count boundary (the coordinate of a drawn
     rank placed just inside/outside max - delta); otherwise it crosses an
-    order-change boundary (two drawn coordinates swapping rank).  A trial
-    draws ``normal(0.0, scale, size=d)`` (twice for a random pair), then
-    ``integers(d)``, ``integers(1, d)`` or ``choice(d, 2, replace=False)``;
-    ``seeding.trial_draws`` replays these draws for the whole block, and the
-    steps and seams are placed, and positive-domain rows exponentiated, for
-    the whole block at once.
+    order-change boundary (two drawn coordinates swapping rank).  The block
+    draws its normals as one ``standard_normal((n, 2 d))`` call on
+    spawn_rng(rng_seed, b, 0), row i - bB scaled by trial i's scale (x is
+    its first d entries, and a random pair's y the other d), and its other
+    draws as one ``integers`` call on the (n, 3) bounds of its trials, row
+    by row, on spawn_rng(rng_seed, b, 1): a coordinate below d, a rank draw
+    below d - 1, or ``choice(d, 2, replace=False)``'s draws; a bound of 1
+    draws nothing.  The steps and seams are placed, and positive-domain rows
+    exponentiated, for the whole block at once.
     """
+    start = block * _block_rows(d)
     delta = mech.param if mech.worst_case else None  # seam at max - delta
     rank = delta is not None and d >= 2  # the seam pair draws a rank, else two coordinates
     trial = np.arange(start, start + n)
     family = trial % 3
     bounds = np.ones((n, 3), dtype=np.int64)
     bounds[family == 1, 0] = d
-    # integers(1, d) is 1 plus a draw below d - 1; choice(d, 2, replace=False)
-    # is a Floyd step (a below d - 1, then b below d, b == a taking d - 1) and
-    # a swap draw below 2.  At d = 1 its bound d - 1 = 0 raises ValueError.
+    # the seam pair's rank is 1 plus a draw below d - 1; choice(d, 2,
+    # replace=False) is a Floyd step (a below d - 1, then b below d, b == a
+    # taking d - 1) and a swap draw below 2.  At d = 1 its bound d - 1 = 0
+    # raises ValueError.
     bounds[family == 2] = (d - 1, 1, 1) if rank else (d - 1, d, 2)
     scale = _draw_scale(mech) * np.array((0.5, 1.0, 2.0))[(trial // 3) % 3]
-    pair = family == 0
-    z, picks, _ = trial_draws(rng_seed, start, scale, np.where(pair, 2 * d, d), bounds)
+    z = spawn_rng(rng_seed, block, 0).standard_normal((n, 2 * d))
+    z *= scale[:, None]
+    picks = spawn_rng(rng_seed, block, 1).integers(bounds)
     x = z[:, :d].copy()
-    y = np.where(pair[:, None], z[:, z.shape[1] - d:], x)  # a random pair's y is its second d normals
+    y = np.where((family == 0)[:, None], z[:, d:], x)
 
     rows = np.flatnonzero(family == 1)
     y[rows, picks[rows, 0]] += np.array(_PERTURB_STEPS)[(trial[rows] // 3) % len(_PERTURB_STEPS)]
@@ -144,16 +151,17 @@ def empirical_lipschitz(
 ) -> LipschitzEstimate:
     """Max observed distance ratio for mech over seeded pair families.
 
-    Deterministic per seed: trial i draws from a generator derived from
-    (rng_seed, i).  The designed pairs form the first block of rows, then the
-    trials follow in blocks drawn straight into rows, ``_block_rows(d)``
-    pairs each (2**14 values per side, within 256 to 2048 rows); each
-    block gets one row-wise domain distance, one ``mech.rows`` call on each
-    side and one row-wise range distance.  The first pair with the largest
-    ratio is the witness (first argmax in a block, strict > between blocks);
-    a nan ratio never wins.  An infinite range distance is recorded as a
-    +inf estimate with its witness; it signals a non-Lipschitz metric
-    pairing rather than an error.  A parameter whose largest trial scale
+    Deterministic per seed: the trials come in draw blocks of
+    ``_block_rows(d)`` pairs (2**14 values per side, within 256 to 2048
+    rows), and block b draws from two generators derived from (rng_seed, b),
+    so a run of n trials is a prefix of any longer run (see _pair_rows).  The
+    designed pairs form the first block of rows, then the trial blocks
+    follow; each block gets one row-wise domain distance, one ``mech.rows``
+    call on each side and one row-wise range distance.  The first pair with
+    the largest ratio is the witness (first argmax in a block, strict >
+    between blocks); a nan ratio never wins.  An infinite range distance is
+    recorded as a +inf estimate with its witness; it signals a non-Lipschitz
+    metric pairing rather than an error.  A parameter whose largest trial scale
     (twice the middle one) or designed witness is not a finite float is
     refused before anything is drawn.
     """
@@ -170,7 +178,7 @@ def empirical_lipschitz(
     witness = None
     evaluated = drawn = 0
     rows = _block_rows(d)
-    blocks = (_pair_rows(mech, d, rng_seed, s, min(rows, trials - s)) for s in range(0, trials, rows))
+    blocks = (_pair_rows(mech, d, rng_seed, b, min(rows, trials - s)) for b, s in enumerate(range(0, trials, rows)))
     for x, y in chain([_designed_rows(mech, d)], blocks):
         drawn += len(x)
         dxy = dom(x, y)  # nan where a row is outside the metric's domain

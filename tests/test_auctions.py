@@ -44,9 +44,14 @@ def per_price_outcome(bids, H, k, r):
 
 def select(mech, revenue):
     """The selector on one revenue vector, uniform where a positive-domain
-    kind sees no revenue at any price."""
+    kind sees no revenue at any price; logplsoftmax gives a price without
+    revenue weight 0."""
     if mech.positive_domain and not (revenue > 0).any():
         return np.full(revenue.size, 1.0 / revenue.size)
+    if mech.kind == "logplsoftmax":
+        dist = np.zeros(revenue.size)
+        dist[revenue > 0] = mech(revenue[revenue > 0])
+        return dist
     return mech(revenue)
 
 
@@ -433,8 +438,7 @@ class TestRowAuditMatchesPerDeviationLoop:
             if trial == 3:
                 bids[-1] = grid.prices[grid_size // 2]  # a bid on a grid price
             ran += self._compare(AuctionInstance(bids, 1.0, k), grid, mech, int(rng.integers(2, 30)))
-        if mech.kind in ("exp", "pow", "plsoftmax", "sparsemax"):
-            assert ran == 6  # these selectors accept every revenue row
+        assert ran == 6  # every selector accepts every revenue row
 
     @pytest.mark.parametrize("supply_k", [2, 4])
     def test_tied_bids_on_grid_prices(self, supply_k):
@@ -472,14 +476,14 @@ class TestRowAuditMatchesPerDeviationLoop:
                 assert self._compare(AuctionInstance(bids, 1.0, k), grid, mech, resolution)
 
     @pytest.mark.parametrize("supply_k", [1, 3])
-    def test_selector_error_inside_a_shared_block(self, monkeypatch, supply_k):
+    def test_zero_revenue_row_mid_block(self, monkeypatch, supply_k):
         # bidder 1 deviating to 0.5 leaves no revenue at the two top prices,
-        # a row logplsoftmax refuses; it sits mid-block, after rows of
-        # bidder 0 and before rows of bidder 2
+        # which logplsoftmax gives weight 0; the row sits mid-block, after
+        # rows of bidder 0 and before rows of bidder 2
         monkeypatch.setattr(auctions, "_AUDIT_BLOCK", 7)
         grid = reserve_grid(1.0, 0.25, 0.14)
         inst = AuctionInstance(np.array([0.05, 0.9, 0.1]), 1.0, supply_k)
-        assert not self._compare(inst, grid, MechanismSpec("logplsoftmax", 0.5), 3)
+        assert self._compare(inst, grid, MechanismSpec("logplsoftmax", 0.5), 3)
 
     @pytest.mark.parametrize("supply_k", [1, 3])
     def test_flat_row_inside_a_shared_block(self, monkeypatch, supply_k):
@@ -506,13 +510,13 @@ class TestRowAuditMatchesPerDeviationLoop:
         assert max(seen) == auctions._AUDIT_BLOCK
         assert sum(seen) == 1 + len(records)  # the truthful row, then every deviation once
 
-    def test_selector_error_matches(self):
-        # a bid of 0.5 leaves no revenue at the top prices, rows logplsoftmax
-        # refuses on both paths; pow takes them, and the deviation to 0,
-        # with no revenue at any price, is uniform on both paths
+    def test_zero_revenue_rows_match(self):
+        # a bid of 0.5 leaves no revenue at the top prices, which logplsoftmax
+        # and pow give weight 0 on both paths, and the deviation to 0, with no
+        # revenue at any price, is uniform on both paths
         grid = reserve_grid(1.0, 0.25, 0.14)
         inst = AuctionInstance(np.array([0.5]), 1.0, 1)
-        assert not self._compare(inst, grid, MechanismSpec("logplsoftmax", 0.5), 11)
+        assert self._compare(inst, grid, MechanismSpec("logplsoftmax", 0.5), 11)
         assert self._compare(inst, grid, MechanismSpec("pow", 2.0), 11)
 
     def test_revenue_views_match_per_price_rule(self):

@@ -68,17 +68,24 @@ def per_point_subgradient_check(x, q, delta, fd_step=1e-5):
 
 
 def per_trial_convexity_probe(q, delta, trials, rng_seed, scale=2.0, loss=None):
-    """convexity_probe with three loss calls (loss_total by default) per trial."""
+    """convexity_probe with three loss calls (loss_total by default) per trial.
+
+    Each draw block of _PROBE_BLOCK trials takes its normals and its
+    uniforms in one numpy call each; the chords are built one trial at a
+    time."""
     d = q.size
     if loss is None:
         loss = lambda xv: loss_total(xv, q, delta)
+    sd = scale * max(delta, 1.0)
+    block = classification._PROBE_BLOCK
     worst = -np.inf
-    for i in range(trials):
-        rng = spawn_rng(rng_seed, i)
-        x1 = rng.normal(0.0, scale * max(delta, 1.0), size=d)
-        x2 = rng.normal(0.0, scale * max(delta, 1.0), size=d)
-        t = rng.random()
-        worst = max(worst, loss(t * x1 + (1 - t) * x2) - t * loss(x1) - (1 - t) * loss(x2))
+    for b, start in enumerate(range(0, trials, block)):
+        n = min(block, trials - start)
+        normals = spawn_rng(rng_seed, b, 0).standard_normal((n, 2 * d))
+        uniforms = spawn_rng(rng_seed, b, 1).random(n)
+        for z, t in zip(normals, uniforms.tolist()):
+            x1, x2 = z[:d] * sd, z[d:] * sd
+            worst = max(worst, loss(t * x1 + (1 - t) * x2) - t * loss(x1) - (1 - t) * loss(x2))
     return float(worst)
 
 
@@ -352,6 +359,46 @@ class TestProbesMatchPerPointLoops:
             ref = per_trial_convexity_probe(q, 1.5, trials, 3, loss=concave)
             assert np.float64(got).tobytes() == np.float64(ref).tobytes()
             assert got > 1e-3
+
+    @pytest.mark.parametrize("block", [7, 512])
+    def test_convexity_probe_run_is_a_prefix_of_a_longer_run(self, monkeypatch, block):
+        # numpy fills each block's two streams in order, so the chords of a
+        # run of n trials are the first n chords of any longer run
+        monkeypatch.setattr(classification, "_PROBE_BLOCK", block)
+        evaluated = []
+
+        def recording(X, q, delta):
+            evaluated.append(np.split(X, 3))  # the midpoints, then x1, then x2
+            return _loss_rows(X, q, delta)
+
+        def chords(trials):
+            evaluated.clear()
+            convexity_probe(np.full(4, 0.25), 1.0, trials, 8)
+            return np.concatenate([np.concatenate(parts, axis=1) for parts in evaluated])
+
+        monkeypatch.setattr(classification, "_loss_rows", recording)
+        for n in (1, block - 1, block, block + 1):
+            got, longer = chords(n), chords(n + block + 1)
+            assert got.shape == (n, 12)
+            assert got.tobytes() == longer[:n].tobytes(), n
+
+    def test_convexity_probe_takes_two_generators_per_block(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return spawn_rng(*args)
+
+        monkeypatch.setattr(classification, "spawn_rng", counting)
+        block = classification._PROBE_BLOCK
+        for trials in (1, block, block + 1, 3 * block):
+            calls.clear()
+            convexity_probe(np.full(3, 1 / 3), 1.0, trials, 4)
+            assert calls == [(4, b, stream) for b in range(-(-trials // block)) for stream in (0, 1)], trials
+
+    def test_convexity_probe_refuses_a_negative_seed(self):
+        with pytest.raises(ValueError):
+            convexity_probe(np.full(3, 1 / 3), 1.0, 5, -1)
 
     def test_probes_reject_bad_delta(self):
         q = np.full(4, 0.25)

@@ -12,6 +12,7 @@ import pytest
 
 from softmech import auctions, cli, smoothness, submodular
 from softmech.cli import main, parse_seeds, parse_vector, read_vector_file
+from softmech.distances import metric_from_id
 from softmech.mechanisms import MechanismSpec
 
 
@@ -150,15 +151,19 @@ class TestLipschitz:
         assert ",inf," in out.read_text(encoding="utf-8")
 
     def test_log_metrics_carry_the_positive_kinds_claims(self, tmp_path, capsys):
-        # exp's 2 lambda holds on plain values only; on log values its estimate
-        # passes 2, so the log metric gives no claim and no check
+        # exp's 2 lambda holds on plain values only; on log values its ratio
+        # passes 2 (5.0002 at this pair), so the log metric gives no claim and no check
+        x = np.array([10.0, 10.0, 1.0, 1.0])
+        y = x.copy()
+        y[0] *= np.exp(1e-4)
+        exp = MechanismSpec("exp", 1.0)
+        assert metric_from_id("l1")(exp(x), exp(y)) / metric_from_id("log-linf")(x, y) > 5.0
         out = tmp_path / "lip.csv"
         code = main(["lipschitz", "--mech", "exp:lambda=1", "--d", "4", "--domain", "log-linf", "--range", "l1",
                      "--trials", "300", "--seeds", "0-1", "--out", str(out)])
         assert code == 0
         rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
         assert [row[6] for row in rows] == ["inf", "inf"]
-        assert max(float(row[5]) for row in rows) > 2.0
         assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["checks"] == 0
         # pow is exp on log values: the same 2 lambda, checked
         code = main(["lipschitz", "--mech", "pow:lambda=1", "--d", "4", "--domain", "log-linf", "--range", "dinf",
@@ -336,6 +341,21 @@ class TestAuction:
         assert main(argv) == 0
         dist = json.loads(out.read_text(encoding="utf-8"))["selection_distribution"]
         assert len(dist) > 1 and dist == [dist[0]] * len(dist)
+        capsys.readouterr()
+
+    def test_logplsoftmax_on_revenue_rows_with_zero_entries(self, tmp_path, capsys):
+        # the prices above the one bid earn nothing, and log 0 is never within
+        # delta of the max: those prices get weight 0, as under pow
+        spec = tmp_path / "auction.json"
+        out = tmp_path / "outcome.json"
+        spec.write_text(json.dumps({"H": 1, "k": 1, "bids": [0.5]}), encoding="utf-8")
+        argv = ["auction", "--instance-file", str(spec), "--mech", "logplsoftmax:delta=0.5", "--out", str(out)]
+        assert main([*argv, "--audit"]) == 0
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        prices, dist = payload["grid_prices"], payload["selection_distribution"]
+        assert max(prices) > 0.5 and all(w == 0.0 for p, w in zip(prices, dist) if p > 0.5)
+        assert sum(dist) == pytest.approx(1.0) and payload["revenue"] > 0.0
+        assert np.isfinite(payload["audit_max_gain"])
         capsys.readouterr()
 
     @pytest.mark.parametrize("k", [1.9, 1.0, True, "1", None])

@@ -18,6 +18,7 @@ from softmech.mechanisms import (
     multiplicative_guarantee,
     plsoftmax,
     power_mechanism,
+    selection_distribution,
     sparsemax,
     worst_case_support_ok,
 )
@@ -555,6 +556,26 @@ class TestSupportFirst:
             x = np.exp(x - x.max(axis=1, keepdims=True))
         for row, o in zip(x, spec.rows(x)):
             assert o.tobytes() == spec(row).tobytes()
+
+
+class TestSelectionDistribution:
+    def test_logplsoftmax_gives_zero_entries_weight_0(self):
+        # log 0 is never within delta of a finite max, as a vanishing entry is not
+        mech = MechanismSpec("logplsoftmax", 0.5)
+        values = np.array([[0.0, 0.3, 0.25, 0.0], [0.0] * 4, [0.3, 0.1, 0.2, 0.4], [0.0, 0.0, 0.7, 0.0]])
+        out = selection_distribution(mech, values)
+        vanishing = np.where(values[0] == 0.0, 1e-300, values[0])
+        assert out[0].tobytes() == log_plsoftmax(vanishing, 0.5).tobytes()
+        assert out[0].tolist() == [0.0, *log_plsoftmax([0.3, 0.25], 0.5), 0.0]
+        assert out[1].tolist() == [0.25] * 4  # no positive entry: uniform
+        assert out[2].tobytes() == log_plsoftmax(values[2], 0.5).tobytes()
+        assert out[3].tolist() == [0.0, 0.0, 1.0, 0.0]
+        for row, expected in zip(values, out):
+            assert selection_distribution(mech, row).tobytes() == expected.tobytes()
+
+    def test_logplsoftmax_still_refuses_a_negative_entry(self):
+        with pytest.raises(ValueError, match="strictly positive"):
+            selection_distribution(MechanismSpec("logplsoftmax", 0.5), np.array([0.0, -1.0, 2.0]))
 
 
 class TestInputSafety:

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from softmech import seeding, smoothness, submodular
+from softmech import smoothness, submodular
 from softmech.distances import (
     lp_distance,
     metric_from_id,
@@ -95,29 +95,27 @@ class TestEstimator:
         assert renyi_divergence(p, q, 1.0) == INF
 
 
-# The lab's pair families one trial at a time, as the lab drew them before
-# it drew whole blocks of rows: the oracle below checks the draws as well as
-# the evaluation.
+# The lab's pair families one trial at a time, each trial built from its row
+# of its block's normals and from its own calls on its block's integer stream:
+# the oracle below checks the draws as well as the evaluation.
 
 
 def _to_domain(z: np.ndarray, positive: bool) -> np.ndarray:
     return np.exp(z) if positive else z
 
 
-def _random_pair(rng, d, scale, positive):
-    x = rng.normal(0.0, scale, size=d)
-    y = rng.normal(0.0, scale, size=d)
-    return _to_domain(x, positive), _to_domain(y, positive)
+def _random_pair(z, d, positive):
+    return _to_domain(z[:d], positive), _to_domain(z[d:], positive)
 
 
-def _perturbation_pair(rng, d, scale, positive, step):
-    x = rng.normal(0.0, scale, size=d)
+def _perturbation_pair(z, ints, d, positive, step):
+    x = z[:d]
     y = x.copy()
-    y[rng.integers(d)] += step
+    y[ints.integers(d)] += step
     return _to_domain(x, positive), _to_domain(y, positive)
 
 
-def _boundary_pair(rng, d, scale, positive, delta):
+def _boundary_pair(z, ints, d, positive, delta):
     """Pair with gap 1e-6 in the sup norm, straddling a selector seam.
 
     For delta-parameterized mechanisms (delta not None) the straddle crosses
@@ -125,17 +123,17 @@ def _boundary_pair(rng, d, scale, positive, delta):
     max - delta); otherwise it crosses an order-change boundary (two
     coordinates swapping rank).
     """
-    z = rng.normal(0.0, scale, size=d)
+    z = z[:d]
     h = _BOUNDARY_STEP
     if delta is not None and d >= 2:
         order = np.argsort(-z, kind="stable")
-        j = int(rng.integers(1, d))
+        j = int(ints.integers(1, d))
         edge = z[order[0]] - delta
         a, b = z.copy(), z.copy()
         a[order[j]] = edge + h / 2
         b[order[j]] = edge - h / 2
         return _to_domain(a, positive), _to_domain(b, positive)
-    i, j = rng.choice(d, size=2, replace=False)
+    i, j = ints.choice(d, size=2, replace=False)
     mid = (z[i] + z[j]) / 2
     a, b = z.copy(), z.copy()
     a[i], a[j] = mid + h / 2, mid - h / 2
@@ -144,9 +142,12 @@ def _boundary_pair(rng, d, scale, positive, delta):
 
 
 def per_pair_lipschitz(mech, d, domain_metric, range_metric, trials, rng_seed):
-    """The lab as a loop that draws and evaluates one pair at a time with
+    """The lab as a loop that builds and evaluates one pair at a time with
     the 1-D distances and selector calls: the reference for the row-block
-    lab.  Returns (max_ratio, witness_x, witness_y, evaluated, skipped)."""
+    lab.  Each draw block of ``_block_rows(d)`` trials takes its normals in
+    one numpy call, and each trial takes its integers from the block's second
+    generator with numpy's scalar ``integers`` and ``choice`` calls.  Returns
+    (max_ratio, witness_x, witness_y, evaluated, skipped)."""
     dom = metric_from_id(domain_metric)
     rng_m = metric_from_id(range_metric)
     positive = mech.positive_domain
@@ -175,17 +176,21 @@ def per_pair_lipschitz(mech, d, domain_metric, range_metric, trials, rng_seed):
         consider(*exp_l1_lb_witness(d, mech.param))
     if mech.kind == "sparsemax" and d % 2 == 0:
         consider(*sparsegen_lb_witness(d, 2.0)[:2])
-    for i in range(trials):
-        rng = spawn_rng(rng_seed, i)
-        scale = base_scale * (0.5, 1.0, 2.0)[(i // 3) % 3]
-        family = i % 3
-        if family == 0:
-            x, y = _random_pair(rng, d, scale, positive)
-        elif family == 1:
-            x, y = _perturbation_pair(rng, d, scale, positive, _PERTURB_STEPS[(i // 3) % len(_PERTURB_STEPS)])
-        else:
-            x, y = _boundary_pair(rng, d, scale, positive, delta)
-        consider(x, y)
+    block = smoothness._block_rows(d)
+    for b, start in enumerate(range(0, trials, block)):
+        n = min(block, trials - start)
+        normals = spawn_rng(rng_seed, b, 0).standard_normal((n, 2 * d))
+        ints = spawn_rng(rng_seed, b, 1)
+        for i in range(start, start + n):
+            z = normals[i - start] * (base_scale * (0.5, 1.0, 2.0)[(i // 3) % 3])
+            family = i % 3
+            if family == 0:
+                x, y = _random_pair(z, d, positive)
+            elif family == 1:
+                x, y = _perturbation_pair(z, ints, d, positive, _PERTURB_STEPS[(i // 3) % len(_PERTURB_STEPS)])
+            else:
+                x, y = _boundary_pair(z, ints, d, positive, delta)
+            consider(x, y)
     if witness is None:
         raise ValueError("no usable pair")
     return max(best, 0.0), witness[0], witness[1], evaluated, drawn - evaluated
@@ -243,19 +248,20 @@ class TestRowBlocksMatchPerPairLoop:
 
     @pytest.mark.parametrize("mech", [MechanismSpec("exp", 1.5), MechanismSpec("plsoftmax", 0.5)], ids=lambda m: m.kind)
     def test_across_a_seeding_block_edge(self, mech):
-        # trial_draws hashes the trials' keys _KEY_BLOCK at a time
-        trials = seeding._KEY_BLOCK + 3
-        ref = per_pair_lipschitz(mech, 6, "l2", "l2", trials, 77)
-        est = empirical_lipschitz(mech, 6, "l2", "l2", trials, 77)
+        # three draw blocks at d = 100, the last one partial: block numbers
+        # past 1 seed their own streams
+        trials = 2 * smoothness._block_rows(100) + 3
+        ref = per_pair_lipschitz(mech, 100, "l2", "l2", trials, 77)
+        est = empirical_lipschitz(mech, 100, "l2", "l2", trials, 77)
         assert np.float64(est.max_ratio).tobytes() == np.float64(ref[0]).tobytes()
         assert est.witness_x.tobytes() == ref[1].tobytes() and est.witness_y.tobytes() == ref[2].tobytes()
         assert (est.trials, est.skipped) == ref[3:]
 
     def test_memory_bounded_by_the_block(self):
         # all 20 000 pairs at once would hold more than 20 MB of rows at d = 64;
-        # at small d the block's rows are capped, and with them its per-row
-        # objects.  The bound is scaled to the d = 64 block (about 1.1 MiB at
-        # peak); without the cap the d = 2 blocks of 8192 rows peak near 4 MiB
+        # at small d the block's rows are capped, and with them its arrays.
+        # The bound is scaled to the d = 64 block (about 1.1 MiB at peak);
+        # without the cap the d = 2 blocks of 8192 rows peak near 1.7 MiB
         for d in (2, 16, 64):
             tracemalloc.start()
             try:
@@ -264,7 +270,52 @@ class TestRowBlocksMatchPerPairLoop:
             finally:
                 tracemalloc.stop()
             assert est.trials == 20_001
-            assert peak < 2 * 2**20, d
+            assert peak < 1.5 * 2**20, d
+
+    @pytest.mark.parametrize("d", [3, 100])
+    def test_a_run_is_a_prefix_of_a_longer_run(self, monkeypatch, d):
+        # numpy fills each block's two streams in order, so the pairs of a
+        # run of n trials are the first n pairs of any longer run
+        drawn = []
+        pair_rows = smoothness._pair_rows
+
+        def recording(*args):
+            rows = pair_rows(*args)
+            drawn.append(rows)
+            return rows
+
+        def pairs(trials):
+            drawn.clear()
+            empirical_lipschitz(MechanismSpec("plsoftmax", 0.5), d, "l2", "l1", trials, 21)
+            return np.concatenate([x for x, _ in drawn]), np.concatenate([y for _, y in drawn])
+
+        monkeypatch.setattr(smoothness, "_pair_rows", recording)
+        block = smoothness._block_rows(d)
+        for n in (1, block - 1, block, block + 1):
+            (x, y), (long_x, long_y) = pairs(n), pairs(n + block + 1)
+            assert x.shape == (n, d)
+            assert x.tobytes() == long_x[:n].tobytes() and y.tobytes() == long_y[:n].tobytes(), n
+
+    def test_two_generators_per_block(self, monkeypatch):
+        # one generator per trial cost most of the lab's time
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return spawn_rng(*args)
+
+        monkeypatch.setattr(smoothness, "spawn_rng", counting)
+        for d in (2, 16, 64):
+            block = smoothness._block_rows(d)
+            for trials in (1, block, block + 1, 3 * block):
+                calls.clear()
+                empirical_lipschitz(MechanismSpec("exp", 1.0), d, "l2", "l1", trials, 5)
+                blocks = -(-trials // block)
+                assert calls == [(5, b, stream) for b in range(blocks) for stream in (0, 1)], (d, trials)
+
+    def test_negative_seed_refused(self):
+        with pytest.raises(ValueError):
+            empirical_lipschitz(MechanismSpec("exp", 1.0), 4, "l2", "l1", 10, -1)
 
     def test_skipped_pairs_counted(self):
         # plsoftmax draws pairs on the whole line; log-l2 needs positive entries
