@@ -1,6 +1,7 @@
-"""The seeding helpers against numpy, bit for bit: sorted_choices against
-choice, integers on an array of bounds against scalar calls, and
-weighted_choices against choice with probabilities.
+"""The seeding helpers against numpy, bit for bit: the generators of
+spawn_rng against SeedSequence, sorted_choices against choice, integers on
+an array of bounds against scalar calls, and weighted_choices against choice
+with probabilities.
 
 sorted_choices and weighted_choices rest on what numpy's own calls draw
 (integers on an array of bounds, choice's cdf search), and so do the seeded
@@ -15,8 +16,62 @@ from softmech import seeding
 from softmech.seeding import spawn_rng
 
 
-def numpy_rng(seed, i):
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))))
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**199 + 12345, np.int64(7)]
+
+
+def numpy_rng(seed, *key):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+
+
+def assert_same_generators(seed, start, n, streams=((),)):
+    """spawn_rng(seed, i, *stream) for i in [start, start + n) against the
+    generator SeedSequence(seed, spawn_key=(i, *stream)) gives: the same
+    state, and the same normal, integers and random draws."""
+    for i in range(start, start + n):
+        for stream in streams:
+            got, ref = spawn_rng(seed, i, *stream), numpy_rng(seed, i, *stream)
+            assert got.bit_generator.state == ref.bit_generator.state, (i, stream)
+            assert got.normal(size=7).tobytes() == ref.normal(size=7).tobytes(), (i, stream)
+            assert got.integers(0, 2**62, size=3).tolist() == ref.integers(0, 2**62, size=3).tolist(), (i, stream)
+            assert got.random() == ref.random(), (i, stream)
+
+
+@pytest.mark.parametrize("seed", SEEDS, ids=str)
+@pytest.mark.parametrize("start", [0, 255, 256, 999_900])
+@pytest.mark.parametrize("n", [1, 256, 1000])
+def test_states_and_draws_match_seed_sequence(seed, start, n):
+    assert_same_generators(seed, start, n)
+
+
+@pytest.mark.parametrize("seed", [3, 2**64 + 5])
+def test_across_key_block_edges(seed):
+    # the two streams (b, 0) and (b, 1) of each draw block b the seeded probes use
+    assert_same_generators(seed, 1022, 2 * 1024 + 5, streams=((0,), (1,)))
+
+
+@pytest.mark.parametrize("start, n", [(2**32 - 3, 6), (2**32, 2), (2**40 + 7, 3)])
+def test_two_word_keys_take_numpy_path(start, n):
+    # SeedSequence hashes a counter of 2**32 or more as two 32-bit words
+    assert_same_generators(11, start, n, streams=((), (0,), (1,)))
+
+
+def test_seeds_outside_the_port_take_numpy_path():
+    assert_same_generators([1, 2], 0, 3)
+    assert_same_generators(True, 5, 3)
+    for seed in (-1, 1.5, "7", np.bool_(True)):
+        with pytest.raises(Exception) as numpy_error:
+            numpy_rng(seed, 0)
+        with pytest.raises(type(numpy_error.value)):
+            spawn_rng(seed, 0)
+        with pytest.raises(type(numpy_error.value)):
+            spawn_rng(seed, 0, 1)
+    with pytest.raises(ValueError):
+        spawn_rng(5, -1)
+
+
+def test_empty_run():
+    assert_same_generators(5, 10, 0)
+    assert spawn_rng(5).bit_generator.state == numpy_rng(5).bit_generator.state  # no counters
 
 
 def choice_loop(rng, population, sizes):
